@@ -219,6 +219,9 @@ int main(int argc, char** argv) {
                   std::to_string(args.seed) + ".json";
     const TraceResult trace = RunTrace(gen, spans);
     for (const std::string& f : trace.shape_failures) problems.push_back(f);
+    for (const std::string& w : trace.trace_warnings) {
+      std::fprintf(stderr, "servebench: warning: %s\n", w.c_str());
+    }
     // The socket run's wall-clock figures swing with the CPU time the host
     // steals from this machine, so they are recorded here, unbounded,
     // rather than gated end to end.

@@ -450,17 +450,19 @@ TraceResult RunTrace(const Generator& gen, const std::string& spans_path) {
       {"trace.overhead_pct", overhead_pct, "%"},
   };
 
-  // Workload shape checks.
-  auto& fail = result.shape_failures;
+  auto& warn = result.trace_warnings;
   if (result_mismatches != 0) {
-    fail.push_back("traced replay responses differ from HandleLine's");
+    warn.push_back("traced replay responses differ from HandleLine's");
   }
   if (std::fabs(coverage - 1.0) > 0.05) {
     char buf[96];
     std::snprintf(buf, sizeof buf, "trace.coverage %.4f not within 5%% of 1",
                   coverage);
-    fail.push_back(buf);
+    warn.push_back(buf);
   }
+
+  // Workload shape checks.
+  auto& fail = result.shape_failures;
   switch (gen.kind()) {
     case WorkloadKind::kHotMix:
       if (misses != 0) fail.push_back("hot_mix: a measured line missed");

@@ -22,6 +22,11 @@ struct TraceResult {
   std::vector<Metric> metrics;
   /// Workload-shape checks that failed (empty when the shape holds).
   std::vector<std::string> shape_failures;
+  /// Checks of the traced re-expression against plain HandleLine that
+  /// failed: equal responses, and trace.coverage within 5% of 1. They judge
+  /// the benchmark's copy of HandleLine, not the program, so the selftest
+  /// requires them and a measured run only reports them.
+  std::vector<std::string> trace_warnings;
 };
 
 /// Replays the warm-up plus the first measured lines of `gen` and returns

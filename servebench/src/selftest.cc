@@ -119,8 +119,11 @@ void ShapesHoldInTheTracedReplay() {
   for (const WorkloadKind kind : kAll) {
     const servebench::TraceResult trace =
         servebench::RunTrace(Generator(kind, 2), "");
-    for (const std::string& f : trace.shape_failures) {
-      Check(false, std::string(WorkloadName(kind)) + ": " + f);
+    for (const auto* failures :
+         {&trace.shape_failures, &trace.trace_warnings}) {
+      for (const std::string& f : *failures) {
+        Check(false, std::string(WorkloadName(kind)) + ": " + f);
+      }
     }
     for (const servebench::Metric& m : trace.metrics) {
       if (m.name == "trace.coverage") {

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Runs the benchmark on several seeds and records how much each end-to-end
-metric spreads, the record BENCHMARK.json's bounds are read against.
+"""Runs the benchmark in two sets of runs and records how much each end-to-end
+metric spreads within a set and how far its median moves between the sets:
+the record BENCHMARK.json's bounds are read against.
 
 Run from the root of a checkout:
 
-    python3 servebench/steadiness.py --runs 10 [--workloads hot_mix,...]
-                                     [--write servebench/STEADINESS.json]
+    python3 servebench/steadiness.py [--write servebench/STEADINESS.json]
 
-For every workload it runs `servebench/run.py` once per seed (1..runs) and
-prints, per metric, the median, the quartiles (statistics.quantiles with
-n=4) and the spread (q3 - q1) / median next to the metric's bound.
+Each set runs `servebench/run.py` once per seed 1..10 on every workload in
+BENCHMARK.json. The second set starts when the first has ended, so drift of
+the machine over that time shows as a change of median. Per metric it prints
+the median, the quartiles (statistics.quantiles with n=4) and the spread
+(q3 - q1) / median, and for the second set the change of median from the
+first, next to the metric's bound.
 """
 import argparse
 import json
@@ -20,6 +23,8 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+RUNS = 10
+SETS = 2
 
 
 def run_once(workload, seed, seconds):
@@ -43,37 +48,43 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     parser = argparse.ArgumentParser()
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--write", default="")
     args = parser.parse_args()
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    record = {"runs": args.runs, "run_seconds": bench["run_seconds"],
-              "seeds": list(range(args.first_seed,
-                                  args.first_seed + args.runs)),
-              "workloads": {}}
-    for workload in args.workloads.split(","):
-        values = {name: [] for name in bounds}
-        for seed in record["seeds"]:
-            result, record["fingerprint"] = run_once(
-                workload, seed, bench["run_seconds"])
-            for name in bounds:
-                values[name].append(result["metrics"][name]["value"])
-        rows = {}
-        print(f"{workload}:")
-        for name, vals in values.items():
-            q1, med, q3 = statistics.quantiles(vals, n=4)
-            spread = (q3 - q1) / med
-            rows[name] = {"median": med, "q1": q1, "q3": q3,
-                          "spread": spread, "bound": bounds[name],
-                          "values": vals}
-            flag = "" if spread <= bounds[name] / 3 else "  <-- above bound/3"
-            print(f"  {name:16s} median {med:14.6g}  q1 {q1:14.6g}  "
-                  f"q3 {q3:14.6g}  spread {spread:7.4f}  "
-                  f"bound {bounds[name]:.2f}{flag}", flush=True)
-        record["workloads"][workload] = rows
+    record = {"runs": RUNS, "run_seconds": bench["run_seconds"],
+              "seeds": list(range(1, RUNS + 1)), "sets": []}
+    for set_index in range(SETS):
+        rows_by_workload = {}
+        for workload in (w["name"] for w in bench["workloads"]):
+            values = {name: [] for name in bounds}
+            for seed in record["seeds"]:
+                result, record["fingerprint"] = run_once(
+                    workload, seed, bench["run_seconds"])
+                for name in bounds:
+                    values[name].append(result["metrics"][name]["value"])
+            rows = {}
+            print(f"set {set_index + 1}, {workload}:")
+            for name, vals in values.items():
+                q1, med, q3 = statistics.quantiles(vals, n=4)
+                row = {"median": med, "q1": q1, "q3": q3,
+                       "spread": (q3 - q1) / med, "bound": bounds[name],
+                       "values": vals}
+                flags = ["spread above bound/3"] * (
+                    row["spread"] > bounds[name] / 3)
+                change = ""
+                if set_index > 0:
+                    first = record["sets"][0][workload][name]["median"]
+                    row["change"] = (med - first) / first
+                    change = f"  change {row['change']:+7.4f}"
+                    if abs(row["change"]) > bounds[name]:
+                        flags.append("change above bound")
+                print(f"  {name:16s} median {med:14.6g}  q1 {q1:14.6g}  "
+                      f"q3 {q3:14.6g}  spread {row['spread']:7.4f}{change}  "
+                      f"bound {bounds[name]:.2f}"
+                      + "".join(f"  <-- {f}" for f in flags), flush=True)
+                rows[name] = row
+            rows_by_workload[workload] = rows
+        record["sets"].append(rows_by_workload)
     if args.write:
         with open(os.path.join(ROOT, args.write), "w") as f:
             json.dump(record, f, indent=1)
