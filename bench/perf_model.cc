@@ -11,7 +11,7 @@
 
 #include "harness/sweep.h"
 #include "model/compiled_model.h"
-#include "model/latency_model.h"
+#include "oracle/latency_model.h"
 #include "system/presets.h"
 
 namespace coc {
@@ -67,10 +67,10 @@ void BM_CompiledModelBuild(benchmark::State& state) {
 BENCHMARK(BM_CompiledModelBuild);
 
 // The sweep pair: one full rate grid per iteration on the N=1120
-// organization, compiled (build + EvaluateMany) vs the pointwise reference
-// loop RunSweep used to run. The ratio of the two is the sweep speedup the
-// README quotes; both produce bit-identical results
-// (tests/compiled_model_test.cc).
+// organization, compiled (build + EvaluateMany) vs the pointwise loop over
+// the equation-shaped LatencyModel oracle (tests/oracle/). The ratio of the
+// two is the sweep speedup the README quotes; both produce bit-identical
+// results (tests/compiled_model_test.cc).
 void BM_ModelSweep(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256});
   const auto rates = SweepGrid();

@@ -83,7 +83,7 @@ BENCHMARK(BM_SimulateSmallSystem);
 
 void BM_SimulateSmallSystemReusedArena(benchmark::State& state) {
   // Sweep configuration: one SimScratch (engine arena, traffic buffer, path
-  // staging) carried across runs, as RunSweep/RunSweepParallel do.
+  // staging) carried across runs, as each RunSweepParallel worker does.
   const auto sys = MakeSmallSystem(MessageFormat{16, 64});
   const CocSystemSim sim(sys);
   SimConfig cfg;

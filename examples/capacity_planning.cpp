@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/table.h"
-#include "model/latency_model.h"
+#include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "topology/m_port_n_tree.h"
 #include "system/system_config.h"
@@ -56,7 +56,7 @@ int main() {
   for (const Candidate& c : candidates) {
     keep.push_back(Organization(c.m, c.c, c.n));
     const SystemConfig& sys = keep.back();
-    LatencyModel model(sys);
+    CompiledModel model(sys);
     const auto r = model.Evaluate(target_rate);
     const double sat = model.SaturationRate(5e-3);
     const bool fits = sys.TotalNodes() >= needed_nodes && !r.saturated &&

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/table.h"
-#include "model/latency_model.h"
+#include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 
@@ -59,7 +59,7 @@ int main() {
   double base_sat = 0;
   for (const Candidate& c : candidates) {
     const auto sys = Customize(base, c.icn2_mul, c.ecn1_mul, c.m_flits);
-    LatencyModel model(sys);
+    CompiledModel model(sys);
     const double sat = model.SaturationRate(5e-3);
     if (base_sat == 0) base_sat = sat;
     t.AddRow({c.name, FormatSci(sat),

@@ -9,14 +9,14 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "model/latency_model.h"
+#include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 
 int main() {
   using namespace coc;
   const auto sys = MakeSmallSystem(MessageFormat{16, 64});
-  LatencyModel model(sys);
+  CompiledModel model(sys);
   CocSystemSim sim(sys);
 
   auto run = [&sim](double rate, const Workload& workload) {

@@ -7,7 +7,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "model/latency_model.h"
+#include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/system_config.h"
 
@@ -35,7 +35,7 @@ int main() {
   }
 
   // The analytical model: instant evaluation at any generation rate.
-  LatencyModel model(sys);
+  CompiledModel model(sys);
   std::printf("\nanalytical mean message latency:\n");
   for (double rate : {1e-5, 1e-4, 5e-4, 1e-3}) {
     const ModelResult r = model.Evaluate(rate);

@@ -21,7 +21,7 @@ int main() {
   spec.sim_base.measured_messages = 10000;
   spec.sim_base.drain_messages = 1000;
   spec.sim_abort_latency = 2000;
-  const auto pts = RunSweep(sys, spec);
+  const auto pts = RunSweepParallel(sys, spec);
   std::printf("%s", FormatSweepTable("mean message latency (us)", pts).c_str());
   std::printf("%s", FormatSweepPlot("analysis vs simulation", pts).c_str());
 

@@ -1,14 +1,12 @@
 #include "api/engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/json.h"
+#include "common/parallel_for.h"
 #include "common/status.h"
 #include "harness/sweep.h"
 
@@ -90,13 +88,6 @@ Deadline ScenarioDeadline(const Scenario& s, int index,
   return Deadline();
 }
 
-/// Records a degradation on the status without clobbering earlier notes.
-void MarkDegraded(ReportStatus& status, const std::string& note) {
-  status.degraded = true;
-  if (!status.degraded_note.empty()) status.degraded_note += "; ";
-  status.degraded_note += note;
-}
-
 }  // namespace
 
 // The cache getters construct outside the lock so a cache miss (file I/O,
@@ -106,14 +97,10 @@ void MarkDegraded(ReportStatus& status, const std::string& note) {
 
 std::shared_ptr<Engine::SystemEntry> Engine::GetSystem(
     const Scenario& scenario) {
-  const std::string key = SystemKey(scenario);
+  std::string key = SystemKey(scenario);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = systems_.find(key);
-    if (it != systems_.end()) {
-      system_lru_.splice(system_lru_.begin(), system_lru_, it->second);
-      return it->second->entry;
-    }
+    if (const auto* hit = systems_.Find(key)) return *hit;
   }
   auto entry = std::make_shared<SystemEntry>(LoadExperiment(scenario.system));
   if (scenario.icn2_override) {
@@ -121,22 +108,7 @@ std::shared_ptr<Engine::SystemEntry> Engine::GetSystem(
         entry->experiment.system.WithIcn2Topology(*scenario.icn2_override);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = systems_.find(key);
-  if (it != systems_.end()) {
-    // A racing worker built the same system first; its insert wins.
-    system_lru_.splice(system_lru_.begin(), system_lru_, it->second);
-    return it->second->entry;
-  }
-  system_lru_.push_front(SystemNode{key, std::move(entry)});
-  systems_[key] = system_lru_.begin();
-  if (opts_.system_entries > 0) {
-    while (system_lru_.size() > opts_.system_entries) {
-      systems_.erase(system_lru_.back().key);
-      system_lru_.pop_back();
-      ++system_evictions_;
-    }
-  }
-  return system_lru_.front().entry;
+  return systems_.Insert(std::move(key), std::move(entry));
 }
 
 std::shared_ptr<const CocSystemSim> Engine::GetSim(
@@ -163,17 +135,11 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   std::shared_ptr<const CompiledModel> sibling;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = models_.find(key);
-    if (it != models_.end()) {
-      model_lru_.splice(model_lru_.begin(), model_lru_, it->second);
-      return it->second->entry;
-    }
-    const auto sib = rebind_sources_.find(family_key);
-    if (sib != rebind_sources_.end()) {
-      // Touch: a lookup hit moves the family to the LRU front so hot
-      // families survive a batch that also visits many one-off ones.
-      rebind_lru_.splice(rebind_lru_.begin(), rebind_lru_, sib->second);
-      sibling = sib->second->model;
+    if (const auto* hit = models_.Find(key)) return *hit;
+    // The lookup touches the family, so hot families survive a batch that
+    // also visits many one-off ones.
+    if (const auto* source = rebind_sources_.Find(family_key)) {
+      sibling = *source;
     }
   }
   // A miss with a compiled sibling on the same (system, options) family
@@ -189,85 +155,33 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   auto mentry = std::make_shared<ModelEntry>(std::move(model));
   std::lock_guard<std::mutex> lock(mu_);
   if (sibling) ++model_rebinds_;
-  const auto sib = rebind_sources_.find(family_key);
-  if (sib != rebind_sources_.end()) {
-    // Refresh in place (a racing worker may have inserted first).
-    rebind_lru_.splice(rebind_lru_.begin(), rebind_lru_, sib->second);
-    sib->second->model = mentry->model;
+  if (auto* source = rebind_sources_.Find(family_key)) {
+    *source = mentry->model;  // refresh (a racing worker may have inserted)
   } else if (opts_.rebind_sources > 0) {
-    rebind_lru_.push_front(RebindSource{family_key, mentry->model});
-    rebind_sources_[std::move(family_key)] = rebind_lru_.begin();
-    while (rebind_lru_.size() > opts_.rebind_sources) {
-      rebind_sources_.erase(rebind_lru_.back().family_key);
-      rebind_lru_.pop_back();
-      ++rebind_evictions_;
-    }
+    rebind_sources_.Insert(std::move(family_key), mentry->model);
   }
-  const auto it = models_.find(key);
-  if (it != models_.end()) {
-    // A racing worker compiled the same model first; its insert wins.
-    model_lru_.splice(model_lru_.begin(), model_lru_, it->second);
-    return it->second->entry;
-  }
-  model_lru_.push_front(ModelNode{std::move(key), std::move(mentry)});
-  models_[model_lru_.front().key] = model_lru_.begin();
-  if (opts_.model_entries > 0) {
-    while (model_lru_.size() > opts_.model_entries) {
-      models_.erase(model_lru_.back().key);
-      model_lru_.pop_back();
-      ++model_evictions_;
-    }
-  }
-  return model_lru_.front().entry;
-}
-
-std::shared_ptr<const LatencyModel> Engine::GetReferenceModel(
-    const std::shared_ptr<ModelEntry>& entry) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (entry->reference) return entry->reference;
-  }
-  auto ref = std::make_shared<const LatencyModel>(entry->model->system(),
-                                                  entry->model->workload(),
-                                                  entry->model->options());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!entry->reference) entry->reference = std::move(ref);
-  return entry->reference;
+  // A racing worker may have compiled the same model first; its insert wins.
+  return models_.Insert(std::move(key), std::move(mentry));
 }
 
 double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
-                                 const Deadline& deadline, bool* degraded) {
+                                 const Deadline& deadline) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (entry->saturation_rate) {
-      if (degraded != nullptr && entry->saturation_degraded) *degraded = true;
-      return *entry->saturation_rate;
-    }
+    if (entry->saturation_rate) return *entry->saturation_rate;
   }
-  double rate = entry->model->SaturationRate(
+  const double rate = entry->model->SaturationRate(
       1.0, 1e-3, /*warm=*/nullptr, /*refined=*/nullptr,
       deadline.Enabled() ? &deadline : nullptr);
-  bool fell_back = false;
   if (std::isnan(rate)) {
-    // +inf is a certified "never saturates"; NaN means the compiled search
-    // lost its bracket. Degrade to the reference model's search instead of
-    // failing the scenario.
-    rate = GetReferenceModel(entry)->SaturationRate(1.0);
-    fell_back = true;
-    if (std::isnan(rate)) {
-      throw ModelError(
-          "saturation search did not converge (compiled and reference "
-          "searches both returned NaN)");
-    }
+    // +inf is a certified "never saturates"; NaN means the search lost its
+    // bracket.
+    throw ModelError("saturation search did not converge (returned NaN)");
   }
   // Cache only a successful search: a deadline trip above threw before this
   // point, so a faulted scenario cannot poison the shared entry.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!entry->saturation_rate) {
-    entry->saturation_rate = rate;
-    entry->saturation_degraded = fell_back;
-  }
-  if (degraded != nullptr && entry->saturation_degraded) *degraded = true;
+  if (!entry->saturation_rate) entry->saturation_rate = rate;
   return *entry->saturation_rate;
 }
 
@@ -275,14 +189,14 @@ Engine::CacheStats Engine::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats stats;
   stats.systems = systems_.size();
-  for (const SystemNode& node : system_lru_) {
-    if (node.entry->sim) ++stats.sims;
+  for (const auto& [key, entry] : systems_) {
+    if (entry->sim) ++stats.sims;
   }
   stats.models = models_.size();
   stats.model_rebinds = model_rebinds_;
-  stats.rebind_evictions = rebind_evictions_;
-  stats.model_evictions = model_evictions_;
-  stats.system_evictions = system_evictions_;
+  stats.rebind_evictions = rebind_sources_.evictions();
+  stats.model_evictions = models_.evictions();
+  stats.system_evictions = systems_.evictions();
   return stats;
 }
 
@@ -328,13 +242,7 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
     // One bisection serves every analysis that reports the saturation point,
     // and the result is cached on the model entry, so scenarios sharing a
     // model (batch sweeps over the rate dial) run the search exactly once.
-    bool sat_degraded = false;
-    saturation_rate = GetSaturationRate(mentry, deadline, &sat_degraded);
-    if (sat_degraded) {
-      MarkDegraded(report.status,
-                   "saturation search fell back to the reference "
-                   "LatencyModel (compiled search returned NaN)");
-    }
+    saturation_rate = GetSaturationRate(mentry, deadline);
   }
 
   if (scenario.Has(Analysis::kModel)) {
@@ -349,19 +257,10 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
       a.result.saturated = false;
     }
     if (!std::isfinite(a.result.mean_latency) && !a.result.saturated) {
-      // Non-finite without the saturated flag is a compiled-model
-      // inconsistency (+inf with the flag is legitimate saturation):
-      // degrade to the bit-identical reference implementation.
-      a.result = GetReferenceModel(mentry)->Evaluate(scenario.rate);
-      if (!std::isfinite(a.result.mean_latency) && !a.result.saturated) {
-        throw ModelError(
-            "model evaluation returned non-finite latency without "
-            "saturation (compiled and reference implementations agree)");
-      }
-      MarkDegraded(report.status,
-                   "model analysis fell back to the reference LatencyModel "
-                   "(compiled evaluation returned non-finite latency "
-                   "without saturation)");
+      // Non-finite without the saturated flag is a model inconsistency
+      // (+inf with the flag is legitimate saturation).
+      throw ModelError(
+          "model evaluation returned non-finite latency without saturation");
     }
     a.saturation_rate = saturation_rate;
     if (note != nullptr) a.note = note;
@@ -445,60 +344,36 @@ std::vector<Report> Engine::EvaluateBatch(
 std::vector<Report> Engine::EvaluateBatch(
     const std::vector<Scenario>& scenarios, const BatchOptions& opts) {
   std::vector<Report> reports(scenarios.size());
-  if (scenarios.empty()) return reports;
   // Isolation: every scenario yields a report; a failure becomes that
   // report's status record (keeping the analyses that completed before the
   // throw). The captured exception_ptr feeds fail_fast's deterministic
   // lowest-index rethrow.
   std::vector<std::exception_ptr> errors(scenarios.size());
-  const auto evaluate_one = [&](std::size_t i, SimScratch& scratch) {
-    try {
-      // Per-scenario sweeps run serially (sweep_threads = 1) in batches, on
-      // the serial path as well, so thread counts cannot change any result.
-      EvaluateInto(scenarios[i], static_cast<int>(i), opts, scratch,
-                   /*sweep_threads=*/1, reports[i]);
-    } catch (const std::exception& e) {
-      reports[i].scenario = scenarios[i].name;
-      reports[i].system_spec = scenarios[i].system;
-      reports[i].status.code = ErrorCodeOf(e);
-      reports[i].status.message = e.what();
-      errors[i] = std::current_exception();
-    } catch (...) {
-      reports[i].scenario = scenarios[i].name;
-      reports[i].system_spec = scenarios[i].system;
-      reports[i].status.code = StatusCode::kInternalError;
-      reports[i].status.message = "unknown error";
-      errors[i] = std::current_exception();
-    }
-  };
-  const int workers = std::min<int>(std::max(opts.threads, 1),
-                                    static_cast<int>(scenarios.size()));
-  if (workers <= 1) {
-    SimScratch scratch;
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      evaluate_one(i, scratch);
-      if (opts.fail_fast && errors[i]) std::rethrow_exception(errors[i]);
-    }
-    return reports;
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
-  auto worker = [&] {
-    SimScratch scratch;  // per-thread arena, reused across scenarios
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= scenarios.size() || stop.load()) return;
-      evaluate_one(i, scratch);
-      if (opts.fail_fast && errors[i]) stop.store(true);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  ParallelFor<SimScratch>(
+      scenarios.size(), opts.threads, [&](std::size_t i, SimScratch& scratch) {
+        try {
+          // Per-scenario sweeps run serially (sweep_threads = 1) in batches,
+          // so thread counts cannot change any result.
+          EvaluateInto(scenarios[i], static_cast<int>(i), opts, scratch,
+                       /*sweep_threads=*/1, reports[i]);
+        } catch (const std::exception& e) {
+          reports[i].scenario = scenarios[i].name;
+          reports[i].system_spec = scenarios[i].system;
+          reports[i].status.code = ErrorCodeOf(e);
+          reports[i].status.message = e.what();
+          errors[i] = std::current_exception();
+        } catch (...) {
+          reports[i].scenario = scenarios[i].name;
+          reports[i].system_spec = scenarios[i].system;
+          reports[i].status.code = StatusCode::kInternalError;
+          reports[i].status.message = "unknown error";
+          errors[i] = std::current_exception();
+        }
+        return !(opts.fail_fast && errors[i]);
+      });
   if (opts.fail_fast) {
     // Lowest index wins, so the rethrown error is the same for any thread
-    // count even when several scenarios failed before the stop flag landed.
+    // count even when several scenarios failed before the stop landed.
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }

@@ -37,8 +37,6 @@
 // CocSystemSim evaluate via const methods with no hidden state).
 #pragma once
 
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,11 +45,11 @@
 
 #include "api/report.h"
 #include "api/scenario.h"
-#include "cli/config_parser.h"
+#include "config/config_parser.h"
 #include "common/deadline.h"
 #include "common/fault_injection.h"
+#include "common/lru_map.h"
 #include "model/compiled_model.h"
-#include "model/latency_model.h"
 #include "sim/coc_system_sim.h"
 
 namespace coc {
@@ -148,10 +146,6 @@ class Engine {
     /// outside the lock; the first finisher's value wins). Stored only on
     /// a successful search, so faulted runs never poison the cache.
     std::optional<double> saturation_rate;
-    bool saturation_degraded = false;  ///< cached value came from fallback
-    /// Lazily-built reference LatencyModel for graceful degradation
-    /// (bit-identical to `model`); guarded by mu_ like `sim`.
-    std::shared_ptr<const LatencyModel> reference;
   };
 
   std::shared_ptr<SystemEntry> GetSystem(const Scenario& scenario);
@@ -161,10 +155,8 @@ class Engine {
                                        const SystemEntry& entry,
                                        const Workload& workload,
                                        const ModelOptions& opts);
-  std::shared_ptr<const LatencyModel> GetReferenceModel(
-      const std::shared_ptr<ModelEntry>& entry);
   double GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
-                           const Deadline& deadline, bool* degraded);
+                           const Deadline& deadline);
 
   /// Fills `report` in place (so a thrown error leaves the completed
   /// analyses in the caller's hands). `scenario_index` keys fault arms.
@@ -172,45 +164,24 @@ class Engine {
                     const BatchOptions& opts, SimScratch& scratch,
                     int sweep_threads, Report& report);
 
+  const Options opts_;
   mutable std::mutex mu_;
-  // Every memo map is an LRU: a node list ordered most-recent-first plus a
-  // key index into it. A lookup hit splices the node to the front; an
-  // insert past the map's Options cap drops the back. With the default
-  // cap 0 the while-loop never runs and the maps behave exactly like the
-  // unbounded std::map they replaced.
-  struct SystemNode {
-    std::string key;
-    std::shared_ptr<SystemEntry> entry;
-  };
-  struct ModelNode {
-    std::string key;
-    std::shared_ptr<ModelEntry> entry;
-  };
-  std::list<SystemNode> system_lru_;  ///< front = most recently touched
-  std::map<std::string, std::list<SystemNode>::iterator> systems_;
-  std::list<ModelNode> model_lru_;  ///< front = most recently touched
-  std::map<std::string, std::list<ModelNode>::iterator> models_;
+  // The memo maps, each bounded by its Options cap and guarded by mu_. A
+  // lookup hit touches the entry; an insert past the cap evicts the least
+  // recently touched one (LruMap counts the evictions for CacheStats).
+  LruMap<std::shared_ptr<SystemEntry>> systems_{opts_.system_entries};
+  LruMap<std::shared_ptr<ModelEntry>> models_{opts_.model_entries};
   /// Latest compiled model per (system, options) family — the rebind source
   /// a cache miss for an adjacent workload starts from instead of compiling
-  /// cold. Guarded by mu_; values are also held by models_, so this adds
-  /// structure sharing, not lifetime — and because the table keeps its own
-  /// reference, a family evicted from models_ can still rebind warm while
-  /// its rebind source survives. Bounded by Options::rebind_sources in LRU
-  /// order (a batch cycling through many distinct (system, options)
-  /// families would otherwise pin one model per family forever); evicted
-  /// families fall back to a cold compile on their next miss and count in
-  /// CacheStats::rebind_evictions.
-  struct RebindSource {
-    std::string family_key;
-    std::shared_ptr<const CompiledModel> model;
-  };
-  std::list<RebindSource> rebind_lru_;  ///< front = most recently touched
-  std::map<std::string, std::list<RebindSource>::iterator> rebind_sources_;
-  const Options opts_;
-  std::size_t model_rebinds_ = 0;     ///< guarded by mu_
-  std::size_t rebind_evictions_ = 0;  ///< guarded by mu_
-  std::size_t model_evictions_ = 0;   ///< guarded by mu_
-  std::size_t system_evictions_ = 0;  ///< guarded by mu_
+  /// cold. Its values are also held by models_, so this adds structure
+  /// sharing, not lifetime — and because the table keeps its own reference,
+  /// a family evicted from models_ can still rebind warm while its rebind
+  /// source survives. Bounded by Options::rebind_sources (a batch cycling
+  /// through many distinct families would otherwise pin one model per
+  /// family forever); an evicted family compiles cold on its next miss.
+  LruMap<std::shared_ptr<const CompiledModel>> rebind_sources_{
+      opts_.rebind_sources};
+  std::size_t model_rebinds_ = 0;  ///< guarded by mu_
 };
 
 }  // namespace coc

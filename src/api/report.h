@@ -8,10 +8,13 @@
 // semantic change of an existing field; adding new keys is backward
 // compatible and does not bump. Consumers should ignore unknown keys.
 //
-// v2 (from v1): every report carries a "status" block (code/ok, plus
-// message/degraded detail when applicable), and non-finite doubles emit an
-// explicit "<key>_nonfinite" sentinel next to the null (v1 emitted a bare
-// null, indistinguishable from a missing measurement).
+// v2 (from v1): every report carries a "status" block (code/ok, plus the
+// error message when not ok), and non-finite doubles emit an explicit
+// "<key>_nonfinite" sentinel next to the null (v1 emitted a bare null,
+// indistinguishable from a missing measurement).
+// v3 (from v2): the status block lost "degraded"/"degraded_note". The
+// compiled model has no fallback implementation any more; a model failure
+// is a model_error record.
 #pragma once
 
 #include <cstdint>
@@ -22,28 +25,23 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "harness/sweep.h"
-#include "model/latency_model.h"
+#include "model/compiled_model.h"
 
 namespace coc {
 
-inline constexpr int kReportSchemaVersion = 2;
+inline constexpr int kReportSchemaVersion = 3;
 
 /// Outcome of one scenario's evaluation. A batch report always carries one:
-/// code == kOk for a complete result (possibly degraded), anything else for
-/// a structured failure whose partial results are still in the report.
+/// code == kOk for a complete result, anything else for a structured
+/// failure whose partial results are still in the report.
 struct ReportStatus {
   StatusCode code = StatusCode::kOk;
   std::string message;  ///< the error's what(); empty when ok
-  /// True when a compiled-model failure fell back to the reference
-  /// LatencyModel for part of this report (the numbers are still valid;
-  /// degraded_note says which stage fell back and why).
-  bool degraded = false;
-  std::string degraded_note;
 
   bool ok() const { return code == StatusCode::kOk; }
 };
 
-/// LatencyModel::Evaluate at one operating point.
+/// CompiledModel::Evaluate at one operating point.
 struct ModelAnalysisResult {
   double rate = 0;
   ModelResult result;
@@ -51,7 +49,7 @@ struct ModelAnalysisResult {
   std::string note;            ///< ModelApproximationNote; empty if none
 };
 
-/// LatencyModel::Bottleneck at one operating point.
+/// CompiledModel::Bottleneck at one operating point.
 struct BottleneckAnalysisResult {
   double rate = 0;
   BottleneckReport report;

@@ -49,9 +49,9 @@ class SystemConfig;
 
 /// The analyses an Engine can run for one scenario, as combinable bits.
 enum class Analysis : std::uint8_t {
-  kModel = 1 << 0,       ///< LatencyModel::Evaluate at `rate`
-  kBottleneck = 1 << 1,  ///< LatencyModel::Bottleneck at `rate`
-  kSaturation = 1 << 2,  ///< LatencyModel::SaturationRate
+  kModel = 1 << 0,       ///< CompiledModel::Evaluate at `rate`
+  kBottleneck = 1 << 1,  ///< CompiledModel::Bottleneck at `rate`
+  kSaturation = 1 << 2,  ///< CompiledModel::SaturationRate
   kSweep = 1 << 3,       ///< rate sweep (model + optional sim per point)
   kSim = 1 << 4,         ///< one discrete-event simulation at `rate`
 };

@@ -15,7 +15,7 @@
 #include "api/engine.h"
 #include "api/report.h"
 #include "api/scenario.h"
-#include "cli/config_parser.h"
+#include "config/config_parser.h"
 #include "common/fault_injection.h"
 #include "common/parse_num.h"
 #include "common/status.h"
@@ -76,7 +76,7 @@ torus:RADIXxDIMS[,tap=center], dragonfly:A,P,H[,routing=min|valiant]);
 batch scenarios set it per section with the icn2_topology key.
 Per-cluster topologies are set in the config file ('topology =' keys).
 
-<system> is a config file (see src/cli/config_parser.h) or preset:1120,
+<system> is a config file (see src/config/config_parser.h) or preset:1120,
 preset:544, preset:small, preset:tiny, preset:mixed, preset:dragonfly —
 optionally preset:NAME:M:dm.
 
@@ -637,9 +637,6 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out) {
       if (!reports[i].status.ok()) {
         out << "status: " << StatusCodeName(reports[i].status.code) << ": "
             << reports[i].status.message << "\n";
-      }
-      if (reports[i].status.degraded) {
-        out << "degraded: " << reports[i].status.degraded_note << "\n";
       }
       RenderReportText(reports[i], out);
     }

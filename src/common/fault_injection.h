@@ -7,10 +7,9 @@
 //
 // Sites (each indexed by the scenario's position in the batch):
 //   * parse      — the scenario fails before evaluation (ScenarioError);
-//   * model      — the compiled model's point evaluation is poisoned with a
-//                  non-finite latency, exercising the reference-model
-//                  degradation fallback (the report succeeds, flagged
-//                  degraded);
+//   * model      — the model's point evaluation is poisoned with a
+//                  non-finite latency, which the Engine's consistency check
+//                  turns into a ModelError record;
 //   * sim_budget — the scenario's simulation budget is clamped to a few
 //                  events, forcing SimBudgetError;
 //   * deadline   — the scenario runs under Deadline::TripAfterChecks(0), so

@@ -1,5 +1,5 @@
 // Shared INI-ish tokenizer for the tree's text formats: system config files
-// (src/cli/config_parser) and scenario batch files (src/api/scenario) parse
+// (src/config/config_parser) and scenario batch files (src/api/scenario) parse
 // the same surface syntax — `[kind name]` section headers, `key = value`
 // lines, '#' comments — and differ only in which section kinds and keys they
 // accept. The tokenizer owns the line-level diagnostics ("config line N:

@@ -90,7 +90,7 @@ class ScenarioError : public std::invalid_argument, public TypedError {
 
 /// The analytical model produced an unusable value: a non-finite latency
 /// outside certified saturation, an invalid operating point, or a
-/// non-convergent evaluation that the reference fallback could not rescue.
+/// saturation search that did not converge.
 class ModelError : public std::runtime_error, public TypedError {
  public:
   using std::runtime_error::runtime_error;

@@ -1,4 +1,4 @@
-#include "cli/config_parser.h"
+#include "config/config_parser.h"
 
 #include <algorithm>
 #include <fstream>

@@ -10,7 +10,6 @@
 #include "common/deadline.h"
 #include "common/stats.h"
 #include "model/compiled_model.h"
-#include "model/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "sim/sim_config.h"
 #include "system/system_config.h"
@@ -53,17 +52,15 @@ struct SweepSpec {
 /// Evenly spaced rate grid (count points over (0, max], excluding 0).
 std::vector<double> LinearRates(double max, int count);
 
-/// Runs the sweep; points come back in rate order.
-std::vector<SweepPoint> RunSweep(const SystemConfig& sys, const SweepSpec& spec);
-
-/// Parallel variant: simulation points are independent (CocSystemSim::Run is
-/// const and self-contained), so they are distributed over `threads` worker
-/// threads. Results are bit-identical to RunSweep for the same spec, except
-/// that the sim_abort_latency cut-off is best-effort (a point may already be
-/// running when an earlier point saturates). threads <= 1 falls back to the
-/// serial path.
+/// Runs the sweep; points come back in rate order. Simulation points are
+/// independent (CocSystemSim::Run is const and self-contained), so they are
+/// distributed over `threads` workers (<= 1: the calling thread) with
+/// bit-identical results for any count. Past the sim_abort_latency cut-off
+/// later points report no simulation; with several workers such a point may
+/// already have run (its result is dropped), so the cut-off saves less time.
 std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
-                                         const SweepSpec& spec, int threads);
+                                         const SweepSpec& spec,
+                                         int threads = 1);
 
 /// Renders a sweep as an aligned table. `label` names the system/message
 /// configuration in the header line.

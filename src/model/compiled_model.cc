@@ -26,6 +26,28 @@
 #include "topology/topology.h"
 
 namespace coc {
+
+LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys) {
+  const Topology& topo = sys.icn2_topology();
+  if (sys.icn2_exact_fit()) {
+    return topo.Links();
+  }
+  const auto c = static_cast<std::int64_t>(sys.num_clusters());
+  std::vector<double> weights(
+      static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
+  std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
+  for (std::int64_t src = 0; src < c; ++src) {
+    for (std::int64_t dst = 0; dst < c; ++dst) {
+      if (src == dst) continue;
+      route.clear();
+      topo.RouteInto(src, dst, /*entropy=*/0, route);
+      weights[route.size()] += 1.0;
+    }
+  }
+  if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
+  return LinkDistribution(weights);
+}
+
 namespace {
 
 // Class keys are raw byte strings: exact double bit patterns plus topology

@@ -21,8 +21,9 @@
 //
 // Every shortcut preserves IEEE operation order, so all outputs are
 // bit-identical to LatencyModel's (tests/compiled_model_test.cc pins this
-// across topology families and workload patterns); LatencyModel remains as
-// the directly-equation-shaped reference implementation.
+// across topology families and workload patterns). LatencyModel, the
+// directly-equation-shaped statement of the paper, lives on as the tests'
+// oracle (tests/oracle/latency_model.h); this is the one production model.
 //
 // The same split extends along the workload axis: Rebind(next) compiles a
 // model for an adjacent workload by diffing the rate-invariant constant
@@ -41,13 +42,21 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "model/latency_model.h"
 #include "model/model_options.h"
+#include "model/results.h"
 #include "model/saturation_search.h"
 #include "system/system_config.h"
+#include "topology/link_distribution.h"
 #include "workload/workload.h"
 
 namespace coc {
+
+/// ICN2 journey distribution: the topology's closed form when the
+/// concentrators fill its node slots exactly; otherwise the exact journey
+/// census of the occupied slots (averaged over sources), which degenerates
+/// to the closed form at full occupancy. Shared with the tests' LatencyModel
+/// oracle so both paths see one census.
+LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys);
 
 /// Immutable compiled model for one (system, workload, options) triple.
 /// Construction costs roughly one LatencyModel::Evaluate; each evaluation

@@ -8,7 +8,7 @@
 // Traffic-side knobs (destination pattern, per-cluster rates, message-length
 // distribution) are NOT options of the model: they live in the shared
 // Workload layer (src/workload/workload.h), which the model consumes through
-// LatencyModel's workload argument. ModelOptions only selects between
+// CompiledModel's workload argument. ModelOptions only selects between
 // reconstructions of the paper's equations.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Shared saturation-point search (bisection with certified-classification
-// shortcuts) used by both LatencyModel and CompiledModel.
+// shortcuts) used by CompiledModel and the tests' LatencyModel oracle.
 //
 // The search brackets the saturation rate lambda* — the largest rate at
 // which the model is still finite — by bisection, exactly as the seed

@@ -11,11 +11,9 @@ ResultCache::Lookup ResultCache::GetOrCompute(
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+    if (const Json* report = lru_.Find(key)) {
       ++stats_.hits;
-      return Lookup{it->second->report, /*hit=*/true};
+      return Lookup{*report, /*hit=*/true};
     }
     const auto in = inflight_.find(key);
     if (in != inflight_.end()) {
@@ -50,14 +48,8 @@ ResultCache::Lookup ResultCache::GetOrCompute(
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!error && value.cacheable && capacity_ > 0) {
-      lru_.push_front(Entry{key, value.report});
-      index_[key] = lru_.begin();
-      while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
+    if (!error && value.cacheable && lru_.capacity() > 0) {
+      lru_.Insert(key, value.report);
     }
     // Erasing the in-flight record in the same critical section that
     // inserted the entry makes the transition atomic: a new caller either
@@ -79,8 +71,9 @@ ResultCache::Lookup ResultCache::GetOrCompute(
 ResultCache::Stats ResultCache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats = stats_;
-  stats.capacity = capacity_;
+  stats.capacity = lru_.capacity();
   stats.entries = lru_.size();
+  stats.evictions = lru_.evictions();
   return stats;
 }
 

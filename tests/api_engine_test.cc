@@ -33,10 +33,10 @@ workload.locality = 0.9
 )cfg";
 
 constexpr const char* kGoldenJson = R"json({
-  "schema_version": 2,
+  "schema_version": 3,
   "reports": [
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "scenario": "tiny",
       "status": {
         "code": "ok",
@@ -122,7 +122,7 @@ constexpr const char* kGoldenJson = R"json({
       }
     },
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "scenario": "dragonfly",
       "status": {
         "code": "ok",
@@ -189,6 +189,45 @@ constexpr const char* kGoldenJson = R"json({
       },
       "saturation": {
         "rate": 0.2158203125
+      }
+    }
+  ]
+}
+)json";
+
+// A schema v2 document, abridged to one report, whose status block carries
+// the "degraded"/"degraded_note" pair v3 dropped (a v2 Engine set them when
+// a compiled-model failure fell back to a reference implementation). v2
+// documents live in downstream archives; this pins that they still parse.
+constexpr const char* kGoldenJsonV2 = R"json({
+  "schema_version": 2,
+  "reports": [
+    {
+      "schema_version": 2,
+      "scenario": "tiny",
+      "status": {
+        "code": "ok",
+        "ok": true,
+        "degraded": true,
+        "degraded_note": "model analysis fell back to the reference LatencyModel"
+      },
+      "system": {
+        "spec": "preset:tiny:16:64",
+        "clusters": 4,
+        "nodes": 32,
+        "m": 4,
+        "icn2_topology": "4-port 1-tree",
+        "icn2_exact_fit": true,
+        "message_flits": 16,
+        "flit_bytes": 64
+      },
+      "workload": "uniform",
+      "model": {
+        "rate": 1e-04,
+        "saturated": false,
+        "mean_latency_us": 4.962604158902051,
+        "saturation_rate": 0.06817626953125,
+        "clusters": []
       }
     }
   ]
@@ -317,13 +356,31 @@ TEST(Engine, GoldenJsonParsesAndCarriesSchemaVersion) {
   ASSERT_EQ(reports->Size(), 2u);
   EXPECT_EQ(reports->At(0).Find("scenario")->AsString(), "tiny");
   EXPECT_EQ(reports->At(1).Find("scenario")->AsString(), "dragonfly");
-  // Every v2 report carries a status block; these two are ok.
+  // Every v2+ report carries a status block; these two are ok.
   for (std::size_t i = 0; i < reports->Size(); ++i) {
     const Json* status = reports->At(i).Find("status");
     ASSERT_NE(status, nullptr);
     EXPECT_EQ(status->Find("code")->AsString(), "ok");
     EXPECT_TRUE(status->Find("ok")->AsBool());
   }
+}
+
+TEST(Engine, V2GoldenStillParsesAsArchivedDocument) {
+  // v3 only dropped the degraded status keys, so archived v2 documents read
+  // with the same accessors; consumers ignore the keys they do not know.
+  const Json doc = Json::Parse(kGoldenJsonV2);
+  EXPECT_EQ(doc.Find("schema_version")->AsInt(), 2);
+  const Json& tiny = doc.Find("reports")->At(0);
+  const Json* status = tiny.Find("status");
+  ASSERT_NE(status, nullptr);
+  EXPECT_TRUE(status->Find("ok")->AsBool());
+  EXPECT_TRUE(status->Find("degraded")->AsBool());
+  EXPECT_DOUBLE_EQ(tiny.Find("model")->Find("mean_latency_us")->AsDouble(),
+                   4.962604158902051);
+  // The live emitter writes neither degraded key.
+  Engine engine;
+  const Report live = engine.Evaluate(ParseScenarios(kGoldenScenarios)[0]);
+  EXPECT_EQ(live.ToJson().Find("status")->Find("degraded"), nullptr);
 }
 
 TEST(Engine, V1GoldenStillParsesAsArchivedDocument) {

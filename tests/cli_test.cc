@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "cli/cli.h"
-#include "cli/config_parser.h"
+#include "config/config_parser.h"
 #include "common/json.h"
 #include "harness/sweep.h"
 #include "gtest/gtest.h"
@@ -432,7 +432,7 @@ TEST(Cli, SweepTextOutputMatchesHarnessFormatting) {
   SweepSpec spec;
   spec.rates = LinearRates(1e-3, 3);
   spec.run_sim = false;
-  const auto pts = RunSweep(LoadSystem("preset:tiny:16:64"), spec);
+  const auto pts = RunSweepParallel(LoadSystem("preset:tiny:16:64"), spec);
   EXPECT_EQ(r.out,
             FormatSweepTable("mean message latency (us), workload: uniform",
                              pts) +
@@ -617,10 +617,10 @@ TEST(Cli, BatchFormatCsvProjectsOneRowPerScenario) {
       RunCommand({"batch", path, "--threads", "2", "--format", "csv"});
   ASSERT_EQ(csv.code, 0) << csv.err;
   EXPECT_EQ(csv.out.substr(0, csv.out.find('\n')),
-            "scenario,status,degraded,workload,model_mean_latency_us,"
+            "scenario,status,workload,model_mean_latency_us,"
             "saturation_rate,binding,sweep_points,sim_mean_us,sim_delivered");
-  EXPECT_NE(csv.out.find("\nfirst,ok,0,"), std::string::npos) << csv.out;
-  EXPECT_NE(csv.out.find("\nsecond,ok,0,"), std::string::npos) << csv.out;
+  EXPECT_NE(csv.out.find("\nfirst,ok,"), std::string::npos) << csv.out;
+  EXPECT_NE(csv.out.find("\nsecond,ok,"), std::string::npos) << csv.out;
   // Deterministic like the other formats: worker count cannot change bytes.
   const auto again =
       RunCommand({"batch", path, "--threads", "1", "--format", "csv"});

@@ -1,10 +1,15 @@
 // Unit tests for the common substrate: RNG determinism and distribution
-// sanity, streaming statistics, table/plot rendering.
+// sanity, streaming statistics, table/plot rendering, the LRU map and the
+// worker-pool loop.
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/ascii_plot.h"
+#include "common/lru_map.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -12,6 +17,100 @@
 
 namespace coc {
 namespace {
+
+/// Keys most recently used first.
+std::vector<std::string> KeysOf(const LruMap<int>& map) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : map) keys.push_back(key);
+  return keys;
+}
+
+TEST(LruMap, EvictsLeastRecentlyUsedAndFindTouches) {
+  LruMap<int> map(2);
+  map.Insert("a", 1);
+  map.Insert("b", 2);
+  EXPECT_EQ(KeysOf(map), (std::vector<std::string>{"b", "a"}));
+  ASSERT_NE(map.Find("a"), nullptr);  // touch: a is now most recent
+  EXPECT_EQ(KeysOf(map), (std::vector<std::string>{"a", "b"}));
+  map.Insert("c", 3);  // evicts b, the least recently used — not a
+  EXPECT_EQ(KeysOf(map), (std::vector<std::string>{"c", "a"}));
+  EXPECT_EQ(map.Find("b"), nullptr);
+  EXPECT_EQ(map.evictions(), 1u);
+  map.Insert("b", 4);  // evicts a: c was touched more recently by insert
+  EXPECT_EQ(KeysOf(map), (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(map.evictions(), 2u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(*map.Find("b"), 4);
+}
+
+TEST(LruMap, InsertKeepsTheResidentValueAndTouchesIt) {
+  // Racing workers both insert; the first insert wins and both callers
+  // get the resident value back.
+  LruMap<int> map(2);
+  map.Insert("a", 1);
+  map.Insert("b", 2);
+  int& resident = map.Insert("a", 99);
+  EXPECT_EQ(resident, 1);
+  EXPECT_EQ(KeysOf(map), (std::vector<std::string>{"a", "b"}));
+  resident = 5;  // the reference is the stored value
+  EXPECT_EQ(*map.Find("a"), 5);
+  EXPECT_EQ(map.evictions(), 0u);
+}
+
+TEST(LruMap, CapacityZeroIsUnbounded) {
+  LruMap<int> map;
+  for (int i = 0; i < 1000; ++i) map.Insert(std::to_string(i), i);
+  EXPECT_EQ(map.size(), 1000u);
+  EXPECT_EQ(map.evictions(), 0u);
+  EXPECT_EQ(map.capacity(), 0u);
+  EXPECT_EQ(*map.Find("0"), 0);
+}
+
+TEST(LruMap, ShortAndLongKeysSurviveReordering) {
+  // The index views each node's own key bytes, including short keys held
+  // inline in the string object; splicing must not invalidate them.
+  LruMap<int> map(3);
+  const std::string long_key(300, 'k');
+  map.Insert("s", 1);
+  map.Insert(long_key, 2);
+  map.Insert("t", 3);
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_NE(map.Find("s"), nullptr);
+    ASSERT_NE(map.Find(long_key), nullptr);
+    ASSERT_NE(map.Find("t"), nullptr);
+  }
+  map.Insert("u", 4);  // evicts "s", touched least recently
+  EXPECT_EQ(map.Find("s"), nullptr);
+  EXPECT_EQ(*map.Find(long_key), 2);
+}
+
+TEST(ParallelFor, VisitsEveryIndexOnceForAnyThreadCount) {
+  for (const int threads : {0, 1, 3, 16}) {
+    std::vector<std::atomic<int>> visits(50);
+    ParallelFor<int>(visits.size(), threads, [&](std::size_t i, int&) {
+      ++visits[i];
+      return true;
+    });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "threads=" << threads << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelFor, OneWorkerRunsInOrderOnTheCallingThreadAndStops) {
+  // One worker is the same loop, run inline: ascending order, one State,
+  // and a false return stops the claims right there.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> seen;
+  ParallelFor<std::vector<std::size_t>>(
+      10, 1, [&](std::size_t i, std::vector<std::size_t>& state) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        state.push_back(i);
+        seen = state;
+        return i < 4;
+      });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);

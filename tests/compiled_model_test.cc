@@ -16,7 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "model/compiled_model.h"
-#include "model/latency_model.h"
+#include "oracle/latency_model.h"
 #include "system/presets.h"
 #include "workload/workload.h"
 

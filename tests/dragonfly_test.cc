@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "model/latency_model.h"
+#include "oracle/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 #include "topology/dragonfly.h"

@@ -1,10 +1,9 @@
 // Proves the batch fault-isolation contract with the deterministic
 // FaultInjector seam: a faulted batch still returns all N entries, exactly
-// the targeted entry carries a structured error (or a degraded-but-ok
-// record for the model site), the other N-1 reports are bit-identical to
-// an un-faulted run for any thread count, and injected failures reproduce
-// byte-for-byte because every fault is deterministic (no wall clock, no
-// randomness).
+// the targeted entry carries a structured error, the other N-1 reports are
+// bit-identical to an un-faulted run for any thread count, and injected
+// failures reproduce byte-for-byte because every fault is deterministic (no
+// wall clock, no randomness).
 #include <cmath>
 #include <string>
 #include <vector>
@@ -98,6 +97,7 @@ TEST(FaultInjection, ErrorFaultsIsolateToTheTargetForAnyThreadCount) {
   };
   const Case cases[] = {
       {"parse:1", StatusCode::kScenarioError, "injected parse fault"},
+      {"model:1", StatusCode::kModelError, "non-finite latency"},
       {"sim_budget:1", StatusCode::kSimBudgetError, "event budget"},
       {"deadline:1", StatusCode::kDeadlineExceeded,
        "deadline exceeded during"},
@@ -149,36 +149,29 @@ TEST(FaultInjection, SimBudgetFaultKeepsTheCompletedModelBlock) {
       << faulted.status.message;
 }
 
-TEST(FaultInjection, ModelFaultDegradesToReferenceNotToFailure) {
-  // The model site poisons the compiled evaluation with NaN; the engine
-  // falls back to the reference LatencyModel, which computes the same
-  // numbers, so the report succeeds — same analysis payload, degraded flag.
-  const std::vector<std::string> baseline = DumpReports(RunBatch("", 1));
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE(threads);
-    const std::vector<Report> reports = RunBatch("model:1", threads);
-    ASSERT_EQ(reports.size(), 4u);
-    const Report& degraded = reports[kFaultIndex];
-    EXPECT_TRUE(degraded.status.ok());
-    EXPECT_TRUE(degraded.status.degraded);
-    EXPECT_NE(degraded.status.degraded_note.find("reference LatencyModel"),
-              std::string::npos)
-        << degraded.status.degraded_note;
-    // The analysis payload matches the clean run bit-for-bit; only the
-    // status block differs.
-    const Json clean = Json::Parse(baseline[kFaultIndex]);
-    const Json j = degraded.ToJson();
-    ASSERT_NE(j.Find("model"), nullptr);
-    EXPECT_EQ(j.Find("model")->Dump(), clean.Find("model")->Dump());
-    ASSERT_NE(j.Find("sim"), nullptr);
-    EXPECT_EQ(j.Find("sim")->Dump(), clean.Find("sim")->Dump());
-    // Neighbors are untouched.
-    const std::vector<std::string> dumps = DumpReports(reports);
-    for (int i = 0; i < 4; ++i) {
-      if (i == kFaultIndex) continue;
-      EXPECT_EQ(dumps[i], baseline[i]) << "report " << i;
-    }
-  }
+TEST(FaultInjection, ModelFaultIsAModelErrorRecordThatPoisonsNothing) {
+  // The model site poisons this scenario's evaluation with NaN; the Engine's
+  // consistency check turns it into a model_error record. The shared
+  // compiled model is untouched, so a later clean scenario on the same model
+  // still evaluates — and the failed report carries no model block.
+  const Report faulted = RunBatch("model:1", 1)[kFaultIndex];
+  EXPECT_EQ(faulted.status.code, StatusCode::kModelError);
+  EXPECT_FALSE(faulted.model.has_value());
+  EXPECT_FALSE(faulted.sim.has_value());
+  const Json status = *faulted.ToJson().Find("status");
+  EXPECT_EQ(status.Find("code")->AsString(), "model_error");
+  EXPECT_EQ(status.Find("degraded"), nullptr);  // gone in schema v3
+
+  std::vector<Scenario> twice = ParseScenarios(kBatch);
+  twice.push_back(twice[kFaultIndex]);
+  Engine engine;
+  Engine::BatchOptions opts;
+  opts.faults = FaultInjector::Parse("model:1");
+  const std::vector<Report> reports = engine.EvaluateBatch(twice, opts);
+  EXPECT_EQ(reports[kFaultIndex].status.code, StatusCode::kModelError);
+  EXPECT_TRUE(reports.back().status.ok());
+  EXPECT_EQ(DumpReports({reports.back()})[0],
+            DumpReports(RunBatch("", 1))[kFaultIndex]);
 }
 
 TEST(FaultInjection, FailFastRethrowsTheLowestIndexError) {

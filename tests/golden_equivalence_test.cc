@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "model/hop_distribution.h"
-#include "model/latency_model.h"
+#include "oracle/hop_distribution.h"
+#include "oracle/latency_model.h"
 #include "system/presets.h"
 #include "topology/m_port_n_tree.h"
 

@@ -26,7 +26,7 @@ TEST(Harness, ModelOnlySweep) {
   SweepSpec spec;
   spec.rates = LinearRates(2e-4, 3);
   spec.run_sim = false;
-  const auto pts = RunSweep(sys, spec);
+  const auto pts = RunSweepParallel(sys, spec);
   ASSERT_EQ(pts.size(), 3u);
   for (const auto& p : pts) {
     EXPECT_FALSE(p.sim_latency.has_value());
@@ -41,7 +41,7 @@ TEST(Harness, SweepWithSimPopulatesAllFields) {
   spec.sim_base.warmup_messages = 200;
   spec.sim_base.measured_messages = 2000;
   spec.sim_base.drain_messages = 200;
-  const auto pts = RunSweep(sys, spec);
+  const auto pts = RunSweepParallel(sys, spec);
   ASSERT_EQ(pts.size(), 1u);
   ASSERT_TRUE(pts[0].sim_latency.has_value());
   EXPECT_GT(*pts[0].sim_latency, 0.0);
@@ -57,7 +57,7 @@ TEST(Harness, AbortLatencySkipsLaterSimPoints) {
   spec.sim_base.measured_messages = 1000;
   spec.sim_base.drain_messages = 100;
   spec.sim_abort_latency = 1e-9;  // aborts after the very first point
-  const auto pts = RunSweep(sys, spec);
+  const auto pts = RunSweepParallel(sys, spec);
   EXPECT_TRUE(pts[0].sim_latency.has_value());
   EXPECT_FALSE(pts[1].sim_latency.has_value());
   EXPECT_FALSE(pts[2].sim_latency.has_value());
@@ -72,7 +72,7 @@ TEST(Harness, ParallelSweepMatchesSerial) {
   spec.sim_base.warmup_messages = 200;
   spec.sim_base.measured_messages = 2000;
   spec.sim_base.drain_messages = 200;
-  const auto serial = RunSweep(sys, spec);
+  const auto serial = RunSweepParallel(sys, spec);
   const auto parallel = RunSweepParallel(sys, spec, 4);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -87,10 +87,10 @@ TEST(Harness, ParallelSweepMatchesSerial) {
 }
 
 TEST(Harness, ParallelSweepDeterministicAcrossThreadCounts) {
-  // With the abort cut-off disabled every point simulates, so the parallel
-  // sweep must reproduce the serial one exactly — bit for bit, for any
-  // worker count. This pins down both the engine's determinism and the
-  // sweep's independence of scheduling order.
+  // With the abort cut-off disabled every point simulates, so any worker
+  // count must reproduce the one-worker sweep exactly — bit for bit. This
+  // pins down both the engine's determinism and the sweep's independence of
+  // scheduling order.
   const auto sys = MakeMixedTopologySystem(MessageFormat{16, 64});
   SweepSpec spec;
   spec.rates = LinearRates(6e-4, 6);
@@ -98,7 +98,7 @@ TEST(Harness, ParallelSweepDeterministicAcrossThreadCounts) {
   spec.sim_base.measured_messages = 1500;
   spec.sim_base.drain_messages = 150;
   spec.sim_abort_latency = 0;  // never abort: all points must match
-  const auto serial = RunSweep(sys, spec);
+  const auto serial = RunSweepParallel(sys, spec);
   for (int threads : {1, 2, 8}) {
     const auto parallel = RunSweepParallel(sys, spec, threads);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
@@ -131,12 +131,39 @@ TEST(Harness, ParallelSweepHonorsAbortCutoff) {
   }
 }
 
+TEST(Harness, SweepHonorsDeadlineForAnyThreadCount) {
+  // The deadline is probed before every point, simulated or not, and the
+  // trip surfaces as DeadlineExceeded naming the completed-point count.
+  const auto sys = MakeTinySystem(MessageFormat{16, 64});
+  for (const bool run_sim : {false, true}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("run_sim=") + (run_sim ? "1" : "0") +
+                   " threads=" + std::to_string(threads));
+      SweepSpec spec;
+      spec.rates = LinearRates(2e-4, 3);
+      spec.run_sim = run_sim;
+      spec.sim_base.warmup_messages = 50;
+      spec.sim_base.measured_messages = 500;
+      spec.sim_base.drain_messages = 50;
+      spec.deadline = Deadline::TripAfterChecks(0);
+      try {
+        RunSweepParallel(sys, spec, threads);
+        FAIL() << "expected DeadlineExceeded";
+      } catch (const DeadlineExceeded& e) {
+        EXPECT_NE(std::string(e.what()).find("0 of 3 points completed"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Harness, FormatsContainSeriesAndLabel) {
   const auto sys = MakeTinySystem(MessageFormat{16, 64});
   SweepSpec spec;
   spec.rates = LinearRates(1e-4, 2);
   spec.run_sim = false;
-  const auto pts = RunSweep(sys, spec);
+  const auto pts = RunSweepParallel(sys, spec);
   const auto table = FormatSweepTable("my-label", pts);
   EXPECT_NE(table.find("my-label"), std::string::npos);
   EXPECT_NE(table.find("analysis"), std::string::npos);

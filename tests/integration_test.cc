@@ -6,8 +6,8 @@
 
 #include "gtest/gtest.h"
 #include "common/rng.h"
-#include "model/hop_distribution.h"
-#include "model/latency_model.h"
+#include "oracle/hop_distribution.h"
+#include "oracle/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "sim/wormhole_engine.h"
 #include "system/presets.h"

@@ -6,12 +6,12 @@
 
 #include "gtest/gtest.h"
 #include "workload/workload.h"
-#include "model/hop_distribution.h"
-#include "model/intra_cluster.h"
-#include "model/inter_cluster.h"
-#include "model/latency_model.h"
+#include "oracle/hop_distribution.h"
+#include "oracle/intra_cluster.h"
+#include "oracle/inter_cluster.h"
+#include "oracle/latency_model.h"
 #include "model/mg1.h"
-#include "model/stage_recursion.h"
+#include "oracle/stage_recursion.h"
 #include "system/presets.h"
 #include "topology/m_port_n_tree.h"
 

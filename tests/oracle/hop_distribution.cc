@@ -1,4 +1,4 @@
-#include "model/hop_distribution.h"
+#include "oracle/hop_distribution.h"
 
 #include <cmath>
 #include <numeric>

@@ -1,11 +1,11 @@
-#include "model/inter_cluster.h"
+#include "oracle/inter_cluster.h"
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "model/mg1.h"
-#include "model/stage_recursion.h"
+#include "oracle/stage_recursion.h"
 #include "topology/topology.h"
 
 namespace coc {

@@ -17,33 +17,14 @@
 #pragma once
 
 #include "model/model_options.h"
+#include "model/results.h"
 #include "system/system_config.h"
 #include "topology/link_distribution.h"
 #include "workload/workload.h"
 
 namespace coc {
 
-/// Latency decomposition of the (i, j) cluster pair.
-struct InterPairResult {
-  double t_ex = 0;  ///< mean merged-network latency (Eq. 20)
-  double w_ex = 0;  ///< mean source-queue waiting (Eq. 31); +inf if saturated
-  double e_ex = 0;  ///< mean tail drain (Eqs. 33-34)
-  double l_ex = 0;  ///< W_ex + T_ex + E_ex (Eq. 32)
-  double w_c = 0;   ///< one concentrate/dispatch buffer wait (Eq. 37)
-  double condis_rho = 0;  ///< C/D server utilization lambda_I2 * x_cd
-  double source_rho = 0;  ///< source-queue utilization lambda * T_ex
-  bool saturated = false;
-};
 
-/// Aggregated inter-cluster latency from cluster i's point of view.
-struct InterResult {
-  double l_ex = 0;  ///< Eq. (35): mean over destination clusters
-  double w_d = 0;   ///< Eq. (38): mean concentrator+dispatcher waiting
-  double l_out = 0; ///< Eq. (39); +inf if saturated
-  double max_condis_rho = 0;  ///< hottest C/D utilization over partners
-  double max_source_rho = 0;  ///< hottest source-queue utilization
-  bool saturated = false;
-};
 
 /// Evaluates Eqs. 20-34, 36-37 for the ordered pair (i, j), i != j.
 /// `icn2_links` is the ICN2 journey link distribution (the topology's

@@ -1,10 +1,10 @@
-#include "model/intra_cluster.h"
+#include "oracle/intra_cluster.h"
 
 #include <cmath>
 #include <vector>
 
 #include "model/mg1.h"
-#include "model/stage_recursion.h"
+#include "oracle/stage_recursion.h"
 #include "topology/topology.h"
 
 namespace coc {

@@ -4,22 +4,12 @@
 #pragma once
 
 #include "model/model_options.h"
+#include "model/results.h"
 #include "system/system_config.h"
 #include "workload/workload.h"
 
 namespace coc {
 
-/// Decomposition of the intra-cluster latency L_in = W_in + T_in + E_in
-/// (Eq. 4) for one cluster at a given per-node generation rate.
-struct IntraResult {
-  double t_in = 0;   ///< mean network latency (Eq. 5)
-  double w_in = 0;   ///< mean source-queue waiting time (Eq. 18); +inf if saturated
-  double e_in = 0;   ///< mean tail-flit drain time (Eq. 19)
-  double l_in = 0;   ///< total (Eq. 4); +inf if saturated
-  double eta = 0;    ///< per-channel message rate in ICN1(i) (Eq. 10)
-  double source_rho = 0;  ///< source-queue utilization lambda * T_in
-  bool saturated = false;
-};
 
 /// Evaluates Eqs. 4-19 for cluster `i` of `sys` at global rate dial lambda_g
 /// under `workload` (cluster i's per-node rate is workload.NodeRate).

@@ -17,53 +17,21 @@
 #include <memory>
 #include <vector>
 
-#include "model/inter_cluster.h"
-#include "model/intra_cluster.h"
+#include "model/compiled_model.h"
 #include "model/model_options.h"
+#include "model/results.h"
 #include "system/system_config.h"
 #include "workload/workload.h"
 
 namespace coc {
 
-/// Per-cluster latency decomposition at one operating point.
-struct ClusterLatency {
-  double u = 0;        ///< U^(i), Eq. (2) under the workload
-  IntraResult intra;   ///< Eqs. 4-19
-  InterResult inter;   ///< Eqs. 20-39
-  double blended = 0;  ///< Eq. (1); +inf if a needed component saturated
-};
 
-/// Full model output at one generation rate.
-struct ModelResult {
-  std::vector<ClusterLatency> clusters;
-  double mean_latency = 0;  ///< Eq. (3); +inf past saturation
-  bool saturated = false;
-};
-
-/// Which queueing resource the model predicts saturates first — the
-/// machinery behind the paper's §4 observation that "the inter-cluster
-/// networks, especially ICN2, are the bottlenecks of the system".
-struct BottleneckReport {
-  double condis_rho = 0;        ///< hottest concentrator/dispatcher
-  double inter_source_rho = 0;  ///< hottest ECN1 source queue
-  double intra_source_rho = 0;  ///< hottest ICN1 source queue
-  double hot_eject_rho = 0;     ///< hot node's ejection link (hot-spot only)
-  /// One of "concentrator/dispatcher", "inter-cluster source queue",
-  /// "intra-cluster source queue", "hot-node ejection link".
-  const char* binding = "";
-};
-
-/// ICN2 journey distribution: the topology's closed form when the
-/// concentrators fill its node slots exactly; otherwise the exact journey
-/// census of the occupied slots (averaged over sources), which degenerates
-/// to the closed form at full occupancy. Shared by LatencyModel and
-/// CompiledModel so both paths see one census.
-LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys);
 
 /// Evaluates the analytical model for a fixed system over generation rates.
-/// This is the directly-equation-shaped reference implementation; the
-/// production sweep/saturation paths use CompiledModel (compiled_model.h),
-/// which is bit-identical and much faster.
+/// This is the directly-equation-shaped statement of the paper, kept as a
+/// test oracle: production code evaluates CompiledModel
+/// (model/compiled_model.h), which must stay bit-identical to it and is much
+/// faster.
 class LatencyModel {
  public:
   explicit LatencyModel(const SystemConfig& sys, ModelOptions opts = {});

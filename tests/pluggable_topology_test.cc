@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "cli/config_parser.h"
+#include "config/config_parser.h"
 #include "gtest/gtest.h"
-#include "model/latency_model.h"
+#include "oracle/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 #include "topology/dragonfly.h"

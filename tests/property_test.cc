@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "model/hop_distribution.h"
-#include "model/latency_model.h"
-#include "model/stage_recursion.h"
+#include "oracle/hop_distribution.h"
+#include "oracle/latency_model.h"
+#include "oracle/stage_recursion.h"
 #include "system/presets.h"
 #include "system/system_config.h"
 #include "topology/m_port_n_tree.h"

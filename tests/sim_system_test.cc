@@ -6,7 +6,7 @@
 #include <map>
 
 #include "gtest/gtest.h"
-#include "model/hop_distribution.h"
+#include "oracle/hop_distribution.h"
 #include "sim/coc_system_sim.h"
 #include "sim/traffic.h"
 #include "system/presets.h"
