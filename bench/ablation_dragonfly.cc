@@ -15,9 +15,9 @@
 // routing are the ROADMAP's next workload item.
 //
 // Doubles as a tracked perf/validation artifact: tools/perf_report runs
-// this binary with google-benchmark-style flags and archives the emitted
-// JSON as BENCH_dragonfly.json (baselines under perf/), so CI tracks the
-// dragonfly model-vs-sim error the same way it tracks the workload suite.
+// this binary with google-benchmark-style flags and writes the emitted
+// JSON to the perf/BENCH_dragonfly.json snapshot, and --check gates the
+// dragonfly model-vs-sim error the same way as the workload suite's.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

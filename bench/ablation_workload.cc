@@ -9,9 +9,9 @@
 // Doubles as a tracked perf/validation artifact: tools/perf_report runs this
 // binary with google-benchmark-style flags (--benchmark_out=PATH,
 // --benchmark_out_format=json, --benchmark_min_time=S — the latter accepted
-// for interface compatibility and ignored) and archives the emitted JSON as
-// BENCH_workload.json, so CI tracks model-vs-sim error per workload the same
-// way it tracks msgs/s.
+// for interface compatibility and ignored) and writes the emitted JSON to
+// the perf/BENCH_workload.json snapshot; --check fails when any row's
+// model-vs-sim error moves from it.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

@@ -155,8 +155,9 @@ BENCHMARK(BM_WorkloadDialMoveCold);
 // per iteration, each timed with its own clock interval. Interleaving the
 // two within every iteration exposes them to the same scheduler/frequency
 // noise, so the reported rebind_speedup counter is stable across runs in a
-// way two separately-measured benchmarks are not — that counter is what
-// tools/perf_report --check gates at 5x.
+// way two separately-measured benchmarks are not. One short sample still
+// carries scheduler noise, so tools/perf_report --check gates the median
+// of 5 repetitions at 5x (20 runs on a shared 4-vCPU host read 5.2-6.4x).
 void BM_WorkloadDialMoveRebindVsCold(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256});
   const CompiledModel base(sys);
@@ -185,7 +186,9 @@ void BM_WorkloadDialMoveRebindVsCold(benchmark::State& state) {
   }
   state.counters["rebind_speedup"] = rebind_ns > 0 ? cold_ns / rebind_ns : 0;
 }
-BENCHMARK(BM_WorkloadDialMoveRebindVsCold);
+BENCHMARK(BM_WorkloadDialMoveRebindVsCold)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 /// The locality grid of the README's workload-dial sweep table.
 std::vector<double> LocalityGrid() {

@@ -157,7 +157,7 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   if (sibling) ++model_rebinds_;
   if (auto* source = rebind_sources_.Find(family_key)) {
     *source = mentry->model;  // refresh (a racing worker may have inserted)
-  } else if (opts_.rebind_sources > 0) {
+  } else {
     rebind_sources_.Insert(std::move(family_key), mentry->model);
   }
   // A racing worker may have compiled the same model first; its insert wins.
@@ -332,13 +332,6 @@ Report Engine::Evaluate(const Scenario& scenario, int threads) {
   EvaluateInto(scenario, /*scenario_index=*/0, BatchOptions{}, scratch,
                threads, report);
   return report;
-}
-
-std::vector<Report> Engine::EvaluateBatch(
-    const std::vector<Scenario>& scenarios, int threads) {
-  BatchOptions opts;
-  opts.threads = threads;
-  return EvaluateBatch(scenarios, opts);
 }
 
 std::vector<Report> Engine::EvaluateBatch(

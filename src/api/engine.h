@@ -68,10 +68,10 @@ class Engine {
     std::size_t system_entries = 0;
     /// Max (system, workload, options) compiled-model entries; 0 = unbounded.
     std::size_t model_entries = 0;
-    /// Max rebind-source families (was a hardcoded 16 before it was an
-    /// option); 0 disables the table, forcing cold compiles on every miss.
-    std::size_t rebind_sources = 16;
   };
+
+  /// Max rebind-source families (see rebind_sources_).
+  static constexpr std::size_t kRebindSources = 16;
 
   Engine() = default;
   explicit Engine(const Options& opts) : opts_(opts) {}
@@ -104,9 +104,6 @@ class Engine {
   /// `opts.fail_fast` the lowest-index failure is rethrown instead.
   std::vector<Report> EvaluateBatch(const std::vector<Scenario>& scenarios,
                                     const BatchOptions& opts);
-  /// Convenience overload: isolated batch with `threads` workers.
-  std::vector<Report> EvaluateBatch(const std::vector<Scenario>& scenarios,
-                                    int threads = 1);
 
   /// Cache occupancy, for tests and diagnostics.
   struct CacheStats {
@@ -176,11 +173,11 @@ class Engine {
   /// cold. Its values are also held by models_, so this adds structure
   /// sharing, not lifetime — and because the table keeps its own reference,
   /// a family evicted from models_ can still rebind warm while its rebind
-  /// source survives. Bounded by Options::rebind_sources (a batch cycling
-  /// through many distinct families would otherwise pin one model per
-  /// family forever); an evicted family compiles cold on its next miss.
+  /// source survives. Bounded by kRebindSources (a batch cycling through
+  /// many distinct families would otherwise pin one model per family
+  /// forever); an evicted family compiles cold on its next miss.
   LruMap<std::shared_ptr<const CompiledModel>> rebind_sources_{
-      opts_.rebind_sources};
+      kRebindSources};
   std::size_t model_rebinds_ = 0;  ///< guarded by mu_
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -106,27 +105,25 @@ double ParseDoubleKey(const std::string& key, const std::string& value) {
   return *v;
 }
 
+/// The same integer rule as the CLI's integer flags: the whole token, at
+/// full width, with no exponent or fraction ("1e4" and "3.0" are rejected).
+/// A non-number still fails as "not a number".
 std::int64_t ParseIntKey(const std::string& key, const std::string& value) {
-  const double v = ParseDoubleKey(key, value);
-  const auto i = static_cast<std::int64_t>(v);
-  if (static_cast<double>(i) != v) {
-    throw std::invalid_argument("'" + key + "' must be an integer");
-  }
-  return i;
+  if (const auto v = ParseFullInteger<std::int64_t>(value)) return *v;
+  ParseDoubleKey(key, value);
+  throw std::invalid_argument("'" + key + "' must be an integer");
 }
 
 /// Full-width parse for sim.seed: going through a double would silently
 /// round seeds above 2^53 to a different seed than asked.
 std::uint64_t ParseUint64Key(const std::string& key,
                              const std::string& value) {
-  std::uint64_t v = 0;
-  const auto res =
-      std::from_chars(value.data(), value.data() + value.size(), v);
-  if (res.ec != std::errc() || res.ptr != value.data() + value.size()) {
+  const auto v = ParseFullInteger<std::uint64_t>(value);
+  if (!v) {
     throw std::invalid_argument("'" + key +
                                 "' must be a non-negative integer");
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -381,7 +378,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
         } else if (key.rfind("workload.rate.", 0) == 0) {
           const std::string idx_tok =
               key.substr(std::string("workload.rate.").size());
-          const auto idx = ParseFullInt(idx_tok);
+          const auto idx = ParseFullInteger<int>(idx_tok);
           if (!idx || *idx < 0) {
             throw std::invalid_argument("bad cluster index in '" + key + "'");
           }

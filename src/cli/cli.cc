@@ -131,19 +131,17 @@ class Flags {
     }
   }
 
+  /// Numeric flags parse the whole token (common/parse_num.h), so "1e-4x",
+  /// or "3.7" for an integer flag, is a usage error naming the flag rather
+  /// than a silently different number. Integer flags parse at the full
+  /// width of T: seeds above 2^53 never pass through a double.
   double Number(const std::string& key, std::optional<double> fallback = {}) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      if (fallback) return *fallback;
-      throw std::invalid_argument("missing required flag --" + key);
-    }
-    used_.insert(key);
-    try {
-      return std::stod(it->second);
-    } catch (...) {
-      throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                  it->second + "'");
-    }
+    return Parsed(key, fallback, ParseFullDouble, "a number");
+  }
+
+  template <typename T>
+  T Integer(const std::string& key, std::optional<T> fallback = {}) {
+    return Parsed(key, fallback, ParseFullInteger<T>, "an integer");
   }
 
   std::string Text(const std::string& key, const std::string& fallback) {
@@ -169,6 +167,23 @@ class Flags {
   }
 
  private:
+  template <typename T, typename Parse>
+  T Parsed(const std::string& key, std::optional<T> fallback, Parse parse,
+           const char* what) {
+    const auto it = values_.find(key);
+    if (it == values_.end()) {
+      if (fallback) return *fallback;
+      throw std::invalid_argument("missing required flag --" + key);
+    }
+    used_.insert(key);
+    const std::optional<T> v = parse(it->second);
+    if (!v) {
+      throw UsageError("--" + key + " expects " + what + ", got '" +
+                       it->second + "'");
+    }
+    return *v;
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> used_;
 };
@@ -199,8 +214,7 @@ WorkloadOverlay OverlayFromFlags(Flags& flags) {
     overlay.hotspot_fraction = flags.Number("hotspot-fraction");
   }
   if (flags.Present("hotspot-node")) {
-    overlay.hotspot_node =
-        static_cast<std::int64_t>(flags.Number("hotspot-node"));
+    overlay.hotspot_node = flags.Integer<std::int64_t>("hotspot-node");
   }
   if (flags.Present("msg-len")) {
     overlay.msg_len = MessageLength::Parse(flags.Text("msg-len", "fixed"));
@@ -218,7 +232,7 @@ WorkloadOverlay OverlayFromFlags(Flags& flags) {
         throw std::invalid_argument(
             "--rate-scale expects I=S[,I=S...], got '" + pair + "'");
       }
-      const auto idx_opt = ParseFullInt(pair.substr(0, eq));
+      const auto idx_opt = ParseFullInteger<int>(pair.substr(0, eq));
       const auto s_opt = ParseFullDouble(pair.substr(eq + 1));
       if (!idx_opt || !s_opt) {
         throw std::invalid_argument("--rate-scale: bad entry '" + pair + "'");
@@ -269,8 +283,7 @@ double RateFromFlags(Flags& flags) {
 int ThreadsFromFlags(Flags& flags) {
   const int default_threads =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int threads = static_cast<int>(
-      flags.Number("threads", static_cast<double>(default_threads)));
+  const int threads = flags.Integer<int>("threads", default_threads);
   if (threads < 1) {
     throw UsageError("--threads must be >= 1, got " + std::to_string(threads));
   }
@@ -421,9 +434,9 @@ int CmdSim(const std::string& system, Flags& flags, std::ostream& out) {
   Scenario s = ScenarioFromFlags(system, flags);
   s.Request(Analysis::kSim);
   s.rate = RateFromFlags(flags);
-  s.sim_seed = static_cast<std::uint64_t>(flags.Number("seed", 1));
+  s.sim_seed = flags.Integer<std::uint64_t>("seed", 1);
   if (flags.Present("messages")) {
-    s.sim_messages = static_cast<std::int64_t>(flags.Number("messages"));
+    s.sim_messages = flags.Integer<std::int64_t>("messages");
   }
   const std::string condis = flags.Text("condis", "cut-through");
   if (condis == "cut-through") {
@@ -523,7 +536,7 @@ int CmdSweep(const std::string& system, Flags& flags, std::ostream& out) {
   if (!(max_rate > 0)) {
     throw UsageError("--max-rate must be > 0, got " + FormatSci(max_rate));
   }
-  const int points = static_cast<int>(flags.Number("points", 8));
+  const int points = flags.Integer<int>("points", 8);
   if (points < 1) {
     throw UsageError("--points must be >= 1, got " + std::to_string(points));
   }
@@ -548,7 +561,7 @@ int CmdSweep(const std::string& system, Flags& flags, std::ostream& out) {
     dial = df.dial;
     dial_values = ParseDialGrid(df.flag, flags.Text(df.flag, ""));
   }
-  const int dial_cluster = static_cast<int>(flags.Number("dial-cluster", 0));
+  const int dial_cluster = flags.Integer<int>("dial-cluster", 0);
   if (!dial && flags.Present("dial-cluster")) {
     throw UsageError("--dial-cluster requires a --sweep-<dial> flag");
   }
@@ -650,9 +663,8 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out) {
 // --- server mode -----------------------------------------------------------
 
 int PortFromFlags(Flags& flags) {
-  const double port = flags.Number("port");
-  if (!(port >= 0) || port > 65535 ||
-      port != static_cast<double>(static_cast<int>(port))) {
+  const std::int64_t port = flags.Integer<std::int64_t>("port");
+  if (port < 0 || port > 65535) {
     throw UsageError("--port expects an integer in [0, 65535]");
   }
   return static_cast<int>(port);
@@ -666,16 +678,16 @@ int CmdServe(const std::vector<std::string>& args, std::ostream& out,
   opts.host = flags.Text("host", "127.0.0.1");
   opts.threads = ThreadsFromFlags(flags);
   if (flags.Present("cache-entries")) {
-    const double n = flags.Number("cache-entries");
-    if (!(n >= 0) || n != static_cast<double>(static_cast<std::int64_t>(n))) {
+    const std::int64_t n = flags.Integer<std::int64_t>("cache-entries");
+    if (n < 0) {
       throw UsageError(
           "--cache-entries expects an integer >= 0 (0 disables caching)");
     }
     opts.cache_entries = static_cast<std::size_t>(n);
   }
   if (flags.Present("max-queue")) {
-    const double n = flags.Number("max-queue");
-    if (!(n >= 1) || n != static_cast<double>(static_cast<std::int64_t>(n))) {
+    const std::int64_t n = flags.Integer<std::int64_t>("max-queue");
+    if (n < 1) {
       throw UsageError("--max-queue expects an integer >= 1");
     }
     opts.max_queue = static_cast<std::size_t>(n);

@@ -49,7 +49,7 @@ FaultInjector FaultInjector::Parse(const std::string& spec) {
                          "'");
       }
       const Site site = ParseSite(entry.substr(0, colon));
-      const auto idx = ParseFullInt(entry.substr(colon + 1));
+      const auto idx = ParseFullInteger<int>(entry.substr(colon + 1));
       if (!idx || *idx < 0) {
         throw UsageError("fault spec: bad scenario index in '" + entry + "'");
       }

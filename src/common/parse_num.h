@@ -6,20 +6,23 @@
 // partial consumption, out of range); callers attach their own diagnostics.
 #pragma once
 
+#include <charconv>
 #include <optional>
 #include <string>
 
 namespace coc {
 
-inline std::optional<int> ParseFullInt(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
+/// An integer of type T at its full width, range-checked for T, with no
+/// trip through a double (which rounds values above 2^53). Decimal digits
+/// with an optional leading '-' only: no whitespace, no '+', no exponent or
+/// fraction, and no sign at all for unsigned T.
+template <typename T>
+std::optional<T> ParseFullInteger(const std::string& token) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto res = std::from_chars(token.data(), end, v);
+  if (res.ec != std::errc() || res.ptr != end) return std::nullopt;
+  return v;
 }
 
 inline std::optional<double> ParseFullDouble(const std::string& token) {

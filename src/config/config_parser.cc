@@ -37,36 +37,27 @@ std::vector<Section> Tokenize(const std::string& text) {
   return sections;
 }
 
-double ToDouble(const Section& s, const std::string& key) {
-  const auto it = s.values.find(key);
-  if (it == s.values.end()) {
-    Fail(s.line, "section is missing key '" + key + "'");
-  }
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("");
-    return v;
-  } catch (...) {
-    Fail(s.line, "key '" + key + "' is not a number: " + it->second);
-  }
-}
-
-int ToInt(const Section& s, const std::string& key) {
-  const double v = ToDouble(s, key);
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) {
-    Fail(s.line, "key '" + key + "' must be an integer");
-  }
-  return i;
-}
-
-std::string ToName(const Section& s, const std::string& key) {
+const std::string& ToName(const Section& s, const std::string& key) {
   const auto it = s.values.find(key);
   if (it == s.values.end()) {
     Fail(s.line, "section is missing key '" + key + "'");
   }
   return it->second;
+}
+
+double ToDouble(const Section& s, const std::string& key) {
+  const std::string& value = ToName(s, key);
+  const auto v = ParseFullDouble(value);
+  if (!v) Fail(s.line, "key '" + key + "' is not a number: " + value);
+  return *v;
+}
+
+/// The same integer rule as scenario files and the CLI's integer flags. A
+/// non-number still fails as "not a number".
+int ToInt(const Section& s, const std::string& key) {
+  if (const auto v = ParseFullInteger<int>(ToName(s, key))) return *v;
+  ToDouble(s, key);
+  Fail(s.line, "key '" + key + "' must be an integer");
 }
 
 // --- workload.* keys -------------------------------------------------------
@@ -146,7 +137,7 @@ Workload ParseWorkloadKeys(const Section& system, int num_clusters) {
       } else if (key.rfind("workload.rate.", 0) == 0) {
         const std::string idx_tok =
             key.substr(std::string("workload.rate.").size());
-        const int idx = ParseFullInt(idx_tok).value_or(-1);
+        const int idx = ParseFullInteger<int>(idx_tok).value_or(-1);
         if (idx < 0) {
           FailUnknownWorkloadKey(system.line, key);
         }
@@ -290,12 +281,17 @@ Experiment LoadExperiment(const std::string& path_or_preset) {
       const std::string fmt = rest.substr(colon + 1);
       rest = rest.substr(0, colon);
       const auto colon2 = fmt.find(':');
-      if (colon2 == std::string::npos) {
-        throw std::invalid_argument(
-            "preset message format must be preset:NAME:M:dm");
+      const auto m = ParseFullInteger<int>(fmt.substr(0, colon2));
+      const auto dm = colon2 == std::string::npos
+                          ? std::nullopt
+                          : ParseFullDouble(fmt.substr(colon2 + 1));
+      if (!m || !dm) {
+        throw std::invalid_argument("preset '" + path_or_preset +
+                                    "': expected preset:NAME:M:dm with "
+                                    "integer M and numeric dm");
       }
-      msg.length_flits = std::stoi(fmt.substr(0, colon2));
-      msg.flit_bytes = std::stod(fmt.substr(colon2 + 1));
+      msg.length_flits = *m;
+      msg.flit_bytes = *dm;
     }
     if (rest == "1120") return Experiment{MakeSystem1120(msg), Workload{}};
     if (rest == "544") return Experiment{MakeSystem544(msg), Workload{}};

@@ -31,7 +31,7 @@ std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
   const CompiledModel model(sys, spec.workload, spec.model_opts);
   const std::vector<ModelResult> model_results = model.EvaluateMany(spec.rates);
   std::optional<CocSystemSim> sim;
-  if (spec.run_sim) sim.emplace(sys, spec.slot_policy);
+  if (spec.run_sim) sim.emplace(sys);
 
   std::vector<SweepPoint> points(spec.rates.size());
   for (std::size_t i = 0; i < spec.rates.size(); ++i) {
@@ -187,10 +187,8 @@ std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
       warm_ptr = &warm;
     }
     SaturationBracket refined;
-    p.saturation_rate =
-        model->SaturationRate(spec.saturation_upper_bound,
-                              spec.saturation_rel_tol, warm_ptr, &refined,
-                              &spec.deadline);
+    p.saturation_rate = model->SaturationRate(1.0, 1e-3, warm_ptr, &refined,
+                                              &spec.deadline);
     p.saturation_probes = transfer_probes + refined.probes;
     prev = refined;
     have_prev = true;

@@ -38,7 +38,6 @@ struct SweepSpec {
   /// The traffic scenario, driving both the analytical model and every
   /// simulated point (single source of truth; sim_base.workload is ignored).
   Workload workload;
-  Icn2SlotPolicy slot_policy = Icn2SlotPolicy::kClusterMajor;
   /// Once a simulated point's mean latency exceeds this, later sim points
   /// are skipped (the run is saturated and each further point costs the
   /// same wall time for no information). 0 disables the cut-off.
@@ -100,8 +99,9 @@ struct WorkloadGridPoint {
 
 /// Workload-dial sweep specification: walk `dial` over `values` (each move
 /// applied to `base` via ApplyWorkloadDial), evaluating the `rates` grid and
-/// the saturation rate at every setting. Model-only — the x-axis is the
-/// workload, not the rate, so simulation budgets don't fit the loop.
+/// the saturation rate at every setting (searched up to lambda_g = 1 to a
+/// relative tolerance of 1e-3, as the Engine does). Model-only — the x-axis
+/// is the workload, not the rate, so simulation budgets don't fit the loop.
 struct WorkloadGridSpec {
   Workload base;
   WorkloadDial dial = WorkloadDial::kLocality;
@@ -109,8 +109,6 @@ struct WorkloadGridSpec {
   int rate_scale_cluster = 0;  ///< which cluster the kRateScale dial moves
   std::vector<double> rates;
   ModelOptions model_opts;
-  double saturation_upper_bound = 1.0;
-  double saturation_rel_tol = 1e-3;
   /// Probed before every dial point and inside each saturation search. A
   /// trip throws DeadlineExceeded with the completed-point count.
   Deadline deadline;

@@ -46,8 +46,7 @@ struct ServerOptions {
   std::size_t max_queue = 64;        ///< pending connections before shedding
   /// Engine memo-map bounds. Server defaults bound the maps (unlike the
   /// one-shot CLI) because a mixed request stream is unbounded.
-  Engine::Options engine{/*system_entries=*/64, /*model_entries=*/256,
-                         /*rebind_sources=*/16};
+  Engine::Options engine{/*system_entries=*/64, /*model_entries=*/256};
   FaultInjector faults;  ///< "server:index" fault arms (COC_FAULT)
   /// Test seam: runs in a worker thread right after it pops a connection,
   /// before any bytes are read. Lets tests hold a worker busy

@@ -21,17 +21,6 @@ namespace {
 /// (workload.cc static_asserts the three agree).
 constexpr int kTraceMaxFlits = 1 << 20;
 
-std::optional<std::int64_t> ParseFullInt64(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
 /// "trace file PATH line N: " — every content diagnostic leads with this.
 std::string TraceAt(const std::string& path, int line) {
   return "trace file " + path + " line " + std::to_string(line) + ": ";
@@ -109,8 +98,8 @@ ArrivalProcess ArrivalProcess::TraceReplay(const std::string& path) {
           std::to_string(data->records.back().line) +
           "); trace records must be time-sorted");
     }
-    const auto src = ParseFullInt64(tok[1]);
-    const auto dst = ParseFullInt64(tok[2]);
+    const auto src = ParseFullInteger<std::int64_t>(tok[1]);
+    const auto dst = ParseFullInteger<std::int64_t>(tok[2]);
     if (!src || *src < 0) {
       throw ScenarioError(TraceAt(path, lineno) + "'" + tok[1] +
                           "' is not a valid source node id (integer >= 0)");
@@ -127,7 +116,7 @@ ArrivalProcess ArrivalProcess::TraceReplay(const std::string& path) {
     }
     rec.src = *src;
     rec.dst = *dst;
-    const auto flits = ParseFullInt(tok[3]);
+    const auto flits = ParseFullInteger<int>(tok[3]);
     if (!flits || *flits < 1 || *flits > kTraceMaxFlits) {
       throw ScenarioError(TraceAt(path, lineno) + "'" + tok[3] +
                           "' is not a valid flit count (integer in [1, " +

@@ -111,7 +111,7 @@ MessageLength MessageLength::Parse(const std::string& text) {
                                 "': bimodal needs SHORT,LONG,FRACTION");
   }
   const auto to_int = [&text](const std::string& tok) {
-    const auto v = ParseFullInt(tok);
+    const auto v = ParseFullInteger<int>(tok);
     if (!v) {
       throw std::invalid_argument("message length spec '" + text + "': '" +
                                   tok + "' is not a valid flit count");

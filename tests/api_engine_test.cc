@@ -343,7 +343,7 @@ constexpr const char* kGoldenJsonV1 = R"json({
 TEST(Engine, GoldenJsonSnapshot) {
   Engine engine;
   const auto reports =
-      engine.EvaluateBatch(ParseScenarios(kGoldenScenarios), 1);
+      engine.EvaluateBatch(ParseScenarios(kGoldenScenarios), {});
   EXPECT_EQ(BatchToJson(reports).Dump(2) + "\n", kGoldenJson);
 }
 
@@ -437,11 +437,13 @@ workload.locality = 0.9
   const auto scenarios = ParseScenarios(text);
   Engine serial;
   const std::string one =
-      BatchToJson(serial.EvaluateBatch(scenarios, 1)).Dump(2);
+      BatchToJson(serial.EvaluateBatch(scenarios, {})).Dump(2);
   for (const int threads : {2, 8}) {
     Engine parallel;
+    Engine::BatchOptions opts;
+    opts.threads = threads;
     const std::string many =
-        BatchToJson(parallel.EvaluateBatch(scenarios, threads)).Dump(2);
+        BatchToJson(parallel.EvaluateBatch(scenarios, opts)).Dump(2);
     EXPECT_EQ(many, one) << "threads=" << threads;
   }
 }
@@ -474,7 +476,7 @@ rate = 1e-4
 sim.messages = 200
 )cfg";
   Engine engine;
-  engine.EvaluateBatch(ParseScenarios(text), 1);
+  engine.EvaluateBatch(ParseScenarios(text), {});
   const Engine::CacheStats stats = engine.Stats();
   EXPECT_EQ(stats.systems, 2u);  // preset:tiny:16:64 and preset:tiny:8:32
   EXPECT_EQ(stats.sims, 1u);     // only s1 needed the simulator
@@ -510,7 +512,7 @@ rate = 1e-4
 workload.rate.0 = 1.0
 )cfg";
   Engine engine;
-  const std::vector<Report> reports = engine.EvaluateBatch(ParseScenarios(text), 1);
+  const std::vector<Report> reports = engine.EvaluateBatch(ParseScenarios(text), {});
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(engine.Stats().models, 1u);
   Json a = reports[0].ToJson();
@@ -552,7 +554,7 @@ workload.rate.1 = 1.5
 )cfg";
   const std::vector<Scenario> scenarios = ParseScenarios(text);
   Engine shared;
-  const std::vector<Report> got = shared.EvaluateBatch(scenarios, 1);
+  const std::vector<Report> got = shared.EvaluateBatch(scenarios, {});
   EXPECT_EQ(shared.Stats().models, 4u);
   EXPECT_EQ(shared.Stats().model_rebinds, 3u);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -576,7 +578,9 @@ TEST(Engine, InvalidScenariosBecomeStatusRecordsNotTornBatches) {
   Engine engine;
   // Isolation (the default): the batch returns all entries; the failure is
   // a structured status record and its neighbor is untouched.
-  const auto reports = engine.EvaluateBatch({bad, good}, 4);
+  Engine::BatchOptions isolated;
+  isolated.threads = 4;
+  const auto reports = engine.EvaluateBatch({bad, good}, isolated);
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_FALSE(reports[0].status.ok());
   EXPECT_EQ(reports[0].status.code, StatusCode::kScenarioError);
@@ -605,7 +609,7 @@ TEST(Engine, RebindSourceTableIsBoundedByLru) {
   // spelling is its own family; walking past the cap evicts the
   // least-recently-touched entries and counts them.
   Engine engine;
-  const int families = 20;  // > kRebindSourceCap (16)
+  const int families = 20;  // > Engine::kRebindSources
   for (int i = 0; i < families; ++i) {
     Scenario s;
     s.name = "fam" + std::to_string(i);
@@ -615,7 +619,7 @@ TEST(Engine, RebindSourceTableIsBoundedByLru) {
   }
   Engine::CacheStats stats = engine.Stats();
   EXPECT_EQ(stats.models, static_cast<std::size_t>(families));
-  EXPECT_EQ(stats.rebind_evictions, static_cast<std::size_t>(families - 16));
+  EXPECT_EQ(stats.rebind_evictions, families - Engine::kRebindSources);
   // A family still resident (the most recent one) keeps rebinding; an
   // evicted family's next miss compiles cold — correct either way, and the
   // counters tell the two apart.
@@ -720,7 +724,7 @@ rate = 1e-4
 workload.arrival = mmpp:4,8
 )cfg";
   Engine engine;
-  const auto reports = engine.EvaluateBatch(ParseScenarios(text), 1);
+  const auto reports = engine.EvaluateBatch(ParseScenarios(text), {});
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_TRUE(reports[0].status.ok());
   EXPECT_TRUE(reports[1].status.ok());

@@ -217,6 +217,25 @@ TEST(Scenario, SimSeedKeepsFull64Bits) {
   EXPECT_EQ(ParseScenario(big.Serialize()), big);
 }
 
+TEST(Scenario, IntegerKeysRejectExponentsAndFractions) {
+  // The integer keys share the CLI's integer-flag rule: "1e4" and "3.0" are
+  // numbers but not integer tokens, so they fail instead of being converted.
+  for (const char* line :
+       {"sim.messages = 1e4\n", "sim.max_events = 2.5\n",
+        "sweep.points = 3.0\n", "workload.hotspot_node = +3\n"}) {
+    SCOPED_TRACE(line);
+    try {
+      ParseScenario(std::string("[scenario x]\nsystem = preset:tiny\n") +
+                    "rate = 1e-4\n" + line);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("must be an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Scenario, SemanticErrorsNameTheOffendingLine) {
   // Key-level failures point at the key's own line, not the section header.
   try {

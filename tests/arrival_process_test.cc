@@ -281,6 +281,8 @@ TEST(ArrivalProcess, TraceProblemsRaiseTypedLineNumberedErrors) {
       {"selfsend.trace", "0 3 3 4\n",
        "source and destination are both node 3"},
       {"zeroflit.trace", "0 0 1 0\n", "'0' is not a valid flit count"},
+      // One integer rule for the whole record: '+4' fails like '+3' as src.
+      {"plusflit.trace", "0 0 1 +4\n", "'+4' is not a valid flit count"},
       {"empty.trace", "# only a comment\n", "no records"},
   };
   for (const auto& c : kBad) {

@@ -119,6 +119,12 @@ INSTANTIATE_TEST_SUITE_P(
                 "[system]\nm=4\nicn2=n\nmessage_flits=8.5\nflit_bytes=32\n"
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"
                 "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
+                "must be an integer"},
+        // A whole number in exponent form is still not an integer token.
+        BadCase{"ExponentFlits",
+                "[system]\nm=4\nicn2=n\nmessage_flits=1e1\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
                 "must be an integer"}),
     [](const ::testing::TestParamInfo<BadCase>& info) {
       return info.param.name;
@@ -545,6 +551,55 @@ TEST(Cli, NonPositiveThreadsIsUsageErrorAcrossCommands) {
       RunCommand({"batch", "/no/such/batch.cfg", "--threads", "0"});
   EXPECT_EQ(batch.code, 2);
   EXPECT_NE(batch.err.find("--threads must be >= 1"), std::string::npos);
+}
+
+TEST(Cli, MalformedNumericFlagsAreUsageErrorsNamingTheFlag) {
+  // Each of these once ran as a different number: trailing garbage was
+  // dropped, or an integer flag truncated its fraction.
+  const struct {
+    std::vector<std::string> args;
+    const char* flag;
+  } cases[] = {
+      {{"model", "preset:tiny", "--rate", "1e-4x"}, "--rate"},
+      {{"sweep", "preset:tiny", "--max-rate", "1e-3", "--no-sim", "--points",
+        "3.7"},
+       "--points"},
+      {{"sim", "preset:tiny:8:32", "--rate", "1e-4", "--messages", "500.9"},
+       "--messages"},
+      {{"sweep", "preset:tiny", "--max-rate", "1e-3", "--no-sim", "--threads",
+        "2.5"},
+       "--threads"},
+      {{"model", "preset:tiny", "--rate", "1e-4", "--hotspot-node", "3.5"},
+       "--hotspot-node"},
+      {{"sim", "preset:tiny:8:32", "--rate", "1e-4", "--seed", "-1"},
+       "--seed"},
+      {{"serve", "--port", "1.5"}, "--port"},
+  };
+  for (const auto& c : cases) {
+    const auto r = RunCommand(c.args);
+    EXPECT_EQ(r.code, 2) << c.flag << ": " << r.err;
+    EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+  }
+}
+
+TEST(Cli, SeedFlagParsesFullWidthLikeTheScenarioKey) {
+  // 2^53 + 1: a parse through a double would run seed 2^53 instead.
+  const auto r = RunCommand({"sim", "preset:tiny:8:32", "--rate", "1e-4",
+                             "--messages", "100", "--seed", "9007199254740993",
+                             "--format", "csv"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find(",9007199254740993,"), std::string::npos) << r.out;
+}
+
+TEST(Cli, MalformedPresetSpecifierIsNamedInTheError) {
+  for (const char* spec :
+       {"preset:tiny:16x:64", "preset:tiny:abc:64", "preset:tiny:16:64z"}) {
+    const auto r = RunCommand({"model", spec, "--rate", "1e-4"});
+    EXPECT_EQ(r.code, 1) << spec;
+    EXPECT_NE(r.err.find(std::string("preset '") + spec + "'"),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 // ---------------------------------------------------------------------------

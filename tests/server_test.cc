@@ -272,7 +272,7 @@ TEST(RequestHandler, ResponsesMatchOfflineEvaluateBatchByteForByte) {
   const Json served = Json::Parse(handler.HandleLine(BatchLine(kBatchScenarios)));
   Engine offline;
   const std::vector<Report> reports =
-      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), 1);
+      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), {});
   EXPECT_EQ(CanonicalBatchDump(served), BatchToJson(reports).Dump(2));
 }
 
@@ -395,7 +395,7 @@ TEST(EvalServer, LoopbackRoundTripMatchesOfflineAndSecondPassAllHits) {
 
   Engine offline;
   const std::vector<Report> reports =
-      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), 1);
+      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), {});
   EXPECT_EQ(CanonicalBatchDump(pass1), BatchToJson(reports).Dump(2));
 
   Client second(server.port());
@@ -577,7 +577,7 @@ TEST(EvalServer, SubmitVerbRoundTripsAndReportsCacheState) {
   // Byte-identical to the offline batch on the same file.
   Engine offline;
   const std::vector<Report> reports =
-      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), 1);
+      offline.EvaluateBatch(ParseScenarios(kBatchScenarios), {});
   EXPECT_EQ(CanonicalBatchDump(doc1), BatchToJson(reports).Dump(2));
 
   // Second submit: every report a cache hit, text mode says so.
