@@ -5,8 +5,8 @@
 // EvaluateMany) against the pointwise reference loop it replaced.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -118,8 +118,10 @@ BENCHMARK(BM_SaturationWarm);
 // The rebind pair: one workload-dial move on the N=1120 organization —
 // bump one cluster's rate scale — recompiled incrementally
 // (CompiledModel::Rebind) vs from scratch. Both produce bit-identical
-// models (tests/compiled_model_test.cc); the ratio is the single-dial-move
-// speedup the README quotes, and tools/perf_report --check gates it at 5x.
+// models (tests/compiled_model_test.cc); both times are trajectory data.
+// The rebind row also exports what the move reused (rebind_stats()), and
+// tools/perf_report --check requires those counts to equal the snapshot's:
+// a Rebind that reuses nothing fails on a count, not on a timing ratio.
 void BM_WorkloadDialMoveRebind(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256});
   const CompiledModel base(sys);
@@ -133,6 +135,13 @@ void BM_WorkloadDialMoveRebind(benchmark::State& state) {
     benchmark::DoNotOptimize(&moved);
     bump = bump == 1.25 ? 1.5 : 1.25;  // alternate so no iteration no-ops
   }
+  scales[0] = bump;
+  const CompiledModel::RebindStats stats =
+      base.Rebind(Workload::Uniform().WithRateScale(std::move(scales)))
+          .rebind_stats();
+  state.counters["intra_reused"] = stats.intra_reused;
+  state.counters["pair_reused"] = stats.pair_reused;
+  state.counters["combos_shared"] = stats.combos_shared;
 }
 BENCHMARK(BM_WorkloadDialMoveRebind);
 
@@ -150,45 +159,6 @@ void BM_WorkloadDialMoveCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadDialMoveCold);
-
-// The gated ratio: one cold compile and one rebind of the SAME dial move
-// per iteration, each timed with its own clock interval. Interleaving the
-// two within every iteration exposes them to the same scheduler/frequency
-// noise, so the reported rebind_speedup counter is stable across runs in a
-// way two separately-measured benchmarks are not. One short sample still
-// carries scheduler noise, so tools/perf_report --check gates the median
-// of 5 repetitions at 5x (20 runs on a shared 4-vCPU host read 5.2-6.4x).
-void BM_WorkloadDialMoveRebindVsCold(benchmark::State& state) {
-  const auto sys = MakeSystem1120(MessageFormat{32, 256});
-  const CompiledModel base(sys);
-  std::vector<double> scales(static_cast<std::size_t>(sys.num_clusters()),
-                             1.0);
-  double bump = 1.25;
-  double cold_ns = 0;
-  double rebind_ns = 0;
-  using clock = std::chrono::steady_clock;
-  for (auto _ : state) {
-    scales[0] = bump;
-    const Workload w =
-        Workload::Uniform().WithRateScale(std::vector<double>(scales));
-    const auto t0 = clock::now();
-    const CompiledModel cold(sys, w);
-    const auto t1 = clock::now();
-    const CompiledModel moved = base.Rebind(w);
-    const auto t2 = clock::now();
-    benchmark::DoNotOptimize(&cold);
-    benchmark::DoNotOptimize(&moved);
-    cold_ns += static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    rebind_ns += static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count());
-    bump = bump == 1.25 ? 1.5 : 1.25;
-  }
-  state.counters["rebind_speedup"] = rebind_ns > 0 ? cold_ns / rebind_ns : 0;
-}
-BENCHMARK(BM_WorkloadDialMoveRebindVsCold)
-    ->Repetitions(5)
-    ->ReportAggregatesOnly(true);
 
 /// The locality grid of the README's workload-dial sweep table.
 std::vector<double> LocalityGrid() {

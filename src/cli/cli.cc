@@ -1,7 +1,6 @@
 #include "cli/cli.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -462,11 +461,16 @@ int CmdSim(const std::string& system, Flags& flags, std::ostream& out) {
 /// Parses a --sweep-* dial grid "LO:HI:STEP" into the inclusive value list.
 std::vector<double> ParseDialGrid(const std::string& flag,
                                   const std::string& text) {
+  const auto c1 = text.find(':');
+  const auto c2 = c1 == std::string::npos ? c1 : text.find(':', c1 + 1);
+  const auto field = [&text](std::size_t from, std::size_t to, double& out) {
+    const auto v = ParseFullDouble(text.substr(from, to - from));
+    if (v) out = *v;
+    return v.has_value();
+  };
   double lo = 0, hi = 0, step = 0;
-  int consumed = 0;
-  if (std::sscanf(text.c_str(), "%lf:%lf:%lf%n", &lo, &hi, &step,
-                  &consumed) != 3 ||
-      consumed != static_cast<int>(text.size())) {
+  if (c2 == std::string::npos || !field(0, c1, lo) || !field(c1 + 1, c2, hi) ||
+      !field(c2 + 1, text.size(), step)) {
     throw UsageError("--" + flag + " expects LO:HI:STEP, got '" + text + "'");
   }
   if (!(step > 0)) {

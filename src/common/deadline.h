@@ -18,6 +18,7 @@
 // expire and cost one branch per Check.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -32,13 +33,19 @@ class Deadline {
  public:
   Deadline() = default;  ///< never expires
 
-  /// Wall-clock deadline `ms` milliseconds from now.
+  /// Wall-clock deadline `ms` milliseconds from now. One past the clock's
+  /// range never expires (a default Deadline) instead of overflowing.
   static Deadline After(double ms) {
+    const auto now = Clock::now();
+    const auto left = Clock::time_point::max() - now;
+    const std::chrono::duration<double, Clock::period> wait =
+        std::chrono::duration<double, std::milli>(std::max(ms, 0.0));
+    if (!(wait.count() < static_cast<double>(left.count()))) return {};
     Deadline d;
     d.enabled_ = true;
     d.wall_deadline_ =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(ms));
+        now + std::min(left, Clock::duration(
+                                 static_cast<Clock::rep>(wait.count())));
     return d;
   }
 

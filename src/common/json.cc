@@ -93,13 +93,6 @@ const Json* Json::Find(const std::string& key) const {
   return nullptr;
 }
 
-const std::vector<std::pair<std::string, Json>>& Json::Members() const {
-  if (kind_ != Kind::kObject) {
-    throw std::invalid_argument("Json: not an object");
-  }
-  return object_;
-}
-
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -238,6 +231,11 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted: far above the deepest document
+  /// the tree writes (a batch report nests 6 levels), far below the depth
+  /// whose recursion would overflow a thread's stack.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json Run() {
@@ -282,8 +280,15 @@ class Parser {
   Json Value() {
     const char c = Peek();
     switch (c) {
-      case '{': return ObjectValue();
-      case '[': return ArrayValue();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Json v = c == '{' ? ObjectValue() : ArrayValue();
+        --depth_;
+        return v;
+      }
       case '"': return Json(StringValue());
       case 't':
         if (Literal("true")) return Json(true);
@@ -432,6 +437,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -12,9 +12,10 @@
 // carry an explicit flag, e.g. "saturated", when the distinction matters).
 //
 // The parser accepts standard JSON (objects, arrays, strings with escapes,
-// numbers, true/false/null) and throws std::invalid_argument with a byte
-// offset on malformed input. perf_report uses it to read google-benchmark
-// artifacts; tests use it to validate emitted reports.
+// numbers, true/false/null) nested at most 256 levels deep, and throws
+// std::invalid_argument with a byte offset on malformed or deeper input.
+// The server parses request lines with it, perf_report reads
+// google-benchmark artifacts, and tests validate emitted reports.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,6 @@ class Json {
   const Json& At(std::size_t i) const;  ///< array element
   /// Object lookup; nullptr when the key is absent (or not an object).
   const Json* Find(const std::string& key) const;
-  const std::vector<std::pair<std::string, Json>>& Members() const;
 
   /// Serializes. indent = 0 emits the compact one-line form; indent > 0
   /// pretty-prints with that many spaces per level. Output is byte-stable
@@ -94,7 +94,8 @@ class Json {
   std::string Dump(int indent = 0) const;
 
   /// Strict parse of one JSON document (trailing garbage rejected). Throws
-  /// std::invalid_argument naming the byte offset on malformed input.
+  /// std::invalid_argument naming the byte offset on malformed input or
+  /// nesting deeper than 256 levels.
   static Json Parse(const std::string& text);
 
   friend bool operator==(const Json&, const Json&) = default;

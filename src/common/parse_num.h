@@ -1,12 +1,14 @@
 // Strict full-consumption numeric parsing. std::stoi/std::stod accept
-// trailing garbage ("1.5" -> 1, "2junk" -> 2) and throw raw "stoi"/"stod"
-// messages on failure; every user-facing parser in this repo wants the same
-// contract instead — the whole token is the number or the parse fails — so
-// it lives here once. Returns std::nullopt on any failure (bad syntax,
-// partial consumption, out of range); callers attach their own diagnostics.
+// trailing garbage ("1.5" -> 1, "2junk" -> 2), leading whitespace and '+',
+// hex and inf; every user-facing parser in this repo wants one contract
+// instead — the whole token is the number or the parse fails — so it lives
+// here once, on std::from_chars. Returns std::nullopt on any failure (bad
+// syntax, partial consumption, out of range); callers attach their own
+// diagnostics.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <string>
 
@@ -25,15 +27,17 @@ std::optional<T> ParseFullInteger(const std::string& token) {
   return v;
 }
 
+/// A finite decimal double over the whole token. Like ParseFullInteger it
+/// takes no whitespace and no '+'; it also takes no hex and no inf or nan
+/// (a non-finite value has no spelling that serializes back).
 inline std::optional<double> ParseFullDouble(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (...) {
+  double v = 0;
+  const char* end = token.data() + token.size();
+  const auto res = std::from_chars(token.data(), end, v);
+  if (res.ec != std::errc() || res.ptr != end || !std::isfinite(v)) {
     return std::nullopt;
   }
+  return v;
 }
 
 }  // namespace coc

@@ -1,13 +1,11 @@
-// Streaming statistics accumulators used by the simulator's metrics layer and
-// by the validation harness (mean latency, variance, confidence intervals).
+// Streaming statistics accumulator used by the simulator's metrics layer
+// (mean latency, variance, confidence intervals).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace coc {
 
@@ -61,55 +59,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples are clamped into
-/// the first/last bin. Used for latency distribution inspection in examples.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void Add(double x) {
-    const auto bins = counts_.size();
-    double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(bins));
-    idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                     static_cast<std::ptrdiff_t>(bins) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  std::size_t BinCount() const { return counts_.size(); }
-  std::uint64_t BinValue(std::size_t i) const { return counts_[i]; }
-  std::uint64_t Total() const { return total_; }
-  double BinLow(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-  double BinHigh(std::size_t i) const { return BinLow(i + 1); }
-
-  /// Approximate quantile (linear within the owning bin).
-  double Quantile(double q) const {
-    if (total_ == 0) return lo_;
-    const double target = q * static_cast<double>(total_);
-    double acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      const double next = acc + static_cast<double>(counts_[i]);
-      if (next >= target) {
-        const double frac =
-            counts_[i] ? (target - acc) / static_cast<double>(counts_[i]) : 0.0;
-        return BinLow(i) + frac * (BinHigh(i) - BinLow(i));
-      }
-      acc = next;
-    }
-    return hi_;
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace coc

@@ -138,18 +138,6 @@ std::string FormatSweepPlot(const std::string& title,
   return RenderAsciiPlot({analysis, simulation}, 72, 18, title);
 }
 
-ReplicatedResult RunReplicated(const CocSystemSim& sim, const SimConfig& cfg,
-                               int replications) {
-  ReplicatedResult out;
-  SimConfig c = cfg;
-  SimScratch scratch;  // reuse the engine arena across replications
-  for (int i = 0; i < replications; ++i) {
-    c.seed = cfg.seed + static_cast<std::uint64_t>(i);
-    out.means.Add(sim.Run(c, scratch).latency.Mean());
-  }
-  return out;
-}
-
 std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
                                                const WorkloadGridSpec& spec) {
   std::vector<WorkloadGridPoint> points;

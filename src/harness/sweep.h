@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/stats.h"
 #include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "sim/sim_config.h"
@@ -69,20 +68,6 @@ std::string FormatSweepTable(const std::string& label,
 /// Renders model + simulation series as an ASCII chart (finite points only).
 std::string FormatSweepPlot(const std::string& title,
                             const std::vector<SweepPoint>& points);
-
-/// Aggregate of independent simulation replications at one operating point.
-struct ReplicatedResult {
-  RunningStats means;  ///< one sample per replication (its mean latency)
-  /// Mean of means and its 95% half-width — the honest interval when
-  /// within-run samples are autocorrelated (they are, under load).
-  double MeanLatency() const { return means.Mean(); }
-  double HalfWidth95() const { return means.HalfWidth95(); }
-};
-
-/// Runs `replications` simulations differing only in seed (base seed from
-/// cfg, incremented per replication) and aggregates their mean latencies.
-ReplicatedResult RunReplicated(const CocSystemSim& sim, const SimConfig& cfg,
-                               int replications);
 
 /// One point of a workload-dial sweep: the full rate grid evaluated under
 /// one dial setting, plus the certified saturation search's outcome.

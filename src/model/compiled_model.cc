@@ -215,59 +215,47 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
       AppendBits(sig, workload_.RateScale(i));
       AppendBits(sig, loads[static_cast<std::size_t>(i)]);
     }
-    // Interns the (i, j) pair class and returns its index.
-    const auto resolve = [&](int i, int j) {
-      std::string key = side[static_cast<std::size_t>(i)];
-      key += side[static_cast<std::size_t>(j)];
-      const auto [it, inserted] = pair_keys_.emplace(
-          std::move(key), static_cast<int>(pair_classes_.size()));
-      if (inserted) {
-        const auto hit =
-            reuse_classes ? prev->pair_keys_.find(it->first) : pair_keys_.end();
-        if (reuse_classes && hit != prev->pair_keys_.end()) {
-          pair_classes_.push_back(
-              prev->pair_classes_[static_cast<std::size_t>(hit->second)]);
-          ++rebind_stats_.pair_reused;
-        } else {
-          pair_classes_.push_back(BuildPairClass(i, j, loads));
-          ++rebind_stats_.pair_rebuilt;
+    // Dedupe the C side signatures down to K ids and walk the C^2 pairs
+    // through a K x K int table, so each distinct pair shape pays the
+    // string lookups exactly once. Signatures have a fixed width, so equal
+    // id pairs <=> equal pair keys: the first (i, j) of each shape interns
+    // a new class, in the order a pair-by-pair walk over the keys would.
+    std::map<std::string, int> side_ids;
+    std::vector<int> sid(static_cast<std::size_t>(c));
+    for (int i = 0; i < c; ++i) {
+      sid[static_cast<std::size_t>(i)] =
+          side_ids
+              .emplace(side[static_cast<std::size_t>(i)],
+                       static_cast<int>(side_ids.size()))
+              .first->second;
+    }
+    const int k_sides = static_cast<int>(side_ids.size());
+    std::vector<int> lut(
+        static_cast<std::size_t>(k_sides) * static_cast<std::size_t>(k_sides),
+        -1);
+    for (int i = 0; i < c; ++i) {
+      for (int j = 0; j < c; ++j) {
+        if (j == i) continue;
+        int& slot = lut[static_cast<std::size_t>(
+            sid[static_cast<std::size_t>(i)] * k_sides +
+            sid[static_cast<std::size_t>(j)])];
+        if (slot < 0) {
+          slot = static_cast<int>(pair_classes_.size());
+          std::string key = side[static_cast<std::size_t>(i)];
+          key += side[static_cast<std::size_t>(j)];
+          const auto hit =
+              reuse_classes ? prev->pair_keys_.find(key) : pair_keys_.end();
+          if (reuse_classes && hit != prev->pair_keys_.end()) {
+            pair_classes_.push_back(
+                prev->pair_classes_[static_cast<std::size_t>(hit->second)]);
+            ++rebind_stats_.pair_reused;
+          } else {
+            pair_classes_.push_back(BuildPairClass(i, j, loads));
+            ++rebind_stats_.pair_rebuilt;
+          }
+          pair_keys_.emplace(std::move(key), slot);
         }
-      }
-      return it->second;
-    };
-    if (prev == nullptr) {
-      for (int i = 0; i < c; ++i) {
-        for (int j = 0; j < c; ++j) {
-          if (j == i) continue;
-          pair_class_of_[static_cast<std::size_t>(i * c + j)] = resolve(i, j);
-        }
-      }
-    } else {
-      // Rebind fast path: dedupe the C side signatures down to K ids and
-      // walk the C^2 pairs through a K x K int table, so each distinct pair
-      // shape pays the string lookups exactly once.
-      std::map<std::string, int> side_ids;
-      std::vector<int> sid(static_cast<std::size_t>(c));
-      for (int i = 0; i < c; ++i) {
-        sid[static_cast<std::size_t>(i)] =
-            side_ids
-                .emplace(side[static_cast<std::size_t>(i)],
-                         static_cast<int>(side_ids.size()))
-                .first->second;
-      }
-      const int k_sides = static_cast<int>(side_ids.size());
-      std::vector<int> lut(
-          static_cast<std::size_t>(k_sides) * static_cast<std::size_t>(k_sides),
-          -1);
-      for (int i = 0; i < c; ++i) {
-        for (int j = 0; j < c; ++j) {
-          if (j == i) continue;
-          int& slot = lut[static_cast<std::size_t>(
-              sid[static_cast<std::size_t>(i)] * k_sides +
-              sid[static_cast<std::size_t>(j)])];
-          if (slot < 0) slot = resolve(i, j);
-          pair_class_of_[static_cast<std::size_t>(i * c + j)] = slot;
-        }
+        pair_class_of_[static_cast<std::size_t>(i * c + j)] = slot;
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/parse_num.h"
 #include "topology/dragonfly.h"
 #include "topology/full_crossbar.h"
 #include "topology/k_ary_mesh.h"
@@ -17,14 +18,9 @@ namespace {
 }
 
 std::int64_t ToCount(const std::string& text, const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(token, &pos);
-    if (pos != token.size() || v <= 0) throw std::invalid_argument("");
-    return v;
-  } catch (...) {
-    Fail(text, "'" + token + "' is not a positive integer");
-  }
+  const auto v = ParseFullInteger<std::int64_t>(token);
+  if (!v || *v <= 0) Fail(text, "'" + token + "' is not a positive integer");
+  return *v;
 }
 
 /// ToCount for int-typed spec fields: rejects values past INT_MAX instead

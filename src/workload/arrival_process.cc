@@ -3,13 +3,13 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.h"
 #include "common/parse_num.h"
 #include "common/status.h"
 
@@ -198,12 +198,9 @@ std::string ArrivalProcess::ToString() const {
   switch (kind_) {
     case Kind::kPoisson:
       return "poisson";
-    case Kind::kMmpp: {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "mmpp:%g,%g", burstiness_,
-                    mean_burst_length_);
-      return buf;
-    }
+    case Kind::kMmpp:
+      return "mmpp:" + JsonNumber(burstiness_) + "," +
+             JsonNumber(mean_burst_length_);
     case Kind::kTrace:
       return "trace:" + trace_path_;
   }

@@ -102,7 +102,8 @@ class ArrivalProcess {
   /// IPP closed form otherwise; the empirical gap SCV for traces.
   double ArrivalScv() const;
 
-  /// Canonical text form: "poisson", "mmpp:R,L", or "trace:PATH".
+  /// Canonical text form: "poisson", "mmpp:R,L", or "trace:PATH", with R
+  /// and L in shortest round-trip form (Parse(ToString()) == *this).
   std::string ToString() const;
   /// Parses the ToString() syntax (loading the trace for "trace:PATH").
   /// Throws std::invalid_argument subclasses as the factories do.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.h"
 #include "common/parse_num.h"
 #include "system/system_config.h"
 
@@ -89,11 +90,8 @@ std::int32_t MessageLength::SampleFlits(int base_flits, Rng& rng) const {
 
 std::string MessageLength::ToString() const {
   if (kind_ == Kind::kFixed) return "fixed";
-  std::string out = "bimodal:" + std::to_string(short_flits_) + "," +
-                    std::to_string(long_flits_) + ",";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", long_fraction_);
-  return out + buf;
+  return "bimodal:" + std::to_string(short_flits_) + "," +
+         std::to_string(long_flits_) + "," + JsonNumber(long_fraction_);
 }
 
 MessageLength MessageLength::Parse(const std::string& text) {
@@ -444,16 +442,6 @@ const char* WorkloadDialName(WorkloadDial dial) {
       return "burstiness";
   }
   return "?";
-}
-
-WorkloadDial ParseWorkloadDial(const std::string& name) {
-  if (name == "locality") return WorkloadDial::kLocality;
-  if (name == "hotspot_fraction") return WorkloadDial::kHotspotFraction;
-  if (name == "rate_scale") return WorkloadDial::kRateScale;
-  if (name == "burstiness") return WorkloadDial::kBurstiness;
-  throw std::invalid_argument(
-      "unknown workload dial '" + name +
-      "' (use locality, hotspot_fraction, rate_scale or burstiness)");
 }
 
 Workload ApplyWorkloadDial(const Workload& base, WorkloadDial dial,

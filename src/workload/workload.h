@@ -89,7 +89,8 @@ class MessageLength {
   /// without consuming any randomness.
   std::int32_t SampleFlits(int base_flits, Rng& rng) const;
 
-  /// Canonical text form: "fixed" or "bimodal:S,L,P".
+  /// Canonical text form: "fixed" or "bimodal:S,L,P", with P in shortest
+  /// round-trip form (Parse(ToString()) == *this).
   std::string ToString() const;
   /// Parses the ToString() syntax. Throws std::invalid_argument on
   /// malformed input.
@@ -219,9 +220,6 @@ enum class WorkloadDial : std::uint8_t {
 /// Canonical text name ("locality", "hotspot_fraction", "rate_scale",
 /// "burstiness").
 const char* WorkloadDialName(WorkloadDial dial);
-/// Inverse of WorkloadDialName. Throws std::invalid_argument with the valid
-/// names on unknown input.
-WorkloadDial ParseWorkloadDial(const std::string& name);
 
 /// Returns `base` with one dial moved to `value`. The locality and hotspot
 /// dials switch the pattern to the one they parameterize (mirroring the

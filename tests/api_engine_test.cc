@@ -735,5 +735,59 @@ workload.arrival = mmpp:4,8
   EXPECT_NE(reports[0].model->result.mean_latency, reports[1].model->result.mean_latency);
 }
 
+TEST(Engine, NearbyArrivalParametersKeepDistinctModels) {
+  // The model memo key spells the arrival process, and these three differ
+  // only past the sixth digit: each must match its own evaluation alone,
+  // not share a memo entry with its neighbor.
+  const char* arrivals[] = {"mmpp:4.0000001,8", "mmpp:4.0000004,8",
+                            "mmpp:4.000004,8"};
+  std::string text;
+  for (const char* arrival : arrivals) {
+    text += std::string("[scenario s]\nsystem = preset:tiny\n") +
+            "analyses = model\nrate = 1e-4\nworkload.arrival = " + arrival +
+            "\n";
+  }
+  const std::vector<Scenario> scenarios = ParseScenarios(text);
+  Engine batch;
+  const auto reports = batch.EvaluateBatch(scenarios, {});
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_EQ(batch.Stats().models, 3u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    Engine alone;
+    const auto single = alone.EvaluateBatch({scenarios[i]}, {});
+    ASSERT_TRUE(reports[i].model.has_value());
+    ASSERT_TRUE(single[0].model.has_value());
+    EXPECT_EQ(reports[i].model->result.mean_latency,
+              single[0].model->result.mean_latency)
+        << arrivals[i];
+  }
+  EXPECT_NE(reports[0].model->result.mean_latency,
+            reports[1].model->result.mean_latency);
+}
+
+TEST(Engine, DeadlinesPastTheClockRangeNeverTrip) {
+  // Both lie past the steady clock's int64-nanosecond range from now: 1e13
+  // ms would overflow the addition, 1e300 ms the double-to-integer cast.
+  for (const char* ms : {"1e13", "1e300"}) {
+    SCOPED_TRACE(ms);
+    Engine engine;
+    const auto own = engine.EvaluateBatch(
+        ParseScenarios(std::string("[scenario s]\nsystem = preset:tiny\n") +
+                       "analyses = model,saturation\nrate = 1e-4\n" +
+                       "deadline_ms = " + ms + "\n"),
+        {});
+    ASSERT_EQ(own.size(), 1u);
+    EXPECT_TRUE(own[0].status.ok()) << own[0].status.message;
+    Engine::BatchOptions opts;
+    opts.default_deadline_ms = std::stod(ms);
+    const auto request = engine.EvaluateBatch(
+        ParseScenarios("[scenario s]\nsystem = preset:tiny\n"
+                       "analyses = model,saturation\nrate = 1e-4\n"),
+        opts);
+    ASSERT_EQ(request.size(), 1u);
+    EXPECT_TRUE(request[0].status.ok()) << request[0].status.message;
+  }
+}
+
 }  // namespace
 }  // namespace coc

@@ -89,7 +89,16 @@ TEST(Scenario, PropertyRandomizedRoundTrip) {
         s.workload.pattern = WorkloadPattern::kPermutation;
         break;
     }
-    if (pick(2)) s.workload.msg_len = MessageLength::Bimodal(4, 128, 0.25);
+    // Arbitrary fractions and MMPP parameters: their spellings must
+    // round-trip every bit, including digits a six-digit spelling drops.
+    if (pick(2)) {
+      s.workload.msg_len = MessageLength::Bimodal(1 + pick(64), 1 + pick(1024),
+                                                  rng.NextDouble());
+    }
+    if (pick(2)) {
+      s.workload.arrival = ArrivalProcess::Mmpp(1.0 + 15.0 * rng.NextDouble(),
+                                                0.5 + 64.0 * rng.NextDouble());
+    }
     if (pick(2)) s.workload.rate_scale = {{pick(4), 0.25 * (1 + pick(8))}};
     if (pick(2)) s.model.ecn_eta = ModelOptions::EcnEta::kSourceSideOnly;
     if (pick(2)) {
@@ -220,17 +229,24 @@ TEST(Scenario, SimSeedKeepsFull64Bits) {
 TEST(Scenario, IntegerKeysRejectExponentsAndFractions) {
   // The integer keys share the CLI's integer-flag rule: "1e4" and "3.0" are
   // numbers but not integer tokens, so they fail instead of being converted.
-  for (const char* line :
-       {"sim.messages = 1e4\n", "sim.max_events = 2.5\n",
-        "sweep.points = 3.0\n", "workload.hotspot_node = +3\n"}) {
-    SCOPED_TRACE(line);
+  // "+3" is no number at all under the one number rule.
+  const struct {
+    const char* line;
+    const char* expect;
+  } cases[] = {
+      {"sim.messages = 1e4\n", "must be an integer"},
+      {"sim.max_events = 2.5\n", "must be an integer"},
+      {"sweep.points = 3.0\n", "must be an integer"},
+      {"workload.hotspot_node = +3\n", "not a number"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
     try {
       ParseScenario(std::string("[scenario x]\nsystem = preset:tiny\n") +
-                    "rate = 1e-4\n" + line);
+                    "rate = 1e-4\n" + c.line);
       FAIL() << "expected invalid_argument";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("must be an integer"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
           << e.what();
     }
   }
@@ -318,7 +334,20 @@ INSTANTIATE_TEST_SUITE_P(
         BadScenario{"BadModelKnob",
                     "[scenario x]\nsystem = preset:tiny\nrate = 1e-4\n"
                     "model.lambda_i2 = quadratic\n",
-                    "pair_mean or harmonic"}),
+                    "pair_mean or harmonic"},
+        // Doubles follow the one number rule: decimal, finite, no '+'. An
+        // infinite abort latency would serialize as null, which does not
+        // parse back.
+        BadScenario{"PlusSignedRate",
+                    "[scenario x]\nsystem = preset:tiny\nrate = +1e-4\n",
+                    "not a number"},
+        BadScenario{"HexRate",
+                    "[scenario x]\nsystem = preset:tiny\nrate = 0x1p-13\n",
+                    "not a number"},
+        BadScenario{"InfiniteAbortLatency",
+                    "[scenario x]\nsystem = preset:tiny\nrate = 1e-4\n"
+                    "sweep.abort_latency = inf\n",
+                    "not a number"}),
     [](const ::testing::TestParamInfo<BadScenario>& info) {
       return info.param.name;
     });

@@ -574,6 +574,14 @@ TEST(Cli, MalformedNumericFlagsAreUsageErrorsNamingTheFlag) {
       {{"sim", "preset:tiny:8:32", "--rate", "1e-4", "--seed", "-1"},
        "--seed"},
       {{"serve", "--port", "1.5"}, "--port"},
+      // Doubles: decimal and finite only, by the same rule as integers.
+      {{"model", "preset:tiny", "--rate", " +1e-4"}, "--rate"},
+      {{"model", "preset:tiny", "--rate", "0x1p-13"}, "--rate"},
+      {{"model", "preset:tiny", "--rate", "inf"}, "--rate"},
+      // An infinite grid has no end to enumerate.
+      {{"sweep", "preset:tiny", "--max-rate", "1e-4", "--sweep-locality",
+        "0:inf:0.1"},
+       "--sweep-locality"},
   };
   for (const auto& c : cases) {
     const auto r = RunCommand(c.args);

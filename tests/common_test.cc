@@ -219,23 +219,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(c.Mean(), mean);
 }
 
-TEST(Histogram, QuantilesOfUniformStream) {
-  Histogram h(0, 1, 100);
-  Rng rng(29);
-  for (int i = 0; i < 100000; ++i) h.Add(rng.NextDouble());
-  EXPECT_NEAR(h.Quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.Quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0, 10, 10);
-  h.Add(-5);
-  h.Add(50);
-  EXPECT_EQ(h.BinValue(0), 1u);
-  EXPECT_EQ(h.BinValue(9), 1u);
-  EXPECT_EQ(h.Total(), 2u);
-}
-
 TEST(Table, AlignsColumnsAndCountsRows) {
   Table t({"a", "long_header", "c"});
   t.AddRow({"1", "2", "3"});

@@ -173,23 +173,6 @@ TEST(Harness, FormatsContainSeriesAndLabel) {
   EXPECT_NE(csv.find("lambda_g,analysis"), std::string::npos);
 }
 
-TEST(Harness, ReplicatedRunsAggregateIndependentSeeds) {
-  const auto sys = MakeTinySystem(MessageFormat{16, 64});
-  const CocSystemSim sim(sys);
-  SimConfig cfg;
-  cfg.lambda_g = 2e-4;
-  cfg.warmup_messages = 200;
-  cfg.measured_messages = 2000;
-  cfg.drain_messages = 200;
-  const auto r = RunReplicated(sim, cfg, 4);
-  EXPECT_EQ(r.means.Count(), 4u);
-  EXPECT_GT(r.MeanLatency(), 0.0);
-  EXPECT_GT(r.HalfWidth95(), 0.0);       // distinct seeds => variance
-  EXPECT_GT(r.means.Min(), 0.0);
-  EXPECT_LT(r.means.Max() - r.means.Min(),
-            0.2 * r.MeanLatency());      // but not wildly different
-}
-
 TEST(Harness, WorkloadGridBitIdenticalToPerPointColdCompiles) {
   // The dial sweep's rebind chain and certified saturation warm-starts are
   // pure shortcuts: every point must match a cold compile + cold search.

@@ -74,10 +74,28 @@ TEST(Json, ParseAcceptsStandardInput) {
 }
 
 TEST(Json, ParseRejectsMalformedInput) {
-  for (const char* bad :
-       {"", "{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated",
-        "{\"a\":1} trailing", "01x", "{'a':1}"}) {
-    EXPECT_THROW(Json::Parse(bad), std::invalid_argument) << bad;
+  // The last two nest far past the parser's depth cap of 256 levels.
+  std::string deep_objects;
+  for (int i = 0; i < 1024 * 1024 / 5; ++i) deep_objects += "{\"a\":";
+  for (const std::string& bad :
+       {std::string(""), std::string("{"), std::string("[1,]"),
+        std::string("{\"a\" 1}"), std::string("tru"),
+        std::string("\"unterminated"), std::string("{\"a\":1} trailing"),
+        std::string("01x"), std::string("{'a':1}"),
+        std::string(100 * 1024, '['), deep_objects}) {
+    EXPECT_THROW(Json::Parse(bad), std::invalid_argument) << bad.substr(0, 40);
+  }
+}
+
+TEST(Json, DepthCapNamesTheByteOffset) {
+  const std::string at_cap = std::string(256, '[') + std::string(256, ']');
+  EXPECT_NO_THROW(Json::Parse(at_cap));
+  try {
+    Json::Parse(std::string(257, '['));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 256"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -407,6 +407,10 @@ TEST(TopologySpec, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("dragonfly:4,2,2,routing=valiant,3"),
                std::invalid_argument);
+  // Counts follow the one integer rule: no '+' sign.
+  EXPECT_THROW(ParseTopologySpec("crossbar:+16"), std::invalid_argument);
+  EXPECT_THROW(ParseTopologySpec("mesh:+4x2"), std::invalid_argument);
+  EXPECT_THROW(ParseTopologySpec("tree:m=+8,n=2"), std::invalid_argument);
 }
 
 TEST(TopologySpec, BuildsEveryFamily) {

@@ -228,6 +228,12 @@ TEST(RequestHandler, MalformedLinesAnswerStructurallyAndKeepServing) {
   EXPECT_EQ(no_op.Find("status")->Find("code")->AsString(), "usage_error");
   const Json unknown = Json::Parse(handler.HandleLine("{\"op\":\"frob\"}"));
   EXPECT_EQ(unknown.Find("status")->Find("code")->AsString(), "usage_error");
+  // Nesting past the parser's depth cap is a status line, not a crash.
+  const Json deep =
+      Json::Parse(handler.HandleLine(std::string(100 * 1024, '[')));
+  EXPECT_EQ(deep.Find("status")->Find("code")->AsString(), "scenario_error");
+  EXPECT_NE(deep.Find("status")->Find("message")->AsString().find("nesting"),
+            std::string::npos);
   // The handler still serves real requests after the garbage.
   const Json ok = Json::Parse(handler.HandleLine(EvaluateLine(kOneScenario)));
   EXPECT_TRUE(ok.Find("status")->Find("ok")->AsBool());

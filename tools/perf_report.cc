@@ -20,13 +20,12 @@
 //                    flag and stays within 0.05 pp of err% of the snapshot,
 //                    and no row disappears. The simulator is seeded, so these
 //                    numbers reproduce exactly;
-//                (b) rebind: the median over 5 repetitions of
-//                    BM_WorkloadDialMoveRebindVsCold's rebind_speedup (cold
-//                    compile / rebind, timed interleaved in one process, so
-//                    runner noise mostly cancels) is present and at least 5x.
-//                    The ratio still depends on the CPU's caches: on one
-//                    4-vCPU VM its medians read 5.19-6.38x, a thin margin
-//                    that another CPU may not keep.
+//                (b) rebind: BM_WorkloadDialMoveRebind's reuse counts
+//                    (intra_reused, pair_reused, combos_shared: what one
+//                    dial-move Rebind reused instead of rebuilding) are
+//                    present, above 0 and equal to the snapshot's. They are
+//                    exact integers, so a build whose Rebind reuses nothing
+//                    fails while no runner's speed can.
 //                Absolute times are printed and written, never gated: on a
 //                shared runner they move 2x between runs of one tree.
 //                The run overwrites the snapshots even when a gate fails;
@@ -55,8 +54,10 @@ using coc::Json;
 /// percentage points. The seeded rows reproduce bit for bit, so any real
 /// move is a change in the model or the simulator.
 constexpr double kMaxErrShiftPp = 0.05;
-/// Least median dial-move rebind speedup that --check accepts.
-constexpr double kMinRebindSpeedup = 5.0;
+/// The dial-move rebind row and the reuse counters gate (b) compares.
+constexpr const char* kRebindRow = "BM_WorkloadDialMoveRebind";
+constexpr const char* kReuseCounts[] = {"intra_reused", "pair_reused",
+                                        "combos_shared"};
 
 struct BenchResult {
   double real_time_ns = 0;
@@ -64,9 +65,8 @@ struct BenchResult {
   double model_us = 0;    // accuracy suites: analytical mean latency
   double sim_us = 0;      // accuracy suites: simulated mean latency
   bool model_saturated = false;  // accuracy suites: model past saturation
-  /// Cold-compile time / rebind time for one workload-dial move, both
-  /// measured interleaved within the same benchmark. 0 when absent.
-  double rebind_speedup = 0;
+  /// The rebind row's kReuseCounts counters that the run exported.
+  std::map<std::string, double> reuse;
 
   bool HasErrPct() const { return sim_us > 0 && !model_saturated; }
   double ErrPct() const { return 100.0 * (model_us - sim_us) / sim_us; }
@@ -75,8 +75,7 @@ struct BenchResult {
 using Results = std::map<std::string, BenchResult>;
 
 /// Reads a google-benchmark JSON artifact through the shared parser and
-/// extracts the fields the snapshot tracks. Of a repeated benchmark's
-/// aggregates only the median is kept. A missing, unparseable or
+/// extracts the fields the snapshot tracks. A missing, unparseable or
 /// structurally alien file yields an empty map, which the caller reports.
 Results ParseBenchJson(const std::string& path) {
   Results results;
@@ -102,18 +101,16 @@ Results ParseBenchJson(const std::string& path) {
   for (std::size_t i = 0; i < benchmarks->Size(); ++i) {
     const Json& entry = benchmarks->At(i);
     const Json* name = entry.Find("name");
-    const Json* aggregate = entry.Find("aggregate_name");
-    if (name == nullptr ||
-        (aggregate != nullptr && aggregate->AsString() != "median")) {
-      continue;
-    }
+    if (name == nullptr) continue;
     BenchResult& r = results[name->AsString()];
     r.real_time_ns = number(entry, "real_time");
     r.msgs_per_s = number(entry, "msgs/s");
     r.model_us = number(entry, "model_us");
     r.sim_us = number(entry, "sim_us");
     r.model_saturated = number(entry, "model_saturated") != 0.0;
-    r.rebind_speedup = number(entry, "rebind_speedup");
+    for (const char* key : kReuseCounts) {
+      if (const Json* v = entry.Find(key)) r.reuse[key] = v->AsDouble();
+    }
   }
   return results;
 }
@@ -149,9 +146,13 @@ void PrintSuite(const std::string& path, const Results& results) {
                   r.sim_us);
     } else if (r.model_saturated) {
       std::printf("  %-48s model saturated  sim aborted\n", name.c_str());
-    } else if (r.rebind_speedup > 0) {
-      std::printf("  %-48s %12.0f ns/op  rebind speedup %.2fx\n", name.c_str(),
-                  r.real_time_ns, r.rebind_speedup);
+    } else if (!r.reuse.empty()) {
+      std::printf("  %-48s %12.0f ns/op  reused:", name.c_str(),
+                  r.real_time_ns);
+      for (const auto& [key, count] : r.reuse) {
+        std::printf(" %s %.0f", key.c_str(), count);
+      }
+      std::printf("\n");
     } else {
       std::printf("  %-48s %12.0f ns/op\n", name.c_str(), r.real_time_ns);
     }
@@ -191,30 +192,35 @@ int CheckAccuracy(const std::string& path, const Results& snapshot,
   return failures;
 }
 
-/// Gate (b): the median dial-move rebind speedup must be present and at
-/// least kMinRebindSpeedup. The row name carries the repetition count, so a
-/// bench that stops repeating fails as missing. Returns 1 on failure, 0
-/// otherwise.
-int CheckRebindSpeedup(const Results& model_suite) {
-  const char* kRow = "BM_WorkloadDialMoveRebindVsCold/repeats:5_median";
-  const auto it = model_suite.find(kRow);
-  const double speedup = it != model_suite.end() ? it->second.rebind_speedup
-                                                 : 0.0;
-  if (!(speedup > 0)) {
-    std::fprintf(stderr, "check FAILED: %s: rebind_speedup missing\n", kRow);
-    return 1;
-  }
-  if (speedup < kMinRebindSpeedup) {
+/// The rebind row's `key` counter in `suite`; -1 when the row or the
+/// counter is missing.
+double ReuseCount(const Results& suite, const char* key) {
+  const auto row = suite.find(kRebindRow);
+  if (row == suite.end()) return -1;
+  const auto it = row->second.reuse.find(key);
+  return it != row->second.reuse.end() ? it->second : -1;
+}
+
+/// Gate (b): each of the rebind row's reuse counts must be present, above 0
+/// and equal to the snapshot's. Returns the failure count, printing one line
+/// per failure.
+int CheckRebindReuse(const std::string& path, const Results& snapshot,
+                     const Results& current) {
+  int failures = 0;
+  for (const char* key : kReuseCounts) {
+    const double was = ReuseCount(snapshot, key);
+    const double now = ReuseCount(current, key);
+    if (now > 0 && now == was) continue;
     std::fprintf(stderr,
-                 "check FAILED: dial-move rebind speedup %.2fx (median of 5) "
-                 "below required %.2fx\n",
-                 speedup, kMinRebindSpeedup);
-    return 1;
+                 "check FAILED: %s / %s: %s %.0f -> %.0f (must be > 0 and "
+                 "equal the snapshot; -1 = missing)\n",
+                 path.c_str(), kRebindRow, key, was, now);
+    ++failures;
   }
-  std::printf("check: dial-move rebind speedup %.2fx (median of 5, >= %.2fx "
-              "required)\n",
-              speedup, kMinRebindSpeedup);
-  return 0;
+  if (failures == 0) {
+    std::printf("check: %s reuse counts equal the snapshot\n", kRebindRow);
+  }
+  return failures;
 }
 
 enum class Gate { kNone, kAccuracy, kRebind };
@@ -272,7 +278,7 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < std::size(kSuites); ++k) {
     const std::string path = out_dir + "/" + kSuites[k].artifact;
     snapshots[k] = ParseBenchJson(path);
-    if (check && kSuites[k].gate == Gate::kAccuracy && snapshots[k].empty()) {
+    if (check && kSuites[k].gate != Gate::kNone && snapshots[k].empty()) {
       std::fprintf(stderr, "error: --check: no snapshot to compare at %s\n",
                    path.c_str());
       return 1;
@@ -298,7 +304,7 @@ int main(int argc, char** argv) {
       failures += CheckAccuracy(path, snapshots[k], results);
       accuracy_rows += static_cast<int>(snapshots[k].size());
     } else if (s.gate == Gate::kRebind) {
-      failures += CheckRebindSpeedup(results);
+      failures += CheckRebindReuse(path, snapshots[k], results);
     }
   }
 
