@@ -93,11 +93,48 @@ const Json* Json::Find(const std::string& key) const {
   return nullptr;
 }
 
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
+namespace {
+
+// Dump appends its spellings in place: no temporary per key, string or double.
+void AppendNumber(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void AppendEscaped(std::string& out, const std::string& s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+}  // namespace
+
+std::string JsonNumber(double v) {
+  std::string out;
+  AppendNumber(out, v);
+  return out;
 }
 
 Json& JsonSetNumber(Json& obj, const std::string& key, double v) {
@@ -133,28 +170,7 @@ double JsonGetNumber(const Json& obj, const std::string& key) {
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  AppendEscaped(out, s);
   return out;
 }
 
@@ -181,10 +197,10 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       return;
     }
     case Kind::kDouble:
-      out += JsonNumber(double_);
+      AppendNumber(out, double_);
       return;
     case Kind::kString:
-      out += JsonEscape(string_);
+      AppendEscaped(out, string_);
       return;
     case Kind::kArray: {
       if (array_.empty()) {
@@ -210,7 +226,7 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i != 0) out += ',';
         newline(depth + 1);
-        out += JsonEscape(object_[i].first);
+        AppendEscaped(out, object_[i].first);
         out += indent > 0 ? ": " : ":";
         object_[i].second.DumpTo(out, indent, depth + 1);
       }

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <chrono>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -12,14 +13,23 @@
 namespace coc {
 namespace {
 
-Json ServerTimingBlock(std::chrono::steady_clock::time_point start) {
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  Json server = Json::Object();
-  server.Set("elapsed_ms", elapsed_ms);
-  return server;
+/// The request line as JSON; one that does not parse is a usage error.
+Json ParseRequest(const std::string& line) {
+  try {
+    return Json::Parse(line);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("request is not JSON: ") + e.what());
+  }
+}
+
+/// A request field that must be present and a JSON string.
+const std::string& StringField(const Json& request, const char* name) {
+  const Json* value = request.Find(name);
+  if (value == nullptr || value->kind() != Json::Kind::kString) {
+    throw UsageError(std::string("request field \"") + name + "\" " +
+                     (value == nullptr ? "is missing" : "must be a string"));
+  }
+  return value->AsString();
 }
 
 }  // namespace
@@ -28,17 +38,12 @@ std::string RequestHandler::HandleLine(const std::string& line,
                                        bool* shutdown_requested) {
   Json response;
   try {
-    const Json request = Json::Parse(line);
-    const Json* op = request.Find("op");
-    if (op == nullptr) {
-      throw UsageError("request is missing \"op\"");
+    const Json request = ParseRequest(line);
+    const std::string& verb = StringField(request, "op");
+    if (verb == "evaluate" || verb == "batch") {
+      return Evaluate(request, /*envelope=*/verb == "batch");
     }
-    const std::string& verb = op->AsString();
-    if (verb == "evaluate") {
-      response = Evaluate(request, /*envelope=*/false);
-    } else if (verb == "batch") {
-      response = Evaluate(request, /*envelope=*/true);
-    } else if (verb == "stats") {
+    if (verb == "stats") {
       response = StatsJson();
     } else if (verb == "shutdown") {
       if (shutdown_requested != nullptr) *shutdown_requested = true;
@@ -54,7 +59,7 @@ std::string RequestHandler::HandleLine(const std::string& line,
   return JsonLine(response);
 }
 
-Json RequestHandler::Evaluate(const Json& request, bool envelope) {
+std::string RequestHandler::Evaluate(const Json& request, bool envelope) {
   const auto start = std::chrono::steady_clock::now();
   // The admitted-request sequence number keys the "server" fault site: an
   // armed request fails structurally before touching the Engine or the
@@ -66,12 +71,8 @@ Json RequestHandler::Evaluate(const Json& request, bool envelope) {
                              std::to_string(request_index) + ")");
   }
 
-  const char* field = envelope ? "scenarios" : "scenario";
-  const Json* text = request.Find(field);
-  if (text == nullptr) {
-    throw UsageError(std::string("request is missing \"") + field + '"');
-  }
-  std::vector<Scenario> scenarios = ParseScenarios(text->AsString());
+  const std::vector<Scenario> scenarios =
+      ParseScenarios(StringField(request, envelope ? "scenarios" : "scenario"));
   if (!envelope && scenarios.size() != 1) {
     throw UsageError("op \"evaluate\" takes exactly one [scenario] section (" +
                      std::to_string(scenarios.size()) +
@@ -84,89 +85,77 @@ Json RequestHandler::Evaluate(const Json& request, bool envelope) {
   // guarantee's simplest witness.
   opts.threads = 1;
   if (const Json* deadline = request.Find("deadline_ms")) {
-    const double ms = deadline->AsDouble();
-    if (!(ms > 0)) {
-      throw UsageError("\"deadline_ms\" must be > 0");
+    const Json::Kind kind = deadline->kind();
+    if ((kind != Json::Kind::kInt && kind != Json::Kind::kDouble) ||
+        !(deadline->AsDouble() > 0)) {
+      throw UsageError("request field \"deadline_ms\" must be a number > 0");
     }
-    opts.default_deadline_ms = ms;
+    opts.default_deadline_ms = deadline->AsDouble();
   }
 
-  std::vector<Json> rendered;
-  rendered.reserve(scenarios.size());
-  for (const Scenario& scenario : scenarios) {
+  // Spliced from the cached compact bytes (see protocol.h).
+  std::string out = envelope ? "{\"schema_version\":" +
+                                   std::to_string(kReportSchemaVersion) +
+                                   ",\"reports\":["
+                             : "";
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const Scenario& scenario = scenarios[i];
     // Content address: the canonical serialization, so two spellings of the
     // same scenario share one entry. The request deadline is deliberately
     // not part of the key — only ok reports are cached, a deadline can only
     // remove results (by tripping, which is not ok and not cached), so a
     // cached ok report is valid under any deadline.
-    const std::string key = scenario.Serialize();
     const ResultCache::Lookup lookup =
-        cache_.GetOrCompute(key, [&]() -> ResultCache::Computed {
+        cache_.GetOrCompute(scenario.Serialize(), [&] {
           ++evaluated_scenarios_;
           const std::vector<Report> reports =
               engine_.EvaluateBatch({scenario}, opts);
           ResultCache::Computed computed;
-          computed.report = reports.front().ToJson();
+          computed.report = reports.front().ToJson().Dump();
           computed.cacheable = reports.front().status.ok();
           return computed;
         });
-    Json report = std::move(lookup.report);
-    report.Set("cache", lookup.hit ? "hit" : "miss");
-    rendered.push_back(std::move(report));
+    const std::string& report = lookup.report.AsString();
+    if (i != 0) out += ',';
+    out.append(report, 0, report.size() - 1);
+    out += lookup.hit ? ",\"cache\":\"hit\"" : ",\"cache\":\"miss\"";
+    if (envelope) out += '}';
   }
-
-  if (!envelope) {
-    Json response = std::move(rendered.front());
-    response.Set("server", ServerTimingBlock(start));
-    return response;
-  }
-  // Mirror BatchToJson's envelope shape so offline and served batch output
-  // differ only by the appended cache/server fields.
-  Json reports = Json::Array();
-  for (Json& report : rendered) reports.Push(std::move(report));
-  Json response = Json::Object();
-  response.Set("schema_version", kReportSchemaVersion);
-  response.Set("reports", std::move(reports));
-  response.Set("server", ServerTimingBlock(start));
-  return response;
+  if (envelope) out += ']';
+  const std::chrono::duration<double, std::milli> elapsed =
+      std::chrono::steady_clock::now() - start;
+  out += ",\"server\":{\"elapsed_ms\":" + JsonNumber(elapsed.count()) + "}}\n";
+  return out;
 }
 
 Json RequestHandler::StatsJson() const {
+  // Every counter is far below INT64_MAX, so it dumps as a plain integer.
+  const auto counters =
+      [](std::initializer_list<std::pair<const char*, std::uint64_t>> fields) {
+        Json block = Json::Object();
+        for (const auto& [name, value] : fields) block.Set(name, value);
+        return block;
+      };
+  const ResultCache::Stats c = cache_.GetStats();
+  const Engine::CacheStats e = engine_.Stats();
   Json j = Json::Object();
   j.Set("schema_version", 1);
-
-  const ResultCache::Stats c = cache_.GetStats();
-  Json cache = Json::Object();
-  cache.Set("capacity", static_cast<std::int64_t>(c.capacity));
-  cache.Set("entries", static_cast<std::int64_t>(c.entries));
-  cache.Set("hits", static_cast<std::int64_t>(c.hits));
-  cache.Set("misses", static_cast<std::int64_t>(c.misses));
-  cache.Set("evictions", static_cast<std::int64_t>(c.evictions));
-  cache.Set("coalesced", static_cast<std::int64_t>(c.coalesced));
-  j.Set("cache", std::move(cache));
-
-  const Engine::CacheStats e = engine_.Stats();
-  Json engine = Json::Object();
-  engine.Set("systems", static_cast<std::int64_t>(e.systems));
-  engine.Set("sims", static_cast<std::int64_t>(e.sims));
-  engine.Set("models", static_cast<std::int64_t>(e.models));
-  engine.Set("model_rebinds", static_cast<std::int64_t>(e.model_rebinds));
-  engine.Set("rebind_evictions",
-             static_cast<std::int64_t>(e.rebind_evictions));
-  engine.Set("model_evictions", static_cast<std::int64_t>(e.model_evictions));
-  engine.Set("system_evictions",
-             static_cast<std::int64_t>(e.system_evictions));
-  j.Set("engine", std::move(engine));
-
-  Json server = Json::Object();
-  server.Set("requests", static_cast<std::int64_t>(requests_.load()));
-  server.Set("evaluated_scenarios",
-             static_cast<std::int64_t>(evaluated_scenarios_.load()));
-  server.Set("protocol_errors",
-             static_cast<std::int64_t>(protocol_errors_.load()));
-  server.Set("connections", static_cast<std::int64_t>(connections_.load()));
-  server.Set("shed", static_cast<std::int64_t>(shed_.load()));
-  j.Set("server", std::move(server));
+  j.Set("cache", counters({{"capacity", c.capacity}, {"entries", c.entries},
+                           {"hits", c.hits}, {"misses", c.misses},
+                           {"evictions", c.evictions},
+                           {"coalesced", c.coalesced}}));
+  j.Set("engine", counters({{"systems", e.systems}, {"sims", e.sims},
+                            {"models", e.models},
+                            {"model_rebinds", e.model_rebinds},
+                            {"rebind_evictions", e.rebind_evictions},
+                            {"model_evictions", e.model_evictions},
+                            {"system_evictions", e.system_evictions}}));
+  j.Set("server",
+        counters({{"requests", requests_.load()},
+                  {"evaluated_scenarios", evaluated_scenarios_.load()},
+                  {"protocol_errors", protocol_errors_.load()},
+                  {"connections", connections_.load()},
+                  {"shed", shed_.load()}}));
   return j;
 }
 

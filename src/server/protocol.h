@@ -12,23 +12,25 @@
 //   {"op": "shutdown"}                   // ask the server to drain
 //
 // Responses (one line each):
-//   evaluate  → the scenario's schema_version-2 Report JSON plus
+//   evaluate  → the scenario's schema_version-3 Report JSON plus
 //               "cache": "hit"|"miss" and a "server": {"elapsed_ms": ..}
 //               timing block;
 //   batch     → the offline BatchToJson envelope, each report carrying its
 //               own "cache" field, plus an envelope-level "server" block;
 //   stats     → {"schema_version", "cache": {..}, "engine": {..},
 //               "server": {..}} counters;
-//   failures  → {"status": {"code", "ok": false, "message"}} in the PR-7
-//               error taxonomy. A malformed line never tears the
-//               connection: line framing keeps the stream in sync and the
-//               next request is served normally.
+//   failures  → {"status": {"code", "ok": false, "message"}} in the
+//               common/status.h taxonomy (a line that is not JSON, or a
+//               field of the wrong type, is a usage_error). A malformed
+//               line never tears the connection: framing keeps the stream
+//               in sync and the next request is served normally.
 //
 // Results are bit-identical to offline batch runs for any worker count:
-// every scenario evaluates through Engine::EvaluateBatch, and the "cache"/
-// "server" fields are appended to response copies — Report::ToJson itself
-// is untouched, which is also why a cached response's report bytes equal
-// the original miss's.
+// every scenario evaluates through Engine::EvaluateBatch and is rendered
+// once, compact (Report::ToJson().Dump()), into the result cache. Responses
+// are spliced from those bytes: each report is reopened at its closing '}'
+// for its "cache" field, and the "server" block closes the response — byte
+// for byte the dump of the report tree with those keys added.
 #pragma once
 
 #include <atomic>
@@ -68,8 +70,8 @@ class RequestHandler {
   const ResultCache& cache() const { return cache_; }
 
  private:
-  /// Handles evaluate (single scenario) and batch (envelope) requests.
-  Json Evaluate(const Json& request, bool envelope);
+  /// Answers evaluate (one scenario) and batch (envelope) requests.
+  std::string Evaluate(const Json& request, bool envelope);
 
   Engine engine_;
   ResultCache cache_;

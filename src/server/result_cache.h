@@ -1,10 +1,10 @@
 // Content-addressed result cache for the evaluation server: an LRU over
-// fully-rendered report JSON, keyed by the canonical Scenario::Serialize()
-// string. Canonicalization is what makes content addressing sound — two
-// textually different scenario sections that parse to the same semantics
-// serialize to the same bytes, so they share one cache entry, and a cached
-// response is bit-identical to the evaluation it replaced because the cache
-// stores the rendered Json tree itself.
+// rendered reports, keyed by the canonical Scenario::Serialize() string.
+// Canonicalization is what makes content addressing sound — two textually
+// different scenario sections that parse to the same semantics serialize to
+// the same bytes, so they share one cache entry. The server stores each
+// report's compact Dump as a Json string, so hits, inserts and coalesced
+// waiters copy bytes, not a tree, and a hit is byte-identical to its miss.
 //
 // Single-flight: concurrent requests for the same key compute once. The
 // first caller (the leader) runs `compute`; every concurrent duplicate

@@ -41,6 +41,18 @@ void WriteStatusLine(int fd, StatusCode code, const std::string& message) {
   WriteAll(fd, JsonLine(JsonStatusMessage(code, message)));
 }
 
+/// `host`:`port` as an IPv4 socket address; a bad host is a usage error.
+sockaddr_in Ipv4Address(const char* verb, const std::string& host, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    throw UsageError(std::string(verb) + ": bad host '" + host +
+                     "' (an IPv4 address, e.g. 127.0.0.1)");
+  }
+  return addr;
+}
+
 /// The one signal-routing slot InstallDrainSignalHandlers targets: the
 /// handler may only touch async-signal-safe state, so it write()s a byte
 /// to the registered server's stop pipe and nothing else.
@@ -68,47 +80,28 @@ EvalServer::~EvalServer() {
 }
 
 void EvalServer::Start() {
+  const sockaddr_in addr = Ipv4Address("serve", opts_.host, opts_.port);
+  // Fails Start with errno's reason, releasing the listening socket.
+  const auto fail = [this](const std::string& what) {
+    const std::string reason = std::strerror(errno);
+    if (listen_fd_ >= 0) close(listen_fd_);
+    listen_fd_ = -1;
+    throw UsageError("serve: " + what + ": " + reason);
+  };
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw UsageError(std::string("serve: socket: ") + std::strerror(errno));
-  }
+  if (listen_fd_ < 0) fail("socket");
   const int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(opts_.port));
-  if (inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    throw UsageError("serve: bad host '" + opts_.host +
-                     "' (an IPv4 address, e.g. 127.0.0.1)");
-  }
   if (bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
            sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
-    throw UsageError("serve: cannot bind " + opts_.host + ":" +
-                     std::to_string(opts_.port) + ": " + reason);
+    fail("cannot bind " + opts_.host + ":" + std::to_string(opts_.port));
   }
-  if (listen(listen_fd_, 128) != 0) {
-    const std::string reason = std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
-    throw UsageError("serve: listen: " + reason);
-  }
+  if (listen(listen_fd_, 128) != 0) fail("listen");
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = static_cast<int>(ntohs(bound.sin_port));
-
-  if (pipe(stop_pipe_) != 0) {
-    const std::string reason = std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
-    throw UsageError("serve: pipe: " + reason);
-  }
+  if (pipe(stop_pipe_) != 0) fail("pipe");
 
   int threads = opts_.threads;
   if (threads <= 0) {
@@ -195,18 +188,23 @@ void EvalServer::WorkerLoop(std::size_t slot) {
 
 void EvalServer::ServeConnection(int fd, std::size_t slot) {
   active_fds_[slot]->store(fd);
-  std::string buffer;
+  // Each byte is searched for '\n' once, and answered lines are dropped
+  // once per recv: long or pipelined input costs linear time.
+  std::string buffer;  // between recvs: a partial line, no '\n'
+  std::string line;
   char chunk[4096];
   bool open = true;
   while (open) {
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error: the client is done
+    const std::size_t searched = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::string::size_type eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, eol);
-      buffer.erase(0, eol + 1);
+    std::size_t begin = 0;  // first byte of the first unanswered line
+    for (auto eol = buffer.find('\n', searched); eol != std::string::npos;
+         eol = buffer.find('\n', begin)) {
+      line.assign(buffer, begin, eol - begin);
+      begin = eol + 1;
       if (line.empty()) continue;
       bool shutdown_requested = false;
       const std::string response =
@@ -221,6 +219,7 @@ void EvalServer::ServeConnection(int fd, std::size_t slot) {
         break;
       }
     }
+    buffer.erase(0, begin);
   }
   active_fds_[slot]->store(-1);
   close(fd);
@@ -278,17 +277,10 @@ void InstallDrainSignalHandlers(EvalServer& server) {
 
 std::string SubmitLine(const std::string& host, int port,
                        const std::string& line) {
+  const sockaddr_in addr = Ipv4Address("submit", host, port);
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw UsageError(std::string("submit: socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    throw UsageError("submit: bad host '" + host +
-                     "' (an IPv4 address, e.g. 127.0.0.1)");
   }
   if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
@@ -305,8 +297,9 @@ std::string SubmitLine(const std::string& host, int port,
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
+    const std::size_t searched = response.size();
     response.append(chunk, static_cast<std::size_t>(n));
-    const auto eol = response.find('\n');
+    const auto eol = response.find('\n', searched);
     if (eol != std::string::npos) {
       response.resize(eol);
       close(fd);

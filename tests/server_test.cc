@@ -3,9 +3,11 @@
 // EvaluateBatch, admission control, fault injection, and graceful drain.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -16,6 +18,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -221,19 +224,37 @@ std::string CanonicalBatchDump(const Json& response) {
 
 TEST(RequestHandler, MalformedLinesAnswerStructurallyAndKeepServing) {
   RequestHandler handler(Engine::Options{}, 8, FaultInjector{});
-  const Json bad = Json::Parse(handler.HandleLine("{not json"));
-  EXPECT_EQ(bad.Find("status")->Find("code")->AsString(), "scenario_error");
-  EXPECT_FALSE(bad.Find("status")->Find("ok")->AsBool());
-  const Json no_op = Json::Parse(handler.HandleLine("{\"x\":1}"));
-  EXPECT_EQ(no_op.Find("status")->Find("code")->AsString(), "usage_error");
-  const Json unknown = Json::Parse(handler.HandleLine("{\"op\":\"frob\"}"));
-  EXPECT_EQ(unknown.Find("status")->Find("code")->AsString(), "usage_error");
-  // Nesting past the parser's depth cap is a status line, not a crash.
-  const Json deep =
-      Json::Parse(handler.HandleLine(std::string(100 * 1024, '[')));
-  EXPECT_EQ(deep.Find("status")->Find("code")->AsString(), "scenario_error");
-  EXPECT_NE(deep.Find("status")->Find("message")->AsString().find("nesting"),
-            std::string::npos);
+  // Each malformed line answers a structured status naming what is wrong:
+  // a request the client got wrong is a usage_error, whether it is not
+  // JSON, nests past the parser's depth cap, or gives a field the wrong
+  // type. INI text that ParseScenarios rejects is a scenario_error.
+  const std::string one_scenario = EvaluateLine(kOneScenario);
+  const std::string soon_deadline =
+      one_scenario.substr(0, one_scenario.size() - 2) +
+      ",\"deadline_ms\":\"soon\"}";
+  const std::vector<std::tuple<std::string, std::string, std::string>> rows =
+      {
+          {"{not json", "usage_error", "not JSON"},
+          {std::string(100 * 1024, '['), "usage_error", "nesting"},
+          {"{\"x\":1}", "usage_error", "\"op\" is missing"},
+          {"{\"op\":\"frob\"}", "usage_error", "unknown op 'frob'"},
+          {"{\"op\":5}", "usage_error", "\"op\" must be a string"},
+          {"{\"op\":\"evaluate\",\"scenario\":7}", "usage_error",
+           "\"scenario\" must be a string"},
+          {"{\"op\":\"batch\",\"scenarios\":[]}", "usage_error",
+           "\"scenarios\" must be a string"},
+          {soon_deadline, "usage_error", "\"deadline_ms\" must be a number"},
+          {EvaluateLine("[scenario x]\nsystem = preset:tiny\nbogus = 1\n"),
+           "scenario_error", "bogus"},
+      };
+  for (const auto& [line, code, message] : rows) {
+    const Json status = *Json::Parse(handler.HandleLine(line)).Find("status");
+    EXPECT_EQ(status.Find("code")->AsString(), code) << line.substr(0, 80);
+    EXPECT_FALSE(status.Find("ok")->AsBool());
+    EXPECT_NE(status.Find("message")->AsString().find(message),
+              std::string::npos)
+        << status.Find("message")->AsString();
+  }
   // The handler still serves real requests after the garbage.
   const Json ok = Json::Parse(handler.HandleLine(EvaluateLine(kOneScenario)));
   EXPECT_TRUE(ok.Find("status")->Find("ok")->AsBool());
@@ -280,6 +301,89 @@ TEST(RequestHandler, ResponsesMatchOfflineEvaluateBatchByteForByte) {
   const std::vector<Report> reports =
       offline.EvaluateBatch(ParseScenarios(kBatchScenarios), {});
   EXPECT_EQ(CanonicalBatchDump(served), BatchToJson(reports).Dump(2));
+}
+
+/// `line` (newline included) without its trailing ,"server":{...} timing
+/// block, the one wall-clock field of a response, removed by string edit.
+std::string WithoutServerBlock(std::string line) {
+  const std::string block = ",\"server\":{\"elapsed_ms\":";
+  const auto at = line.rfind(block);
+  EXPECT_TRUE(at != std::string::npos && line.size() >= 3 &&
+              line.compare(line.size() - 3, 3, "}}\n") == 0)
+      << line;
+  if (at == std::string::npos) return line;
+  // The block holds one number; the response's own '}' and '\n' stay.
+  EXPECT_GE(Json::Parse(line.substr(at + block.size(),
+                                    line.size() - 3 - at - block.size()))
+                .AsDouble(),
+            0.0);
+  line.erase(at, line.size() - 2 - at);
+  return line;
+}
+
+/// The served line as the offline compact Dump would spell it: the server
+/// block and every ,"cache":"..." marker removed by string edit, with each
+/// marker's value appended to `markers` in order.
+std::string WithoutServedFields(const std::string& line,
+                                std::vector<std::string>& markers) {
+  std::string out = WithoutServerBlock(line);
+  out.pop_back();  // '\n'
+  const std::string marker = ",\"cache\":\"";
+  for (auto at = out.find(marker); at != std::string::npos;
+       at = out.find(marker, at)) {
+    const auto end = out.find('"', at + marker.size());
+    markers.push_back(out.substr(at + marker.size(),
+                                 end - at - marker.size()));
+    out.erase(at, end + 1 - at);
+  }
+  return out;
+}
+
+TEST(RequestHandler, ServedBytesAreTheOfflineCompactDumpPlusSplicedFields) {
+  // Raw served lines, never re-parsed: a parse and re-Dump would hide drift
+  // in spacing, number spelling and key order. The batch carries a name that
+  // needs escaping, a rate past saturation (ok status, cached, with a
+  // "_nonfinite" sentinel) and a broken system (never cached).
+  const std::string sat =
+      "[scenario sat \"q\" \\ \xc3\xa9\ttab]\nsystem = preset:tiny\n"
+      "analyses = model,bottleneck\nrate = 1\n";
+  const std::string batch = sat + kBatchScenarios +
+                            "\n[scenario broken]\n"
+                            "system = /no/such/system.conf\n"
+                            "analyses = model\nrate = 1e-4\n";
+  Engine offline;
+  const std::vector<Report> reports =
+      offline.EvaluateBatch(ParseScenarios(batch), {});
+  ASSERT_EQ(reports.size(), 5u);
+  ASSERT_TRUE(reports.front().status.ok());
+  ASSERT_FALSE(reports.back().status.ok());
+  const std::string offline_batch = BatchToJson(reports).Dump();
+  const std::string offline_sat = reports.front().ToJson().Dump();
+  ASSERT_NE(offline_sat.find("\"mean_latency_us_nonfinite\":\"inf\""),
+            std::string::npos);
+  ASSERT_NE(offline_sat.find("sat \\\"q\\\" \\\\ \xc3\xa9\\ttab"),
+            std::string::npos);
+
+  RequestHandler evaluate(Engine::Options{}, 8, FaultInjector{});
+  RequestHandler batched(Engine::Options{}, 8, FaultInjector{});
+  for (const char* pass : {"miss", "hit"}) {
+    std::vector<std::string> markers;
+    EXPECT_EQ(WithoutServedFields(evaluate.HandleLine(EvaluateLine(sat)),
+                                  markers),
+              offline_sat)
+        << pass;
+    EXPECT_EQ(markers, std::vector<std::string>({pass}));
+
+    markers.clear();
+    EXPECT_EQ(WithoutServedFields(batched.HandleLine(BatchLine(batch)),
+                                  markers),
+              offline_batch)
+        << pass;
+    // The broken scenario misses on both passes: failures are not cached.
+    EXPECT_EQ(markers,
+              std::vector<std::string>({pass, pass, pass, pass, "miss"}));
+  }
+  EXPECT_EQ(batched.cache().GetStats().entries, 4u);
 }
 
 TEST(RequestHandler, FailedScenariosAreNotCached) {
@@ -366,16 +470,28 @@ class Client {
     shutdown(fd_, SHUT_WR);
   }
 
+  /// The next response line, without its newline. Bytes past it stay
+  /// buffered for the next call, so pipelined responses are all read.
   std::string ReadLine() {
-    std::string buffer;
     char chunk[4096];
     for (;;) {
-      const auto eol = buffer.find('\n');
-      if (eol != std::string::npos) return buffer.substr(0, eol);
+      const auto eol = buffer_.find('\n');
+      if (eol != std::string::npos) {
+        std::string line = buffer_.substr(0, eol);
+        buffer_.erase(0, eol + 1);
+        return line;
+      }
       const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return buffer;  // EOF: return what we have (maybe empty)
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      // EOF: return what we have (maybe empty).
+      if (n <= 0) return std::exchange(buffer_, std::string());
+      buffer_.append(chunk, static_cast<std::size_t>(n));
     }
+  }
+
+  /// Disables Nagle, so each small Send leaves as its own segment.
+  void NoDelay() {
+    const int one = 1;
+    setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
 
   void Close() {
@@ -385,6 +501,7 @@ class Client {
 
  private:
   int fd_ = -1;
+  std::string buffer_;
 };
 
 TEST(EvalServer, LoopbackRoundTripMatchesOfflineAndSecondPassAllHits) {
@@ -414,6 +531,53 @@ TEST(EvalServer, LoopbackRoundTripMatchesOfflineAndSecondPassAllHits) {
     EXPECT_EQ(cached->At(i).Find("cache")->AsString(), "hit");
   }
   EXPECT_EQ(CanonicalBatchDump(pass2), CanonicalBatchDump(pass1));
+
+  server.Stop();
+  EXPECT_EQ(server.Wait(), 0);
+}
+
+TEST(EvalServer, PipelinedAndFragmentedLinesAnswerInOrder) {
+  ServerOptions opts;
+  opts.threads = 2;
+  EvalServer server(std::move(opts));
+  server.Start();
+  RequestHandler reference(ServerOptions{}.engine, 1024, FaultInjector{});
+  std::vector<std::string> lines;
+  for (int i = 0; i < 65; ++i) {
+    lines.push_back(EvaluateLine(
+        "[scenario pipe-" + std::to_string(i) +
+        "]\nsystem = preset:tiny:16:64\nanalyses = model\nrate = " +
+        std::to_string(i + 1) + "e-6\n"));
+  }
+
+  // 64 lines in one send: they reach the server in several recv chunks,
+  // most lines straddling a chunk boundary.
+  Client client(server.port());
+  client.NoDelay();
+  std::string pipelined;
+  for (int i = 0; i < 64; ++i) pipelined += lines[i];
+  client.Send(pipelined);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(WithoutServerBlock(client.ReadLine() + "\n"),
+              WithoutServerBlock(reference.HandleLine(lines[i])))
+        << "response " << i;
+  }
+
+  // One line sent 1-7 bytes at a time, its newline alone in the last send.
+  const std::string& last = lines.back();
+  std::size_t sent = 0;
+  for (std::size_t k = 0; sent + 1 < last.size(); ++k) {
+    const std::size_t len = std::min<std::size_t>(1 + k % 7,
+                                                  last.size() - 1 - sent);
+    client.Send(last.substr(sent, len));
+    sent += len;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  client.SendAndFinish("\n");
+  EXPECT_EQ(WithoutServerBlock(client.ReadLine() + "\n"),
+            WithoutServerBlock(reference.HandleLine(last)));
+  EXPECT_EQ(client.ReadLine(), "");  // the half-close ends the connection
+  client.Close();
 
   server.Stop();
   EXPECT_EQ(server.Wait(), 0);
