@@ -91,7 +91,7 @@ Deadline ScenarioDeadline(const Scenario& s, int index,
 }  // namespace
 
 // The cache getters construct outside the lock so a cache miss (file I/O,
-// topology/channel-table/model construction — the expensive part of a cold
+// topology/simulator/model construction — the expensive part of a cold
 // batch) never serializes other workers; on a racing double-build the first
 // insert wins and the duplicate is dropped.
 

@@ -123,7 +123,7 @@ class Engine {
     /// rebind source, or compiles cold.
     std::size_t model_evictions = 0;
     /// System entries dropped by Options::system_entries (the shared
-    /// Topology, channel tables and any lazily-built simulator go with it).
+    /// Topology and any lazily-built simulator go with it).
     std::size_t system_evictions = 0;
   };
   CacheStats Stats() const;

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -250,6 +251,10 @@ void Scenario::Validate() const {
     if (!sweep_max_rate) fail("sweep analysis needs 'sweep.max_rate'");
     if (!(*sweep_max_rate > 0)) fail("'sweep.max_rate' must be > 0");
     if (sweep_points < 1) fail("'sweep.points' must be >= 1");
+    if (sweep_points > kMaxSweepPoints) {
+      fail("'sweep.points' is " + std::to_string(sweep_points) +
+           ", more than " + std::to_string(kMaxSweepPoints));
+    }
   }
   if (!(sim_abort_latency > 0)) {
     fail("'sweep.abort_latency' must be > 0");
@@ -389,7 +394,10 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
         } else if (key == "sweep.max_rate") {
           s.sweep_max_rate = ParseDoubleKey(key, value);
         } else if (key == "sweep.points") {
-          s.sweep_points = static_cast<int>(ParseIntKey(key, value));
+          // Saturate, not wrap: 2^32 + 1 points must not validate as 1.
+          s.sweep_points = static_cast<int>(std::clamp<std::int64_t>(
+              ParseIntKey(key, value), std::numeric_limits<int>::min(),
+              std::numeric_limits<int>::max()));
         } else if (key == "sweep.sim") {
           s.sweep_sim = ParseBool(key, value);
         } else if (key == "sweep.abort_latency") {

@@ -115,7 +115,10 @@ struct Scenario {
 
   // Sweep analysis parameters.
   std::optional<double> sweep_max_rate;
+  /// Rate-grid size (key `sweep.points`), in [1, kMaxSweepPoints]. The cap
+  /// also bounds the CLI's workload-dial grids.
   int sweep_points = 8;
+  static constexpr int kMaxSweepPoints = 1024;
   bool sweep_sim = true;
   /// Saturation cut-off for simulated sweep points (key
   /// `sweep.abort_latency`): once a point's mean latency exceeds this,

@@ -480,6 +480,11 @@ std::vector<double> ParseDialGrid(const std::string& flag,
   if (hi < lo) {
     throw UsageError("--" + flag + ": HI must be >= LO, got '" + text + "'");
   }
+  // Count before building: (HI - LO) / STEP steps give one more point.
+  if (!((hi - lo) / step < Scenario::kMaxSweepPoints)) {
+    throw UsageError("--" + flag + ": grid '" + text + "' has more than " +
+                     std::to_string(Scenario::kMaxSweepPoints) + " points");
+  }
   std::vector<double> values;
   for (int i = 0;; ++i) {
     double v = lo + i * step;
@@ -543,6 +548,11 @@ int CmdSweep(const std::string& system, Flags& flags, std::ostream& out) {
   const int points = flags.Integer<int>("points", 8);
   if (points < 1) {
     throw UsageError("--points must be >= 1, got " + std::to_string(points));
+  }
+  if (points > Scenario::kMaxSweepPoints) {
+    throw UsageError("--points must be <= " +
+                     std::to_string(Scenario::kMaxSweepPoints) + ", got " +
+                     std::to_string(points));
   }
   // Workload-dial mode: at most one --sweep-<dial> flag turns the sweep's
   // x-axis into that workload parameter (model-only; sim flags ignored).

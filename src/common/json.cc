@@ -168,12 +168,6 @@ double JsonGetNumber(const Json& obj, const std::string& key) {
                               "' for field '" + key + "'");
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  AppendEscaped(out, s);
-  return out;
-}
-
 void Json::DumpTo(std::string& out, int indent, int depth) const {
   const auto newline = [&](int d) {
     if (indent <= 0) return;

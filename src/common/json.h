@@ -113,11 +113,10 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
-/// Deterministic number spellings used by the emitter (exposed for callers
+/// Deterministic number spelling used by the emitter (exposed for callers
 /// that need the same spelling outside a Json tree, e.g. CSV cells that must
 /// match a JSON golden).
 std::string JsonNumber(double v);        ///< shortest round-trip; null-safe
-std::string JsonEscape(const std::string& s);  ///< quoted + escaped
 
 /// Non-finite-safe object field: a finite `v` sets `key` normally; a
 /// non-finite one sets `key` to null plus an explicit string sentinel at

@@ -17,11 +17,29 @@ constexpr std::uint64_t kTagMeasured = 1;
 constexpr std::uint64_t kTagInter = 2;
 constexpr int kTagClusterShift = 2;  // bits [2..) carry the source cluster
 
+// Per-channel state (flit times, engine channel state) is inherent to
+// simulation, so the total channel count across every network is capped.
+constexpr std::int64_t kMaxChannels = std::int64_t{1} << 23;
+
 }  // namespace
 
 CocSystemSim::CocSystemSim(const SystemConfig& sys, Icn2SlotPolicy slot_policy)
     : sys_(sys) {
   const int c = sys_.num_clusters();
+  // Bound the total before any per-channel state is allocated; this also
+  // keeps the int32 global ids in range.
+  std::int64_t total = sys_.icn2_topology().num_channels();
+  for (int i = 0; i < c; ++i) {
+    total += sys_.icn1_topology(i).num_channels() +
+             sys_.ecn1_topology(i).num_channels();
+  }
+  if (total > kMaxChannels) {
+    throw std::invalid_argument("system too large to simulate: " +
+                                std::to_string(total) +
+                                " channels (> 2^23)");
+  }
+  flit_time_.reserve(static_cast<std::size_t>(total));
+  channel_class_.reserve(static_cast<std::size_t>(total));
   icn1_topo_.resize(static_cast<std::size_t>(c));
   ecn1_topo_.resize(static_cast<std::size_t>(c));
   icn1_offset_.resize(static_cast<std::size_t>(c));
@@ -80,13 +98,12 @@ std::int32_t CocSystemSim::RegisterNetwork(const Topology& topo,
                                            NetClass net_class) {
   const auto offset = static_cast<std::int32_t>(flit_time_.size());
   const double dm = sys_.message().flit_bytes;
-  for (std::int64_t ch = 0; ch < topo.num_channels(); ++ch) {
-    const ChannelKind kind = topo.Channel(ch).kind;
-    const bool node_link = kind == ChannelKind::kNodeToSwitch ||
-                           kind == ChannelKind::kSwitchToNode;
-    flit_time_.push_back(node_link ? net.TCn(dm) : net.TCs(dm));
-    channel_class_.push_back(net_class);
-  }
+  // Node links use t_cn, switch links t_cs (Topology's shared id layout).
+  const auto node_links = static_cast<std::size_t>(topo.num_node_links());
+  const auto channels = static_cast<std::size_t>(topo.num_channels());
+  flit_time_.insert(flit_time_.end(), node_links, net.TCn(dm));
+  flit_time_.insert(flit_time_.end(), channels - node_links, net.TCs(dm));
+  channel_class_.insert(channel_class_.end(), channels, net_class);
   return offset;
 }
 
@@ -117,7 +134,7 @@ std::string CocSystemSim::DescribeChannel(std::int32_t id) const {
       }
     }
   }
-  const ChannelInfo& info = topo->Channel(local);
+  const ChannelInfo info = topo->Channel(local);
   auto endpoint = [](const Endpoint& e) {
     return e.is_node ? "node " + std::to_string(e.index)
                      : "switch L" + std::to_string(e.level) + "#" +

@@ -78,6 +78,8 @@ struct SimScratch {
 /// full warm-up / measurement / drain protocol.
 class CocSystemSim {
  public:
+  /// Throws std::invalid_argument naming the count when the system has more
+  /// than 2^23 channels, before allocating any per-channel state.
   explicit CocSystemSim(const SystemConfig& sys,
                         Icn2SlotPolicy slot_policy = Icn2SlotPolicy::kClusterMajor);
 

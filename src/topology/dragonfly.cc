@@ -5,7 +5,6 @@
 namespace coc {
 namespace {
 
-constexpr std::int64_t kMaxNodes = std::int64_t{1} << 22;
 constexpr std::int64_t kMaxChannels = std::int64_t{1} << 23;
 constexpr int kMaxGlobalSlots = 4096;  // a*h bound; census is O((a*h)^2)
 
@@ -21,10 +20,10 @@ int ValidatedA(int a, int p, int h) {
   }
   const std::int64_t groups = static_cast<std::int64_t>(a) * h + 1;
   const std::int64_t nodes = groups * a * p;
-  if (nodes > kMaxNodes) {
+  if (nodes > kMaxTopologyNodes) {
     throw std::invalid_argument("dragonfly too large (> 2^22 nodes)");
   }
-  // The intra-group cliques dominate the channel table for large a (the
+  // The intra-group cliques dominate the channel count for large a (the
   // a*h and node caps alone admit g*a*(a-1) in the billions).
   if (2 * nodes + groups * a * (a - 1) + groups * a * h > kMaxChannels) {
     throw std::invalid_argument("dragonfly too large (> 2^23 channels)");
@@ -61,46 +60,32 @@ Dragonfly::Dragonfly(int a, int p, int h, Routing routing)
       global_base_(local_base_ +
                    static_cast<std::int64_t>(groups_) * a * (a - 1)),
       links_(MakeLinkDistribution(a, p, h, routing)),
-      access_links_(MakeAccessDistribution(a, p, h)) {
-  channels_.reserve(static_cast<std::size_t>(
-      global_base_ + static_cast<std::int64_t>(groups_) * a_ * h_));
-  // Node links first: [0, N) injection, [N, 2N) ejection; node x attaches to
-  // router x / p.
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kNodeToSwitch,
-                                    Endpoint{true, 0, node},
-                                    Endpoint{false, 1, node / p_}});
+      access_links_(MakeAccessDistribution(a, p, h)) {}
+
+ChannelInfo Dragonfly::Channel(std::int64_t id) const {
+  // Node links: node x attaches to router x / p.
+  if (id < num_node_links()) return NodeLink(id, id % num_nodes_ / p_);
+  if (id < global_base_) {
+    // Intra-group local link (the inverse of LocalChannel): each router
+    // owns a - 1 consecutive ids, one per other router of its clique.
+    const std::int64_t from = (id - local_base_) / (a_ - 1);
+    const std::int64_t t = (id - local_base_) % (a_ - 1);
+    const std::int64_t r = from % a_;
+    return ChannelInfo{ChannelKind::kSwitchUp, Endpoint{false, 1, from},
+                       Endpoint{false, 1, from - r + (t >= r ? t + 1 : t)}};
   }
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kSwitchToNode,
-                                    Endpoint{false, 1, node / p_},
-                                    Endpoint{true, 0, node}});
-  }
-  // Intra-group local links: each group is a clique of a routers.
-  for (int gi = 0; gi < groups_; ++gi) {
-    for (int r = 0; r < a_; ++r) {
-      for (int t = 0; t < a_; ++t) {
-        if (t == r) continue;
-        channels_.push_back(ChannelInfo{
-            ChannelKind::kSwitchUp,
-            Endpoint{false, 1, static_cast<std::int64_t>(gi) * a_ + r},
-            Endpoint{false, 1, static_cast<std::int64_t>(gi) * a_ + t}});
-      }
-    }
-  }
-  // Global links in palmtree order: group gi's slot q reaches group
-  // (gi + q + 1) mod g, entering on the peer's slot a h - 1 - q.
-  for (int gi = 0; gi < groups_; ++gi) {
-    for (int q = 0; q < a_ * h_; ++q) {
-      const int peer = (gi + q + 1) % groups_;
-      channels_.push_back(ChannelInfo{
-          ChannelKind::kSwitchDown,
-          Endpoint{false, 1,
-                   static_cast<std::int64_t>(gi) * a_ + SlotRouter(q)},
-          Endpoint{false, 1, static_cast<std::int64_t>(peer) * a_ +
-                                 SlotRouter(PeerSlot(q))}});
-    }
-  }
+  // Global link in palmtree order (the inverse of GlobalChannel): group
+  // gi's slot q reaches group (gi + q + 1) mod g on the peer's slot
+  // a h - 1 - q.
+  const int gi = static_cast<int>((id - global_base_) / (a_ * h_));
+  const int q = static_cast<int>((id - global_base_) % (a_ * h_));
+  const int peer = (gi + q + 1) % groups_;
+  return ChannelInfo{
+      ChannelKind::kSwitchDown,
+      Endpoint{false, 1, static_cast<std::int64_t>(gi) * a_ + SlotRouter(q)},
+      Endpoint{false, 1,
+               static_cast<std::int64_t>(peer) * a_ +
+                   SlotRouter(PeerSlot(q))}};
 }
 
 std::string Dragonfly::Name() const {

@@ -70,11 +70,9 @@ class Dragonfly : public Topology {
   std::string Name() const override;
   std::int64_t num_nodes() const override { return num_nodes_; }
   std::int64_t num_channels() const override {
-    return static_cast<std::int64_t>(channels_.size());
+    return global_base_ + static_cast<std::int64_t>(groups_) * a_ * h_;
   }
-  const ChannelInfo& Channel(std::int64_t id) const override {
-    return channels_[static_cast<std::size_t>(id)];
-  }
+  ChannelInfo Channel(std::int64_t id) const override;
   const LinkDistribution& Links() const override { return links_; }
   const LinkDistribution& AccessLinks() const override {
     return access_links_;
@@ -121,7 +119,6 @@ class Dragonfly : public Topology {
   std::int64_t num_nodes_;
   std::int64_t local_base_;   // first intra-group local channel id
   std::int64_t global_base_;  // first global channel id
-  std::vector<ChannelInfo> channels_;
   LinkDistribution links_;
   LinkDistribution access_links_;
 };

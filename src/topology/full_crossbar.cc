@@ -11,16 +11,8 @@ FullCrossbar::FullCrossbar(std::int64_t ports)
   if (ports < 2) {
     throw std::invalid_argument("crossbar requires at least 2 ports");
   }
-  channels_.reserve(static_cast<std::size_t>(2 * num_nodes_));
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kNodeToSwitch,
-                                    Endpoint{true, 0, node},
-                                    Endpoint{false, 1, 0}});
-  }
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kSwitchToNode,
-                                    Endpoint{false, 1, 0},
-                                    Endpoint{true, 0, node}});
+  if (ports > kMaxTopologyNodes) {
+    throw std::invalid_argument("crossbar too large (> 2^22 nodes)");
   }
 }
 

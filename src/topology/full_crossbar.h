@@ -20,10 +20,11 @@
 namespace coc {
 
 /// Immutable single-switch crossbar. Channel layout: id in [0, N) is node i's
-/// injection link, [N, 2N) is node i's ejection link.
+/// injection link, [N, 2N) is node i's ejection link; there are no switch
+/// links.
 class FullCrossbar : public Topology {
  public:
-  /// Throws std::invalid_argument for ports < 2.
+  /// Throws std::invalid_argument for ports < 2 or more than 2^22 ports.
   explicit FullCrossbar(std::int64_t ports);
 
   std::string Name() const override {
@@ -31,8 +32,8 @@ class FullCrossbar : public Topology {
   }
   std::int64_t num_nodes() const override { return num_nodes_; }
   std::int64_t num_channels() const override { return 2 * num_nodes_; }
-  const ChannelInfo& Channel(std::int64_t id) const override {
-    return channels_[static_cast<std::size_t>(id)];
+  ChannelInfo Channel(std::int64_t id) const override {
+    return NodeLink(id, 0);
   }
   const LinkDistribution& Links() const override { return links_; }
   const LinkDistribution& AccessLinks() const override {
@@ -48,7 +49,6 @@ class FullCrossbar : public Topology {
 
  private:
   std::int64_t num_nodes_;
-  std::vector<ChannelInfo> channels_;
   LinkDistribution links_;
   LinkDistribution access_links_;
 };

@@ -6,7 +6,21 @@
 namespace coc {
 namespace {
 
-constexpr std::int64_t kMaxRouters = std::int64_t{1} << 22;
+/// Validates radix, dims and radix^dims before the distributions (which
+/// convolve dims times) are computed (throws std::invalid_argument); returns
+/// radix so the constructor runs it first in the member-initializer list.
+int ValidatedRadix(int radix, int dims) {
+  if (radix < 2) throw std::invalid_argument("mesh radix must be >= 2");
+  if (dims < 1) throw std::invalid_argument("mesh dims must be >= 1");
+  std::int64_t routers = 1;
+  for (int j = 0; j < dims; ++j) {
+    routers *= radix;  // at most 2^22 * 2^31 here: cannot overflow
+    if (routers > kMaxTopologyNodes) {
+      throw std::invalid_argument("mesh too large (> 2^22 routers)");
+    }
+  }
+  return radix;
+}
 
 /// Per-dimension coordinate-distance counts over ordered pairs (a, b) in
 /// [0, k)^2: counts[t] = number of pairs at distance t.
@@ -69,25 +83,22 @@ std::vector<double> HopCounts(int radix, int dims, bool torus,
 }  // namespace
 
 KAryMesh::KAryMesh(int radix, int dims, bool torus, bool center_tap)
-    : radix_(radix),
+    : radix_(ValidatedRadix(radix, dims)),
       dims_(dims),
       torus_(torus && radix > 2),
       links_(MakeLinkDistribution(radix, dims, torus)),
       access_links_(MakeAccessDistribution(radix, dims, torus,
                                            center_tap ? radix / 2 : 0)) {
-  if (radix_ < 2) throw std::invalid_argument("mesh radix must be >= 2");
-  if (dims_ < 1) throw std::invalid_argument("mesh dims must be >= 1");
-
   pow_k_.resize(static_cast<std::size_t>(dims_) + 1);
   pow_k_[0] = 1;
   for (int j = 1; j <= dims_; ++j) {
     pow_k_[static_cast<std::size_t>(j)] =
         pow_k_[static_cast<std::size_t>(j - 1)] * radix_;
-    if (pow_k_[static_cast<std::size_t>(j)] > kMaxRouters) {
-      throw std::invalid_argument("mesh too large (> 2^22 routers)");
-    }
   }
   num_nodes_ = pow_k_[static_cast<std::size_t>(dims_)];
+  // Meshes omit the edge routers' missing neighbors, so each direction
+  // block holds one link per router that owns it.
+  per_dir_ = torus_ ? num_nodes_ : (num_nodes_ / radix_) * (radix_ - 1);
   if (center_tap) {
     // Coordinate radix/2 in every dimension (the upper median for even
     // radix — any median minimizes the mean access distance).
@@ -96,54 +107,31 @@ KAryMesh::KAryMesh(int radix, int dims, bool torus, bool center_tap)
       tap_router_ += c0 * pow_k_[static_cast<std::size_t>(j)];
     }
   }
+}
 
-  // Node links first: [0, N) injection, [N, 2N) ejection.
-  channels_.reserve(static_cast<std::size_t>(2 * num_nodes_));
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kNodeToSwitch,
-                                    Endpoint{true, 0, node},
-                                    Endpoint{false, 1, node}});
+ChannelInfo KAryMesh::Channel(std::int64_t id) const {
+  if (id < num_node_links()) return NodeLink(id, id % num_nodes_);
+  // Router links: per dimension a +direction block then a -direction block,
+  // each indexed by the router's rank among those owning the link (the
+  // inverse of LinkChannel).
+  const std::int64_t block = (id - num_node_links()) / per_dir_;
+  const std::int64_t rank = (id - num_node_links()) % per_dir_;
+  const int dim = static_cast<int>(block / 2);
+  const bool plus = block % 2 == 0;
+  const std::int64_t step = pow_k_[static_cast<std::size_t>(dim)];
+  std::int64_t r = rank;
+  if (!torus_) {
+    const std::int64_t digit = rank / step % (radix_ - 1);
+    r = (rank / step / (radix_ - 1) * radix_ + digit + (plus ? 0 : 1)) *
+            step +
+        rank % step;
   }
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    channels_.push_back(ChannelInfo{ChannelKind::kSwitchToNode,
-                                    Endpoint{false, 1, node},
-                                    Endpoint{true, 0, node}});
-  }
-
-  // Router links: per dimension a dense +direction block then a -direction
-  // block. Meshes omit the edge routers' missing neighbors, so the block is
-  // indexed by the router's rank among those that own the link.
-  plus_base_.resize(static_cast<std::size_t>(dims_));
-  minus_base_.resize(static_cast<std::size_t>(dims_));
-  for (int j = 0; j < dims_; ++j) {
-    const std::int64_t per_dir =
-        torus_ ? num_nodes_ : (num_nodes_ / radix_) * (radix_ - 1);
-    plus_base_[static_cast<std::size_t>(j)] =
-        static_cast<std::int64_t>(channels_.size());
-    channels_.resize(channels_.size() + static_cast<std::size_t>(per_dir));
-    minus_base_[static_cast<std::size_t>(j)] =
-        static_cast<std::int64_t>(channels_.size());
-    channels_.resize(channels_.size() + static_cast<std::size_t>(per_dir));
-  }
-  for (std::int64_t r = 0; r < num_nodes_; ++r) {
-    for (int j = 0; j < dims_; ++j) {
-      const int c = Coord(r, j);
-      const std::int64_t step = pow_k_[static_cast<std::size_t>(j)];
-      if (torus_ || c < radix_ - 1) {
-        const std::int64_t to =
-            (c < radix_ - 1) ? r + step : r - (radix_ - 1) * step;
-        channels_[static_cast<std::size_t>(LinkChannel(r, j, +1))] =
-            ChannelInfo{ChannelKind::kSwitchUp, Endpoint{false, 1, r},
-                        Endpoint{false, 1, to}};
-      }
-      if (torus_ || c > 0) {
-        const std::int64_t to = (c > 0) ? r - step : r + (radix_ - 1) * step;
-        channels_[static_cast<std::size_t>(LinkChannel(r, j, -1))] =
-            ChannelInfo{ChannelKind::kSwitchDown, Endpoint{false, 1, r},
-                        Endpoint{false, 1, to}};
-      }
-    }
-  }
+  const int c = Coord(r, dim);
+  const std::int64_t to =
+      plus ? (c < radix_ - 1 ? r + step : r - (radix_ - 1) * step)
+           : (c > 0 ? r - step : r + (radix_ - 1) * step);
+  return ChannelInfo{plus ? ChannelKind::kSwitchUp : ChannelKind::kSwitchDown,
+                     Endpoint{false, 1, r}, Endpoint{false, 1, to}};
 }
 
 std::string KAryMesh::Name() const {
@@ -159,8 +147,7 @@ std::string KAryMesh::Name() const {
 std::int64_t KAryMesh::LinkChannel(std::int64_t router, int dim,
                                    int dir) const {
   const std::int64_t base =
-      dir > 0 ? plus_base_[static_cast<std::size_t>(dim)]
-              : minus_base_[static_cast<std::size_t>(dim)];
+      num_node_links() + (2 * dim + (dir > 0 ? 0 : 1)) * per_dir_;
   if (torus_) return base + router;
   // Rank of `router` among routers owning a link in this direction: collapse
   // the dim coordinate to a (radix-1)-wide digit ([0, k-1) for +, shifted
@@ -237,9 +224,6 @@ void KAryMesh::RouteFromTapInto(std::int64_t dst,
 
 LinkDistribution KAryMesh::MakeLinkDistribution(int radix, int dims,
                                                 bool torus) {
-  if (radix < 2 || dims < 1) {
-    throw std::invalid_argument("mesh requires radix >= 2, dims >= 1");
-  }
   const bool wraps = torus && radix > 2;
   const auto hop_counts = HopCounts(radix, dims, wraps, /*to_anchor=*/false);
   // A journey of H router hops crosses H + 2 links; distinct nodes always

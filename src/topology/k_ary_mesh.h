@@ -52,11 +52,9 @@ class KAryMesh : public Topology {
   std::string Name() const override;
   std::int64_t num_nodes() const override { return num_nodes_; }
   std::int64_t num_channels() const override {
-    return static_cast<std::int64_t>(channels_.size());
+    return num_node_links() + 2 * dims_ * per_dir_;
   }
-  const ChannelInfo& Channel(std::int64_t id) const override {
-    return channels_[static_cast<std::size_t>(id)];
-  }
+  ChannelInfo Channel(std::int64_t id) const override;
   const LinkDistribution& Links() const override { return links_; }
   const LinkDistribution& AccessLinks() const override {
     return access_links_;
@@ -95,10 +93,8 @@ class KAryMesh : public Topology {
   bool torus_;
   std::int64_t tap_router_ = 0;
   std::int64_t num_nodes_;
-  std::vector<std::int64_t> pow_k_;        // radix^0 .. radix^dims
-  std::vector<std::int64_t> plus_base_;    // per dim, +direction block base
-  std::vector<std::int64_t> minus_base_;   // per dim, -direction block base
-  std::vector<ChannelInfo> channels_;
+  std::int64_t per_dir_ = 0;  // links per direction block (per dim, sign)
+  std::vector<std::int64_t> pow_k_;  // radix^0 .. radix^dims
   LinkDistribution links_;
   LinkDistribution access_links_;
 };

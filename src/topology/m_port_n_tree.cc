@@ -7,67 +7,62 @@ namespace {
 
 constexpr int kMaxDigits = 32;
 
-}  // namespace
-
-MPortNTree::MPortNTree(int m, int n)
-    : m_(m),
-      n_(n),
-      k_(m / 2),
-      links_(TreeLinkDistribution(m, n)),
-      access_links_(TreeAccessDistribution(m, n)) {
+/// Validates m, n and the node count 2 (m/2)^n before any member computation
+/// touches them (throws std::invalid_argument); returns m so the constructor
+/// runs it first in the member-initializer list.
+int ValidatedM(int m, int n) {
   if (m < 4 || m % 2 != 0) {
     throw std::invalid_argument("m-port n-tree requires even m >= 4");
   }
   if (n < 1 || n > 20) {
     throw std::invalid_argument("m-port n-tree requires 1 <= n <= 20");
   }
+  std::int64_t nodes = 2;
+  for (int i = 0; i < n; ++i) {
+    nodes *= m / 2;  // at most 2^22 * 2^30 here: cannot overflow
+    if (nodes > kMaxTopologyNodes) {
+      throw std::invalid_argument("tree too large (> 2^22 nodes)");
+    }
+  }
+  return m;
+}
+
+}  // namespace
+
+MPortNTree::MPortNTree(int m, int n)
+    : m_(ValidatedM(m, n)),
+      n_(n),
+      k_(m / 2),
+      links_(TreeLinkDistribution(m, n)),
+      access_links_(TreeAccessDistribution(m, n)) {
   pow_k_.resize(static_cast<std::size_t>(n_) + 1);
   pow_k_[0] = 1;
   for (int i = 1; i <= n_; ++i) pow_k_[static_cast<std::size_t>(i)] = pow_k_[static_cast<std::size_t>(i - 1)] * k_;
   num_nodes_ = 2 * pow_k_[static_cast<std::size_t>(n_)];
   num_switches_ = (2 * n_ - 1) * pow_k_[static_cast<std::size_t>(n_ - 1)];
+}
 
-  // Channel id layout: [node up | node down | level 1 up | level 1 down |
-  // level 2 up | ...]. Each switch level contributes N channels per
-  // direction (2 k^{n-1} switches * k up-ports).
-  level_channel_base_.assign(static_cast<std::size_t>(n_), 0);
-  std::int64_t base = 2 * num_nodes_;
-  for (int l = 1; l <= n_ - 1; ++l) {
-    level_channel_base_[static_cast<std::size_t>(l)] = base;
-    base += 2 * num_nodes_;
+ChannelInfo MPortNTree::Channel(std::int64_t id) const {
+  // Layout: [node up | node down | per level l in 1..n-1: up | down], each
+  // block N channels; within a switch block, id = sw * k + up-port u.
+  if (id < num_node_links()) {
+    // A node's leaf switch packs its high digits: node / k (the sole root
+    // when n = 1).
+    return NodeLink(id, n_ == 1 ? 0 : id % num_nodes_ / k_);
   }
-  channels_.resize(static_cast<std::size_t>(base));
-
-  int digits[kMaxDigits];
-  for (std::int64_t node = 0; node < num_nodes_; ++node) {
-    NodeDigits(node, digits);
-    const std::int64_t leaf = SwitchIndex(1, digits, 0);
-    channels_[static_cast<std::size_t>(NodeUpChannel(node))] = ChannelInfo{
-        ChannelKind::kNodeToSwitch, Endpoint{true, 0, node},
-        Endpoint{false, 1, leaf}};
-    channels_[static_cast<std::size_t>(NodeDownChannel(node))] = ChannelInfo{
-        ChannelKind::kSwitchToNode, Endpoint{false, 1, leaf},
-        Endpoint{true, 0, node}};
-  }
-  for (int l = 1; l <= n_ - 1; ++l) {
-    const std::int64_t count = SwitchesAtLevel(l);
-    const std::int64_t rep = pow_k_[static_cast<std::size_t>(l - 1)];
-    for (std::int64_t sw = 0; sw < count; ++sw) {
-      const std::int64_t h_idx = sw / rep;
-      const std::int64_t r = sw % rep;
-      for (int u = 0; u < k_; ++u) {
-        const std::int64_t r_parent = r + static_cast<std::int64_t>(u) * rep;
-        const std::int64_t parent =
-            (l + 1 == n_) ? r_parent : (h_idx / k_) * (rep * k_) + r_parent;
-        channels_[static_cast<std::size_t>(UpChannel(l, sw, u))] = ChannelInfo{
-            ChannelKind::kSwitchUp, Endpoint{false, l, sw},
-            Endpoint{false, l + 1, parent}};
-        channels_[static_cast<std::size_t>(DownChannel(l, sw, u))] =
-            ChannelInfo{ChannelKind::kSwitchDown, Endpoint{false, l + 1, parent},
-                        Endpoint{false, l, sw}};
-      }
-    }
-  }
+  const int l = static_cast<int>(id / (2 * num_nodes_));
+  const std::int64_t rest = id % (2 * num_nodes_);
+  const std::int64_t sw = rest % num_nodes_ / k_;
+  const std::int64_t u = rest % k_;
+  const std::int64_t rep = pow_k_[static_cast<std::size_t>(l - 1)];
+  const std::int64_t r_parent = sw % rep + u * rep;
+  const std::int64_t parent =
+      (l + 1 == n_) ? r_parent : (sw / rep / k_) * (rep * k_) + r_parent;
+  const Endpoint child_end{false, l, sw};
+  const Endpoint parent_end{false, l + 1, parent};
+  return rest < num_nodes_
+             ? ChannelInfo{ChannelKind::kSwitchUp, child_end, parent_end}
+             : ChannelInfo{ChannelKind::kSwitchDown, parent_end, child_end};
 }
 
 std::int64_t MPortNTree::SwitchesAtLevel(int level) const {
@@ -96,13 +91,11 @@ std::int64_t MPortNTree::SwitchIndex(int level, const int* node_digits,
 }
 
 std::int64_t MPortNTree::UpChannel(int level, std::int64_t sw, int u) const {
-  return level_channel_base_[static_cast<std::size_t>(level)] +
-         sw * k_ + u;
+  return 2 * level * num_nodes_ + sw * k_ + u;
 }
 
 std::int64_t MPortNTree::DownChannel(int level, std::int64_t sw, int u) const {
-  return level_channel_base_[static_cast<std::size_t>(level)] + num_nodes_ +
-         sw * k_ + u;
+  return (2 * level + 1) * num_nodes_ + sw * k_ + u;
 }
 
 std::int64_t MPortNTree::NodeUpChannel(std::int64_t node) const { return node; }

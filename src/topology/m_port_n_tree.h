@@ -35,8 +35,9 @@
 
 namespace coc {
 
-/// Immutable m-port n-tree; constructs the full channel map once and answers
-/// routing queries. Throws std::invalid_argument for m < 4, odd m, or n < 1.
+/// Immutable m-port n-tree; decodes channels from their ids and answers
+/// routing queries. Throws std::invalid_argument for m < 4, odd m, n < 1,
+/// n > 20, or more than 2^22 nodes.
 class MPortNTree : public Topology {
  public:
   MPortNTree(int m, int n);
@@ -53,18 +54,14 @@ class MPortNTree : public Topology {
   std::int64_t SwitchesAtLevel(int level) const;
   /// Total directed channels = 2 n N (N node links up + N down + (n-1) N
   /// switch links per direction).
-  std::int64_t num_channels() const override {
-    return static_cast<std::int64_t>(channels_.size());
-  }
+  std::int64_t num_channels() const override { return 2 * n_ * num_nodes_; }
 
   std::string Name() const override {
     return std::to_string(m_) + "-port " + std::to_string(n_) + "-tree";
   }
 
   /// Static metadata for a channel id in [0, num_channels()).
-  const ChannelInfo& Channel(std::int64_t id) const override {
-    return channels_[static_cast<std::size_t>(id)];
-  }
+  ChannelInfo Channel(std::int64_t id) const override;
 
   /// Eq. (6) journey distribution: a level-h NCA journey crosses 2h links.
   const LinkDistribution& Links() const override { return links_; }
@@ -155,9 +152,6 @@ class MPortNTree : public Topology {
   int m_, n_, k_;
   std::int64_t num_nodes_, num_switches_;
   std::vector<std::int64_t> pow_k_;  // k^0 .. k^n
-  // Channel layout: [node up | node down | per level 1..n-1: up | down].
-  std::vector<std::int64_t> level_channel_base_;  // base id of level l's block
-  std::vector<ChannelInfo> channels_;
   LinkDistribution links_;
   LinkDistribution access_links_;
 };

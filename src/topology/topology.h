@@ -5,8 +5,8 @@
 // m-port n-tree, but its latency machinery only ever consumes four things
 // from a topology, and this interface captures exactly those:
 //
-//   * static structure  — node count, directed-channel table with per-channel
-//     kind (node link vs. switch link) for per-flit time assignment;
+//   * static structure  — node and channel counts, and each channel's kind
+//     (node vs. switch link, for per-flit times) decoded from its id;
 //   * journey statistics — the uniform-traffic distribution of links per
 //     src -> dst journey (generalizing Eq. 6) and per node -> tap access
 //     journey, both cached per instance so sweeps never recompute them;
@@ -19,7 +19,7 @@
 //
 // Implementations: MPortNTree (the paper's fat tree), FullCrossbar (single
 // switch), KAryMesh (k-ary d-dimensional mesh/torus, dimension-ordered
-// routing).
+// routing), Dragonfly (two-level direct network).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,10 @@ struct ChannelInfo {
   Endpoint to;
 };
 
+/// Node cap shared by every family, checked before any size arithmetic that
+/// could overflow (trees: 2 k^n; crossbars: 2N channels).
+inline constexpr std::int64_t kMaxTopologyNodes = std::int64_t{1} << 22;
+
 /// Immutable network topology. Instances are built once per distinct spec
 /// (SystemConfig dedupes and shares them between the model and the
 /// simulator) and all queries are const and thread-safe.
@@ -71,8 +75,14 @@ class Topology {
   /// Number of directed channels (node links + switch links).
   virtual std::int64_t num_channels() const = 0;
 
-  /// Static metadata for a channel id in [0, num_channels()).
-  virtual const ChannelInfo& Channel(std::int64_t id) const = 0;
+  /// Static metadata for a channel id in [0, num_channels()), decoded.
+  virtual ChannelInfo Channel(std::int64_t id) const = 0;
+
+  /// The layout every family shares: ids [0, N) are injection links (node i
+  /// -> its switch), [N, 2N) ejection links, and [2N, num_channels()) switch
+  /// links, so callers needing only the kind (the simulator's per-flit
+  /// times) read it from these ranges.
+  std::int64_t num_node_links() const { return 2 * num_nodes(); }
 
   /// Uniform-traffic distribution of links per src -> dst journey
   /// (generalizes Eq. 6). Cached per instance.
@@ -137,6 +147,17 @@ class Topology {
   double ChannelsPerNode() const {
     return 2.0 * static_cast<double>(num_channels()) /
            static_cast<double>(num_nodes());
+  }
+
+ protected:
+  /// Decodes a node-link id in [0, num_node_links()): the injection or
+  /// ejection link of node id mod N, attached to level-1 switch `attach`.
+  ChannelInfo NodeLink(std::int64_t id, std::int64_t attach) const {
+    const std::int64_t n = num_nodes();
+    const Endpoint node{true, 0, id < n ? id : id - n};
+    const Endpoint sw{false, 1, attach};
+    return id < n ? ChannelInfo{ChannelKind::kNodeToSwitch, node, sw}
+                  : ChannelInfo{ChannelKind::kSwitchToNode, sw, node};
   }
 };
 

@@ -602,6 +602,27 @@ TEST(Engine, InvalidScenariosBecomeStatusRecordsNotTornBatches) {
   EXPECT_THROW(engine.Evaluate(unvalidated), std::invalid_argument);
 }
 
+TEST(Engine, OversizedSimIsAScenarioErrorWhileItsModelIsServed) {
+  // mesh:2x22: 2^22 routers, 100,663,552 channels. The model reads only the
+  // journey statistics; a simulation needs state per channel, so it is
+  // refused before any of it is allocated.
+  const auto scenarios = ParseScenarios(
+      "[scenario model]\nsystem = preset:tiny\nanalyses = model\n"
+      "rate = 1e-4\nicn2_topology = mesh:2x22\n"
+      "[scenario sim]\nsystem = preset:tiny\nanalyses = sim\n"
+      "rate = 1e-4\nsim.messages = 100\nicn2_topology = mesh:2x22\n");
+  Engine engine;
+  const auto reports = engine.EvaluateBatch(scenarios, {});
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_TRUE(reports[0].status.ok()) << reports[0].status.message;
+  ASSERT_TRUE(reports[0].model.has_value());
+  EXPECT_FALSE(reports[0].model->result.saturated);
+  EXPECT_EQ(reports[1].status.code, StatusCode::kScenarioError);
+  EXPECT_NE(reports[1].status.message.find("100663552 channels (> 2^23)"),
+            std::string::npos)
+      << reports[1].status.message;
+}
+
 TEST(Engine, RebindSourceTableIsBoundedByLru) {
   // The per-(system, options)-family rebind-source table is an accelerator,
   // not a registry: a batch cycling through many distinct families must not

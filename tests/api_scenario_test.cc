@@ -347,7 +347,17 @@ INSTANTIATE_TEST_SUITE_P(
         BadScenario{"InfiniteAbortLatency",
                     "[scenario x]\nsystem = preset:tiny\nrate = 1e-4\n"
                     "sweep.abort_latency = inf\n",
-                    "not a number"}),
+                    "not a number"},
+        // Grid sizes are bounded before a rate grid is allocated; a count
+        // past INT_MAX must not wrap into a small valid one (2^32 + 1 -> 1).
+        BadScenario{"OversizedSweepGrid",
+                    "[scenario x]\nsystem = preset:tiny\nanalyses = sweep\n"
+                    "sweep.max_rate = 1e-3\nsweep.points = 2000000000\n",
+                    "'sweep.points' is 2000000000, more than 1024"},
+        BadScenario{"WrappingSweepGrid",
+                    "[scenario x]\nsystem = preset:tiny\nanalyses = sweep\n"
+                    "sweep.max_rate = 1e-3\nsweep.points = 4294967297\n",
+                    "more than 1024"}),
     [](const ::testing::TestParamInfo<BadScenario>& info) {
       return info.param.name;
     });

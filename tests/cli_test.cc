@@ -375,6 +375,41 @@ TEST(Cli, SweepWorkloadDialRejectsBadGridsAndCombos) {
                   "--sweep-locality", "0.2:0.8:0.3", "--format", "json"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("text or csv"), std::string::npos);
+  // Oversized grids are counted before anything is built: 10^12 dial
+  // values, and a rate grid of 2*10^9 points (dial and plain sweeps).
+  r = RunCommand({"sweep", "preset:tiny:8:32", "--max-rate", "1e-3",
+                  "--sweep-locality", "0:1:1e-12"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--sweep-locality: grid '0:1:1e-12' has more than "
+                       "1024 points"),
+            std::string::npos)
+      << r.err;
+  for (const bool with_dial : {true, false}) {
+    std::vector<std::string> args = {"sweep", "preset:tiny:8:32",
+                                     "--max-rate", "1e-3", "--no-sim",
+                                     "--points", "2000000000"};
+    if (with_dial) {
+      args.insert(args.end(), {"--sweep-locality", "0.2:0.8:0.3"});
+    }
+    r = RunCommand(args);
+    EXPECT_EQ(r.code, 2) << with_dial;
+    EXPECT_NE(r.err.find("--points must be <= 1024"), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, OversizedSimIsRejectedNamingTheChannelCount) {
+  // mesh:2x22 has 2^22 routers and 100,663,552 channels: a model-only run
+  // needs none of them, a simulation would hold state for each.
+  const auto model = RunCommand({"model", "preset:tiny", "--rate", "1e-4",
+                                 "--icn2-topology", "mesh:2x22"});
+  EXPECT_EQ(model.code, 0) << model.err;
+  const auto sim =
+      RunCommand({"sim", "preset:tiny", "--rate", "1e-4", "--messages",
+                  "100", "--icn2-topology", "mesh:2x22"});
+  EXPECT_EQ(sim.code, 1);
+  EXPECT_NE(sim.err.find("100663552 channels (> 2^23)"), std::string::npos)
+      << sim.err;
 }
 
 TEST(Cli, BottleneckNamesBindingResource) {

@@ -1,9 +1,10 @@
 // Tests for the pluggable Topology layer: the FullCrossbar and KAryMesh
 // implementations (structure, dimension-ordered routing, exact journey
-// statistics), the TopologySpec parser/factory, topology resolution and
-// sharing inside SystemConfig, and the acceptance path — a system mixing
-// topology families evaluated end to end through both the analytical model
-// and the discrete-event simulator.
+// statistics), every family's channel decoding against the stored-table
+// oracle, the TopologySpec parser/factory and its size bounds, topology
+// resolution and sharing inside SystemConfig, and the acceptance path — a
+// system mixing topology families evaluated end to end through both the
+// analytical model and the discrete-event simulator.
 #include <cmath>
 #include <map>
 #include <set>
@@ -12,6 +13,7 @@
 
 #include "config/config_parser.h"
 #include "gtest/gtest.h"
+#include "oracle/channel_tables.h"
 #include "oracle/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
@@ -411,6 +413,33 @@ TEST(TopologySpec, RejectsMalformedInput) {
   EXPECT_THROW(ParseTopologySpec("crossbar:+16"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("mesh:+4x2"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("tree:m=+8,n=2"), std::invalid_argument);
+  // Well-formed specs whose size would overflow (2 k^n, 2N) or allocate
+  // gigabytes: building them fails with the bound, before any arithmetic.
+  const struct {
+    const char* spec;
+    const char* message;
+  } oversized[] = {
+      {"tree:m=200000,n=4", "tree too large (> 2^22 nodes)"},
+      {"tree:m=1000000,n=20", "tree too large (> 2^22 nodes)"},
+      {"tree:m=8,n=2000000000", "1 <= n <= 20"},
+      {"crossbar:4194305", "crossbar too large (> 2^22 nodes)"},
+      {"crossbar:9223372036854775807", "crossbar too large (> 2^22 nodes)"},
+      {"mesh:2147483647x1", "mesh too large (> 2^22 routers)"},
+  };
+  for (const auto& c : oversized) {
+    const TopologySpec spec = ParseTopologySpec(c.spec);
+    try {
+      BuildTopology(spec);
+      ADD_FAILURE() << c.spec << " built";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << c.spec << ": " << e.what();
+    }
+  }
+  // The cap itself is inclusive, and costs no per-channel memory.
+  EXPECT_EQ(BuildTopology(ParseTopologySpec("crossbar:4194304"))
+                ->num_channels(),
+            std::int64_t{1} << 23);
 }
 
 TEST(TopologySpec, BuildsEveryFamily) {
@@ -425,6 +454,79 @@ TEST(TopologySpec, BuildsEveryFamily) {
                                         TopologySpec::Routing::kValiant))
                 ->Name(),
             "dragonfly 2,2,1 (valiant)");
+}
+
+// Channel(id) is decoded arithmetically; it must reproduce, field by field
+// and for every id, the table each family's constructor used to fill
+// (tests/oracle/channel_tables.h).
+void ExpectMatchesTable(const Topology& t,
+                        const std::vector<ChannelInfo>& table) {
+  ASSERT_EQ(t.num_channels(), static_cast<std::int64_t>(table.size()))
+      << t.Name();
+  for (std::int64_t id = 0; id < t.num_channels(); ++id) {
+    const ChannelInfo got = t.Channel(id);
+    const ChannelInfo& want = table[static_cast<std::size_t>(id)];
+    ASSERT_EQ(got.kind, want.kind) << t.Name() << " id " << id;
+    ASSERT_EQ(got.from, want.from) << t.Name() << " id " << id;
+    ASSERT_EQ(got.to, want.to) << t.Name() << " id " << id;
+  }
+}
+
+TEST(ChannelDecode, TreeMatchesTheStoredTable) {
+  for (int m : {4, 6, 8}) {
+    for (int n : {1, 2, 3}) {
+      ExpectMatchesTable(MPortNTree(m, n), TreeChannelTable(m, n));
+    }
+  }
+}
+
+TEST(ChannelDecode, CrossbarMatchesTheStoredTable) {
+  for (std::int64_t ports : {2, 3, 5, 16}) {
+    ExpectMatchesTable(FullCrossbar(ports), CrossbarChannelTable(ports));
+  }
+}
+
+TEST(ChannelDecode, MeshAndTorusMatchTheStoredTable) {
+  for (int radix = 2; radix <= 5; ++radix) {
+    for (int dims = 1; dims <= 3; ++dims) {
+      for (bool torus : {false, true}) {
+        for (bool center : {false, true}) {
+          ExpectMatchesTable(KAryMesh(radix, dims, torus, center),
+                             MeshChannelTable(radix, dims, torus));
+        }
+      }
+    }
+  }
+}
+
+TEST(ChannelDecode, DragonflyMatchesTheStoredTable) {
+  const int shapes[][3] = {{1, 1, 1}, {1, 2, 3}, {2, 1, 1},
+                           {2, 2, 2}, {3, 1, 2}, {4, 2, 2}};
+  for (const auto& s : shapes) {
+    for (auto routing :
+         {Dragonfly::Routing::kMin, Dragonfly::Routing::kValiant}) {
+      ExpectMatchesTable(Dragonfly(s[0], s[1], s[2], routing),
+                         DragonflyChannelTable(s[0], s[1], s[2]));
+    }
+  }
+}
+
+// The layout CocSystemSim::RegisterNetwork relies on to assign t_cn / t_cs
+// by id range: a channel is a node link exactly when its id is below 2N.
+TEST(ChannelDecode, NodeLinksAreExactlyTheIdsBelowTwoN) {
+  for (const char* text :
+       {"tree:m=4,n=1", "tree:m=8,n=3", "crossbar:7", "mesh:3x2",
+        "mesh:2x3,tap=center", "torus:4x2", "dragonfly:1,2,3",
+        "dragonfly:4,2,2,routing=valiant"}) {
+    const auto t = BuildTopology(ParseTopologySpec(text));
+    EXPECT_EQ(t->num_node_links(), 2 * t->num_nodes()) << text;
+    for (std::int64_t id = 0; id < t->num_channels(); ++id) {
+      const ChannelKind kind = t->Channel(id).kind;
+      const bool node_link = kind == ChannelKind::kNodeToSwitch ||
+                             kind == ChannelKind::kSwitchToNode;
+      ASSERT_EQ(node_link, id < t->num_node_links()) << text << " id " << id;
+    }
+  }
 }
 
 TEST(SystemConfigTopologies, DefaultsReproduceThePaperTrees) {
