@@ -1,4 +1,5 @@
-// Ablation: the model's reconstruction-ambiguous equations (DESIGN.md §3).
+// Ablation: the model's reconstruction-ambiguous equations (one knob each in
+// src/model/model_options.h).
 // Each row toggles one ModelOptions knob away from the default and reports
 // the mean latency at three operating points plus the saturation rate on the
 // heterogeneous N=1120 organization — quantifying how much each OCR

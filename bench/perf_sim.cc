@@ -104,6 +104,37 @@ void BM_SimulateSmallSystemReusedArena(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateSmallSystemReusedArena);
 
+void BM_SimulateManyFlitTimes(benchmark::State& state) {
+  // The case the presets do not cover: every cluster's networks have their
+  // own bandwidths, so the 32 clusters (the N=1120 shape) carry 105 distinct
+  // flit times, one delay lane each, where a Table 1 system has 4.
+  std::vector<ClusterConfig> clusters;
+  for (int i = 0; i < 32; ++i) {
+    const int n = i <= 11 ? 1 : (i <= 27 ? 2 : 3);
+    clusters.push_back(ClusterConfig{n, {500.0 + 7 * i, 0.01, 0.02},
+                                     {250.0 + 3 * i, 0.05, 0.01}});
+  }
+  const SystemConfig sys(/*m=*/8, std::move(clusters), /*icn2=*/Net1(),
+                         MessageFormat{16, 64});
+  const CocSystemSim sim(sys);
+  SimConfig cfg;
+  cfg.lambda_g = 1e-4;
+  cfg.warmup_messages = 200;
+  cfg.measured_messages = 2000;
+  cfg.drain_messages = 200;
+  SimScratch scratch;
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    cfg.seed++;
+    const auto r = sim.Run(cfg, scratch);
+    messages += r.delivered;
+    benchmark::DoNotOptimize(r.latency.Mean());
+  }
+  state.counters["msgs/s"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimulateManyFlitTimes);
+
 }  // namespace
 }  // namespace coc
 

@@ -1,6 +1,6 @@
 // Knobs for the analytical model's reconstruction-ambiguous equations.
 //
-// The scanned paper garbles a few equations (DESIGN.md §3 documents each).
+// The scanned paper garbles a few equations (each knob below names one).
 // Every reconstruction choice is isolated here so the ablation benches can
 // quantify its effect; defaults are the variants that (a) are dimensionally
 // consistent, (b) reproduce the paper's reported saturation points, and

@@ -20,6 +20,16 @@ constexpr int kTagClusterShift = 2;  // bits [2..) carry the source cluster
 // Per-channel state (flit times, engine channel state) is inherent to
 // simulation, so the total channel count across every network is capped.
 constexpr std::int64_t kMaxChannels = std::int64_t{1} << 23;
+// Traffic and the engine arena are sized per message: ~8.7x the paper's 120k.
+constexpr std::int64_t kMaxMessages = std::int64_t{1} << 20;
+
+std::int64_t CheckedMessages(std::int64_t n) {
+  if (n < 0 || n > kMaxMessages) {
+    throw std::invalid_argument("cannot simulate " + std::to_string(n) +
+                                " messages (allowed: 0 to 2^20)");
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -210,8 +220,11 @@ SimResult CocSystemSim::Run(const SimConfig& cfg) const {
 }
 
 SimResult CocSystemSim::Run(const SimConfig& cfg, SimScratch& scratch) const {
+  // Each phase is bounded (the measured one first) before the sum is.
+  const std::int64_t measured = CheckedMessages(cfg.measured_messages);
   const std::int64_t total =
-      cfg.warmup_messages + cfg.measured_messages + cfg.drain_messages;
+      CheckedMessages(CheckedMessages(cfg.warmup_messages) + measured +
+                      CheckedMessages(cfg.drain_messages));
   GenerateTraffic(sys_, cfg, total, scratch.traffic);
 
   WormholeEngine& engine = scratch.engine;

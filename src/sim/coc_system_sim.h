@@ -90,7 +90,8 @@ class CocSystemSim {
 
   /// Runs one experiment and returns latency statistics over the measured
   /// window plus channel utilization over the whole run. Allocates a fresh
-  /// SimScratch; sweeps should use the overload below and reuse one.
+  /// SimScratch; sweeps should use the overload below and reuse one. Both
+  /// throw std::invalid_argument naming a message count outside [0, 2^20].
   SimResult Run(const SimConfig& cfg) const;
 
   /// Same, but streams through caller-owned scratch buffers (engine arena,

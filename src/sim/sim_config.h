@@ -21,7 +21,7 @@ namespace coc {
 /// cut-through reproduces the paper's 4-8% light-load accuracy claim but
 /// the ICN2 injection link inherits the slower ECN1 flit supply rate, while
 /// store-and-forward reproduces the model's saturation point but adds
-/// ~2 M t_cs of serialization at light load (see EXPERIMENTS.md).
+/// ~2 M t_cs of serialization at light load (bench/ablation_condis).
 enum class CondisMode : std::uint8_t {
   kCutThrough,    ///< wormhole continues through the C/D (default)
   kStoreForward,  ///< the C/D accumulates the message before re-injecting

@@ -623,6 +623,30 @@ TEST(Engine, OversizedSimIsAScenarioErrorWhileItsModelIsServed) {
       << reports[1].status.message;
 }
 
+TEST(Engine, OversizedMessageCountIsAScenarioErrorWhileItsModelIsServed) {
+  // The traffic buffer is sized from sim.messages, so the count is bounded
+  // (2^20) before anything is allocated. 9223372036854775807 would also
+  // overflow the warm-up + measured + drain sum.
+  for (const char* messages :
+       {"1000000000000", "30000000", "9223372036854775807"}) {
+    const std::string sim = std::string(
+        "[scenario s]\nsystem = preset:tiny\nrate = 1e-4\nsim.messages = ") +
+        messages + "\n";
+    Engine engine;
+    const auto model = engine.EvaluateBatch(
+        ParseScenarios(sim + "analyses = model\n"), {});
+    ASSERT_EQ(model.size(), 1u);
+    EXPECT_TRUE(model[0].status.ok()) << model[0].status.message;
+    const auto reports =
+        engine.EvaluateBatch(ParseScenarios(sim + "analyses = sim\n"), {});
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].status.code, StatusCode::kScenarioError) << messages;
+    EXPECT_NE(reports[0].status.message.find(" messages (allowed: 0 to 2^20)"),
+              std::string::npos)
+        << reports[0].status.message;
+  }
+}
+
 TEST(Engine, RebindSourceTableIsBoundedByLru) {
   // The per-(system, options)-family rebind-source table is an accelerator,
   // not a registry: a batch cycling through many distinct families must not

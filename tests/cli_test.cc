@@ -412,6 +412,16 @@ TEST(Cli, OversizedSimIsRejectedNamingTheChannelCount) {
       << sim.err;
 }
 
+TEST(Cli, OversizedMessageCountIsRejectedNamingTheBound) {
+  const auto sim = RunCommand({"sim", "preset:tiny", "--rate", "1e-4",
+                               "--messages", "1000000000000"});
+  EXPECT_EQ(sim.code, 1);
+  EXPECT_NE(sim.err.find("cannot simulate 1000000000000 messages (allowed: "
+                         "0 to 2^20)"),
+            std::string::npos)
+      << sim.err;
+}
+
 TEST(Cli, BottleneckNamesBindingResource) {
   const auto r = RunCommand({"bottleneck", "preset:1120", "--rate", "1e-4"});
   EXPECT_EQ(r.code, 0) << r.err;

@@ -34,7 +34,7 @@ class HopDistribution {
   double MeanLinksRoundTrip() const;
 
   /// Mean number of links of an ascending-only journey, sum h P_h. Used for
-  /// the spine-tapped ECN1 traversal (r links, DESIGN.md §2).
+  /// the spine-tapped ECN1 traversal (r links; README, "The Topology layer").
   double MeanLinksOneWay() const;
 
   /// Eq. (9)'s closed form for the round-trip mean; must equal

@@ -39,16 +39,20 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace coc {
 namespace {
 
-/// Deterministic engine workload: `count` pipelined messages over 8 unit
-/// channels, added in gen-time order through the span-based AddMessage (no
-/// temporary vectors). Returns the delivery-time sum as a checksum.
-double LoadAndRun(WormholeEngine& engine, int count) {
+/// Deterministic engine workload: resets `engine` to the channel set
+/// `times` (at least 8 channels), then adds one pipelined message per entry
+/// of `gen_slot`, the i-th generated at 0.25 * gen_slot[i], through the
+/// span-based AddMessage (no temporary vectors). Returns the delivery-time
+/// sum as a checksum.
+double LoadAndRun(WormholeEngine& engine, const std::vector<double>& times,
+                  const std::vector<int>& gen_slot) {
+  engine.Reset(times);
   std::uint64_t state = 99;
   auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return state >> 33;
   };
-  for (int i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < gen_slot.size(); ++i) {
     std::int32_t path[3];
     std::int32_t depth[3] = {1, 1, 1};
     std::int32_t c = static_cast<std::int32_t>(next() % 4);
@@ -56,7 +60,7 @@ double LoadAndRun(WormholeEngine& engine, int count) {
       path[j] = c;
       c += 1 + static_cast<std::int32_t>(next() % 2);
     }
-    engine.AddMessage(0.25 * i, path, depth, 3,
+    engine.AddMessage(0.25 * gen_slot[i], path, depth, 3,
                       1 + static_cast<std::int32_t>(next() % 6),
                       static_cast<std::uint64_t>(i));
   }
@@ -67,18 +71,38 @@ double LoadAndRun(WormholeEngine& engine, int count) {
   return sum;
 }
 
-TEST(ZeroAlloc, WarmedUpEngineDoesNotAllocate) {
-  const std::vector<double> times(8, 1.0);
-  WormholeEngine engine(times);
-  const double checksum = LoadAndRun(engine, 500);  // grows the arena
+/// Runs the workload once to grow every buffer, then counts the
+/// allocations of an identical replay.
+void ExpectWarmReplayAllocationFree(const std::vector<double>& times,
+                                    const std::vector<int>& gen_slot) {
+  WormholeEngine engine;
+  const double checksum = LoadAndRun(engine, times, gen_slot);
 
-  engine.Reset(times);
   const long before = g_alloc_count.load(std::memory_order_relaxed);
-  const double replay = LoadAndRun(engine, 500);
+  const double replay = LoadAndRun(engine, times, gen_slot);
   const long allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
 
   EXPECT_EQ(allocs, 0) << "steady-state injection path must not allocate";
   EXPECT_EQ(replay, checksum) << "Reset() must fully restore initial state";
+}
+
+TEST(ZeroAlloc, WarmedUpEngineDoesNotAllocate) {
+  std::vector<int> in_order(500);
+  for (int i = 0; i < 500; ++i) in_order[static_cast<std::size_t>(i)] = i;
+  ExpectWarmReplayAllocationFree(std::vector<double>(8, 1.0), in_order);
+}
+
+TEST(ZeroAlloc, ManyLanesOutOfOrderGenerationsDoNotAllocate) {
+  // Five distinct flit times (five delay lanes) and AddMessage calls out of
+  // gen-time order, with every generation slot used twice: the lanes, the
+  // merge heap and the generation order all reuse their capacity, and
+  // Reset() to the same table keeps the lane ids without rebuilding them.
+  std::vector<int> shuffled(500);
+  for (int i = 0; i < 500; ++i) {
+    shuffled[static_cast<std::size_t>(i)] = (i * 389) % 250;
+  }
+  ExpectWarmReplayAllocationFree({1.0, 0.5, 1.5, 0.75, 1.0, 0.25, 1.5, 0.5},
+                                 shuffled);
 }
 
 TEST(ZeroAlloc, SimRunAllocationsIndependentOfMessageCount) {

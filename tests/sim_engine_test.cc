@@ -1,10 +1,12 @@
 // Exact-schedule tests for the flit-level wormhole engine: hand-computed
-// pipelines, contention, FIFO fairness, release semantics, conservation and
-// determinism.
+// pipelines, contention, FIFO fairness, release semantics, conservation,
+// determinism, and equality with the all-events heap it replaced.
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracle/heap_wormhole_engine.h"
 #include "sim/wormhole_engine.h"
 
 namespace coc {
@@ -325,6 +327,139 @@ TEST(WormholeEngine, RejectsMalformedMessages) {
   EXPECT_THROW(e.AddMessage(0, {0}, {1}, WormholeEngine::kMaxFlits + 1, 0),
                std::invalid_argument);
   EXPECT_THROW(e.AddMessage(0, {5}, {1}, 4, 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the delay lanes must pop exactly the (time, seq) order
+// of the heap over all events they replaced (tests/oracle). Dyadic flit
+// times make equal times on different lanes frequent, so a merge that broke
+// those ties any other way than by seq would show here.
+
+struct RandomMessage {
+  double gen_time;
+  std::vector<std::int32_t> path, depth, store_forward;
+  int flits;
+};
+
+struct RandomCase {
+  std::vector<double> times;
+  std::vector<RandomMessage> messages;
+  std::int64_t events = 0;  // a full run: one generation + flits x hops each
+};
+
+RandomCase MakeRandomCase(std::uint64_t seed) {
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL + 1;
+  auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  RandomCase c;
+  const bool many_times = seed % 4 == 1;   // >= 64 distinct flit times
+  const bool out_of_order = seed % 4 == 2; // AddMessage not in gen order
+  const std::size_t channels = many_times ? 64 + next(64) : 8 + next(32);
+  const double dyadic[] = {0.25, 0.5, 0.75, 1.0, 1.5};
+  for (std::size_t ch = 0; ch < channels; ++ch) {
+    c.times.push_back(many_times ? 0.25 + static_cast<double>(ch) / 64
+                                 : dyadic[next(5)]);
+  }
+  const int count = 10 + static_cast<int>(next(110));
+  double gen = 0;
+  for (int i = 0; i < count; ++i) {
+    RandomMessage m;
+    gen += 0.25 * static_cast<double>(next(9));  // zero gaps: equal gens
+    m.gen_time = out_of_order ? 0.25 * static_cast<double>(next(200)) : gen;
+    // Strictly increasing channels keep the workload deadlock-free.
+    for (auto ch = static_cast<std::int32_t>(next(channels / 2));
+         ch < static_cast<std::int32_t>(channels) && m.path.size() < 6;
+         ch += 1 + static_cast<std::int32_t>(next(3))) {
+      m.path.push_back(ch);
+      m.depth.push_back(static_cast<std::int32_t>(next(3)));  // 0, 1 or 2
+    }
+    for (std::size_t pos = 1; pos < m.path.size(); ++pos) {
+      if (m.depth[pos - 1] == 0 && next(2) == 0) {
+        m.store_forward.push_back(static_cast<std::int32_t>(pos));
+      }
+    }
+    m.flits = 1 + static_cast<int>(next(40));
+    c.events += 1 + static_cast<std::int64_t>(m.flits) *
+                        static_cast<std::int64_t>(m.path.size());
+    c.messages.push_back(std::move(m));
+  }
+  return c;
+}
+
+struct Outcome {
+  struct Record {
+    std::int64_t msg;
+    double gen_time, deliver_time;
+    std::uint64_t user_tag;
+    bool operator==(const Record&) const = default;
+  };
+  std::vector<Record> deliveries;
+  double end_time = 0;
+  std::int64_t delivered = 0;
+  std::vector<double> busy;
+  std::string budget_error;
+};
+
+template <typename Engine>
+Outcome RunRandomCase(const RandomCase& c, std::int64_t max_events) {
+  Engine engine(c.times);
+  for (std::size_t i = 0; i < c.messages.size(); ++i) {
+    const RandomMessage& m = c.messages[i];
+    engine.AddMessage(m.gen_time, m.path, m.depth, m.flits, i,
+                      m.store_forward);
+  }
+  Outcome out;
+  typename Engine::RunLimits limits;
+  limits.max_events = max_events;
+  try {
+    engine.Run(
+        [&out](const auto& d) {
+          out.deliveries.push_back(
+              {d.msg, d.gen_time, d.deliver_time, d.user_tag});
+        },
+        limits);
+  } catch (const SimBudgetError& e) {
+    out.budget_error = e.what();
+  }
+  out.end_time = engine.end_time();
+  out.delivered = engine.delivered_count();
+  for (std::size_t ch = 0; ch < c.times.size(); ++ch) {
+    out.busy.push_back(engine.ChannelBusyTime(static_cast<std::int32_t>(ch)));
+  }
+  return out;
+}
+
+TEST(WormholeEngine, LanesReproduceTheHeapScheduleExactly) {
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const RandomCase c = MakeRandomCase(seed);
+    const Outcome lanes = RunRandomCase<WormholeEngine>(c, 0);
+    const Outcome heap = RunRandomCase<HeapWormholeEngine>(c, 0);
+    ASSERT_EQ(heap.deliveries.size(), c.messages.size()) << seed;
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < heap.deliveries.size(); ++i) {
+      differing += i >= lanes.deliveries.size() ||
+                   !(lanes.deliveries[i] == heap.deliveries[i]);
+    }
+    EXPECT_EQ(differing, 0u) << "seed " << seed;
+    EXPECT_EQ(lanes.deliveries.size(), heap.deliveries.size()) << seed;
+    EXPECT_EQ(lanes.end_time, heap.end_time) << seed;
+    EXPECT_EQ(lanes.delivered, heap.delivered) << seed;
+    EXPECT_EQ(lanes.busy, heap.busy) << seed;
+
+    // A budget short of the full run trips both at the same point.
+    const auto budget = 1 + static_cast<std::int64_t>(
+                                (seed * 7919) %
+                                static_cast<std::uint64_t>(c.events - 1));
+    const Outcome lanes_cut = RunRandomCase<WormholeEngine>(c, budget);
+    const Outcome heap_cut = RunRandomCase<HeapWormholeEngine>(c, budget);
+    ASSERT_FALSE(heap_cut.budget_error.empty()) << seed;
+    EXPECT_EQ(lanes_cut.budget_error, heap_cut.budget_error) << seed;
+    EXPECT_EQ(lanes_cut.delivered, heap_cut.delivered) << seed;
+    EXPECT_TRUE(lanes_cut.deliveries == heap_cut.deliveries) << seed;
+    EXPECT_EQ(lanes_cut.busy, heap_cut.busy) << seed;
+  }
 }
 
 }  // namespace
