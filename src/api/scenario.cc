@@ -12,7 +12,6 @@
 #include "common/json.h"
 #include "common/parse_num.h"
 #include "common/status.h"
-#include "system/system_config.h"
 
 namespace coc {
 namespace {
@@ -98,23 +97,6 @@ bool ParseBool(const std::string& key, const std::string& value) {
   BadEnum(key, value, "true or false");
 }
 
-double ParseDoubleKey(const std::string& key, const std::string& value) {
-  const auto v = ParseFullDouble(value);
-  if (!v) {
-    throw std::invalid_argument("'" + key + "' is not a number: " + value);
-  }
-  return *v;
-}
-
-/// The same integer rule as the CLI's integer flags: the whole token, at
-/// full width, with no exponent or fraction ("1e4" and "3.0" are rejected).
-/// A non-number still fails as "not a number".
-std::int64_t ParseIntKey(const std::string& key, const std::string& value) {
-  if (const auto v = ParseFullInteger<std::int64_t>(value)) return *v;
-  ParseDoubleKey(key, value);
-  throw std::invalid_argument("'" + key + "' must be an integer");
-}
-
 /// Full-width parse for sim.seed: going through a double would silently
 /// round seeds above 2^53 to a different seed than asked.
 std::uint64_t ParseUint64Key(const std::string& key,
@@ -147,88 +129,6 @@ Analysis ParseAnalysis(const std::string& name) {
   throw std::invalid_argument(
       "unknown analysis '" + name +
       "' (use model, bottleneck, saturation, sweep or sim)");
-}
-
-// --- WorkloadOverlay -------------------------------------------------------
-
-Workload WorkloadOverlay::ApplyTo(Workload base, const SystemConfig& sys) const {
-  if (pattern) base.pattern = *pattern;
-  if (locality) {
-    // --locality implies the cluster-local pattern, but never by silently
-    // overriding an explicitly contradictory pattern: --pattern hotspot
-    // --locality 0.6 is a hard error, not a locality run.
-    if (pattern && base.pattern != WorkloadPattern::kClusterLocal) {
-      throw std::invalid_argument(
-          std::string("--locality implies --pattern local and cannot be "
-                      "combined with --pattern ") +
-          WorkloadPatternName(base.pattern) +
-          " (drop --locality or use --pattern local)");
-    }
-    if (hotspot_fraction || hotspot_node) {
-      throw std::invalid_argument(
-          "--locality cannot be combined with --hotspot-fraction or "
-          "--hotspot-node (pick one pattern)");
-    }
-    base.pattern = WorkloadPattern::kClusterLocal;
-    base.locality_fraction = *locality;
-  }
-  if (hotspot_fraction) {
-    if (pattern && base.pattern != WorkloadPattern::kHotspot) {
-      throw std::invalid_argument(
-          std::string("--hotspot-fraction implies --pattern hotspot and "
-                      "cannot be combined with --pattern ") +
-          WorkloadPatternName(base.pattern) +
-          " (drop --hotspot-fraction or use --pattern hotspot)");
-    }
-    base.pattern = WorkloadPattern::kHotspot;
-    base.hotspot_fraction = *hotspot_fraction;
-  }
-  if (hotspot_node) {
-    // Implies the hotspot pattern from the uniform default, but never
-    // silently overrides an explicitly non-hotspot scenario — neither an
-    // explicit conflicting pattern (mirrors the --hotspot-fraction guard)
-    // nor a config file's local/permutation workload.
-    if (pattern && base.pattern != WorkloadPattern::kHotspot) {
-      throw std::invalid_argument(
-          std::string("--hotspot-node implies --pattern hotspot and cannot "
-                      "be combined with --pattern ") +
-          WorkloadPatternName(base.pattern) +
-          " (drop --hotspot-node or use --pattern hotspot)");
-    }
-    if (base.pattern == WorkloadPattern::kClusterLocal ||
-        base.pattern == WorkloadPattern::kPermutation) {
-      throw std::invalid_argument(
-          "--hotspot-node requires the hotspot pattern (add "
-          "--pattern hotspot or --hotspot-fraction F)");
-    }
-    base.pattern = WorkloadPattern::kHotspot;
-    base.hotspot_node = *hotspot_node;
-    // Range-check against this system here so the failure names the knob
-    // instead of surfacing from deep inside the model.
-    if (base.hotspot_node < 0 || base.hotspot_node >= sys.TotalNodes()) {
-      throw std::invalid_argument(
-          "--hotspot-node " + std::to_string(base.hotspot_node) +
-          " outside [0, " + std::to_string(sys.TotalNodes()) +
-          ") for this system");
-    }
-  }
-  if (msg_len) base.message_length = *msg_len;
-  if (arrival) base.arrival = *arrival;
-  if (!rate_scale.empty()) {
-    // (index, scale) pairs; unnamed clusters keep scale 1.
-    std::vector<double> scale(static_cast<std::size_t>(sys.num_clusters()),
-                              1.0);
-    for (const auto& [idx, s] : rate_scale) {
-      if (idx < 0 || idx >= sys.num_clusters()) {
-        throw std::invalid_argument("--rate-scale: cluster index " +
-                                    std::to_string(idx) + " out of range");
-      }
-      scale[static_cast<std::size_t>(idx)] = s;
-    }
-    base.rate_scale = std::move(scale);
-  }
-  base.Validate(sys);
-  return base;
 }
 
 // --- Scenario --------------------------------------------------------------
@@ -365,47 +265,29 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
             start = comma + 1;
           }
         } else if (key == "rate") {
-          s.rate = ParseDoubleKey(key, value);
+          s.rate = ParseKeyDouble(key, value);
         } else if (key == "deadline_ms") {
-          s.deadline_ms = ParseDoubleKey(key, value);
-        } else if (key == "workload.pattern") {
-          s.workload.pattern = ParseWorkloadPattern(value);
-        } else if (key == "workload.locality") {
-          s.workload.locality = ParseDoubleKey(key, value);
-        } else if (key == "workload.hotspot_fraction") {
-          s.workload.hotspot_fraction = ParseDoubleKey(key, value);
-        } else if (key == "workload.hotspot_node") {
-          s.workload.hotspot_node = ParseIntKey(key, value);
-        } else if (key == "workload.msg_len") {
-          s.workload.msg_len = MessageLength::Parse(value);
-        } else if (key == "workload.arrival") {
-          s.workload.arrival = ArrivalProcess::Parse(value);
-        } else if (key.rfind("workload.rate.", 0) == 0) {
-          const std::string idx_tok =
-              key.substr(std::string("workload.rate.").size());
-          const auto idx = ParseFullInteger<int>(idx_tok);
-          if (!idx || *idx < 0) {
-            throw std::invalid_argument("bad cluster index in '" + key + "'");
-          }
-          s.workload.rate_scale.emplace_back(*idx,
-                                             ParseDoubleKey(key, value));
+          s.deadline_ms = ParseKeyDouble(key, value);
+        } else if (key.rfind("workload.", 0) == 0) {
+          s.workload.Set(key, value);
         } else if (key.rfind("model.", 0) == 0) {
           ApplyModelKey(s.model, key, value);
         } else if (key == "sweep.max_rate") {
-          s.sweep_max_rate = ParseDoubleKey(key, value);
+          s.sweep_max_rate = ParseKeyDouble(key, value);
         } else if (key == "sweep.points") {
           // Saturate, not wrap: 2^32 + 1 points must not validate as 1.
           s.sweep_points = static_cast<int>(std::clamp<std::int64_t>(
-              ParseIntKey(key, value), std::numeric_limits<int>::min(),
+              ParseKeyInteger<std::int64_t>(key, value),
+              std::numeric_limits<int>::min(),
               std::numeric_limits<int>::max()));
         } else if (key == "sweep.sim") {
           s.sweep_sim = ParseBool(key, value);
         } else if (key == "sweep.abort_latency") {
-          s.sim_abort_latency = ParseDoubleKey(key, value);
+          s.sim_abort_latency = ParseKeyDouble(key, value);
         } else if (key == "sim.messages") {
-          s.sim_messages = ParseIntKey(key, value);
+          s.sim_messages = ParseKeyInteger<std::int64_t>(key, value);
         } else if (key == "sim.max_events") {
-          s.sim_max_events = ParseIntKey(key, value);
+          s.sim_max_events = ParseKeyInteger<std::int64_t>(key, value);
         } else if (key == "sim.seed") {
           s.sim_seed = ParseUint64Key(key, value);
         } else if (key == "sim.condis") {
@@ -427,20 +309,6 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
       s.Validate();
     } catch (const std::invalid_argument& e) {
       IniFail(section.line, e.what());
-    }
-    // The rate_scale map iterates in lexicographic key order; canonicalize
-    // to numeric cluster order so Serialize is deterministic and equality
-    // ignores spelling order. Distinct spellings of one index ("rate.3" and
-    // "rate.03") slip past the tokenizer's duplicate-key check but would
-    // serialize as a genuine duplicate key — reject them here.
-    std::sort(s.workload.rate_scale.begin(), s.workload.rate_scale.end());
-    for (std::size_t i = 1; i < s.workload.rate_scale.size(); ++i) {
-      if (s.workload.rate_scale[i].first ==
-          s.workload.rate_scale[i - 1].first) {
-        IniFail(section.line,
-                "duplicate cluster index in 'workload.rate." +
-                    std::to_string(s.workload.rate_scale[i].first) + "'");
-      }
     }
     scenarios.push_back(std::move(s));
   }

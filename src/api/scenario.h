@@ -12,11 +12,9 @@
 //   analyses = model,bottleneck       # model|bottleneck|saturation|sweep|sim
 //   rate = 1e-4                       # operating point (model/bottleneck/sim)
 //   icn2_topology = crossbar          # optional global-network override
-//   workload.pattern = hotspot        # optional overlay on the system
-//   workload.hotspot_fraction = 0.2   #   config's workload.* keys — same
-//   workload.rate.3 = 2.5             #   keys, same semantics as the CLI's
-//   workload.msg_len = bimodal:8,64,0.1  # workload flags
-//   workload.arrival = mmpp:4,8       # poisson|mmpp:RATIO,BURSTLEN|trace:PATH
+//   workload.pattern = hotspot        # optional overlay on the system's
+//   workload.hotspot_fraction = 0.2   #   workload; WorkloadOverlay in
+//   workload.rate.3 = 2.5             #   workload/workload.h lists the keys
 //   sweep.max_rate = 1e-3             # sweep analysis parameters
 //   sweep.points = 8
 //   sweep.sim = true
@@ -35,7 +33,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "model/model_options.h"
@@ -44,8 +41,6 @@
 #include "workload/workload.h"
 
 namespace coc {
-
-class SystemConfig;
 
 /// The analyses an Engine can run for one scenario, as combinable bits.
 enum class Analysis : std::uint8_t {
@@ -60,38 +55,6 @@ enum class Analysis : std::uint8_t {
 const char* AnalysisName(Analysis a);
 /// Inverse of AnalysisName. Throws std::invalid_argument on unknown input.
 Analysis ParseAnalysis(const std::string& name);
-
-/// Field-wise workload overrides applied on top of the system config's
-/// workload — the shared semantics behind both the CLI's workload flags and
-/// a scenario's workload.* keys, including the flag-conflict guards (an
-/// explicitly contradictory pattern is a hard error, never a silent
-/// override) and the hotspot-node range check.
-struct WorkloadOverlay {
-  std::optional<WorkloadPattern> pattern;
-  std::optional<double> locality;
-  std::optional<double> hotspot_fraction;
-  std::optional<std::int64_t> hotspot_node;
-  std::optional<MessageLength> msg_len;
-  /// Arrival process override (key `workload.arrival`, flag `--arrival`):
-  /// poisson | mmpp:RATIO,BURSTLEN | trace:PATH.
-  std::optional<ArrivalProcess> arrival;
-  /// Sparse per-cluster rate multipliers (cluster index, scale); unnamed
-  /// clusters keep scale 1. Non-empty replaces the base workload's table.
-  std::vector<std::pair<int, double>> rate_scale;
-
-  bool Empty() const {
-    return !pattern && !locality && !hotspot_fraction && !hotspot_node &&
-           !msg_len && !arrival && rate_scale.empty();
-  }
-
-  /// Applies the overlay to `base` and validates the result against `sys`.
-  /// Throws std::invalid_argument with the CLI flag spellings on conflicts
-  /// (the messages are pinned by cli_test).
-  Workload ApplyTo(Workload base, const SystemConfig& sys) const;
-
-  friend bool operator==(const WorkloadOverlay&,
-                         const WorkloadOverlay&) = default;
-};
 
 /// One complete evaluation request.
 struct Scenario {

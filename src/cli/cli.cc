@@ -199,8 +199,8 @@ Format FormatFromFlags(Flags& flags) {
 
 /// Lifts the shared workload flags into a field-wise overlay; the conflict
 /// guards and range checks run when the overlay is applied to a concrete
-/// system (WorkloadOverlay::ApplyTo), so one code path serves the CLI and
-/// scenario files.
+/// system (WorkloadOverlay::ApplyTo), so one code path serves the CLI,
+/// scenario files and config files.
 WorkloadOverlay OverlayFromFlags(Flags& flags) {
   WorkloadOverlay overlay;
   if (flags.Present("pattern")) {
@@ -222,7 +222,7 @@ WorkloadOverlay OverlayFromFlags(Flags& flags) {
     overlay.arrival = ArrivalProcess::Parse(flags.Text("arrival", "poisson"));
   }
   if (flags.Present("rate-scale")) {
-    // I=S pairs; unnamed clusters keep scale 1.
+    // Each I=S pair is the key workload.rate.I = S.
     std::istringstream in(flags.Text("rate-scale", ""));
     std::string pair;
     while (std::getline(in, pair, ',')) {
@@ -231,12 +231,12 @@ WorkloadOverlay OverlayFromFlags(Flags& flags) {
         throw std::invalid_argument(
             "--rate-scale expects I=S[,I=S...], got '" + pair + "'");
       }
-      const auto idx_opt = ParseFullInteger<int>(pair.substr(0, eq));
-      const auto s_opt = ParseFullDouble(pair.substr(eq + 1));
-      if (!idx_opt || !s_opt) {
-        throw std::invalid_argument("--rate-scale: bad entry '" + pair + "'");
+      try {
+        overlay.Set("workload.rate." + pair.substr(0, eq),
+                    pair.substr(eq + 1));
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("--rate-scale: ") + e.what());
       }
-      overlay.rate_scale.emplace_back(*idx_opt, *s_opt);
     }
   }
   return overlay;

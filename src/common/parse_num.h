@@ -10,6 +10,7 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 namespace coc {
@@ -38,6 +39,27 @@ inline std::optional<double> ParseFullDouble(const std::string& token) {
     return std::nullopt;
   }
   return v;
+}
+
+/// The number-key rule of config files, scenario files and workload keys:
+/// ParseFullDouble, or std::invalid_argument naming the key. Callers that
+/// know a line number prefix it.
+inline double ParseKeyDouble(const std::string& key, const std::string& value) {
+  const auto v = ParseFullDouble(value);
+  if (!v) {
+    throw std::invalid_argument("'" + key + "' is not a number: " + value);
+  }
+  return *v;
+}
+
+/// The integer form: ParseFullInteger<T>, the rule of the CLI's integer
+/// flags too ("1e4" and "3.0" are rejected). A non-number still fails as
+/// "not a number".
+template <typename T>
+T ParseKeyInteger(const std::string& key, const std::string& value) {
+  if (const auto v = ParseFullInteger<T>(value)) return *v;
+  ParseKeyDouble(key, value);
+  throw std::invalid_argument("'" + key + "' must be an integer");
 }
 
 }  // namespace coc

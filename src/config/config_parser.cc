@@ -1,6 +1,6 @@
 #include "config/config_parser.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -11,6 +11,7 @@
 #include "common/ini.h"
 #include "common/parse_num.h"
 #include "system/presets.h"
+#include "topology/topology.h"
 #include "topology/topology_spec.h"
 
 namespace coc {
@@ -45,125 +46,23 @@ const std::string& ToName(const Section& s, const std::string& key) {
   return it->second;
 }
 
-double ToDouble(const Section& s, const std::string& key) {
+/// Runs `parse` on the key's value, pointing a failure at the key's own line.
+template <typename Parse>
+auto AtKeyLine(const Section& s, const std::string& key, Parse parse) {
   const std::string& value = ToName(s, key);
-  const auto v = ParseFullDouble(value);
-  if (!v) Fail(s.line, "key '" + key + "' is not a number: " + value);
-  return *v;
+  try {
+    return parse(key, value);
+  } catch (const std::invalid_argument& e) {
+    Fail(s.KeyLine(key), e.what());
+  }
 }
 
-/// The same integer rule as scenario files and the CLI's integer flags. A
-/// non-number still fails as "not a number".
+double ToDouble(const Section& s, const std::string& key) {
+  return AtKeyLine(s, key, ParseKeyDouble);
+}
+
 int ToInt(const Section& s, const std::string& key) {
-  if (const auto v = ParseFullInteger<int>(ToName(s, key))) return *v;
-  ToDouble(s, key);
-  Fail(s.line, "key '" + key + "' must be an integer");
-}
-
-// --- workload.* keys -------------------------------------------------------
-
-/// Levenshtein distance, for the did-you-mean suggestion on unknown
-/// workload.* keys.
-std::size_t EditDistance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t prev = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t del = row[j] + 1;
-      const std::size_t ins = row[j - 1] + 1;
-      const std::size_t sub = prev + (a[i - 1] == b[j - 1] ? 0 : 1);
-      prev = row[j];
-      row[j] = std::min({del, ins, sub});
-    }
-  }
-  return row[b.size()];
-}
-
-const char* const kWorkloadKeys[] = {
-    "workload.pattern",         "workload.locality",
-    "workload.hotspot_fraction", "workload.hotspot_node",
-    "workload.msg_len",          "workload.rate.<cluster>",
-    "workload.arrival",
-};
-
-[[noreturn]] void FailUnknownWorkloadKey(int line, const std::string& key) {
-  // Compare against the known key names; the per-cluster rate family is
-  // matched with the user's own index substituted for "<cluster>", so
-  // "workload.rates.0" suggests "workload.rate.<cluster>" and not an
-  // unrelated scalar key.
-  const auto last_dot = key.rfind('.');
-  const std::string suffix =
-      last_dot == std::string::npos ? "" : key.substr(last_dot + 1);
-  std::string best;
-  std::size_t best_dist = std::string::npos;
-  for (const std::string candidate : kWorkloadKeys) {
-    std::string comparable = candidate;
-    const auto ph = comparable.find("<cluster>");
-    if (ph != std::string::npos && !suffix.empty()) {
-      comparable.replace(ph, std::string("<cluster>").size(), suffix);
-    }
-    const std::size_t d = EditDistance(key, comparable);
-    if (d < best_dist) {
-      best_dist = d;
-      best = candidate;
-    }
-  }
-  Fail(line, "unknown workload key '" + key + "' (did you mean '" + best +
-                 "'?)");
-}
-
-/// Extracts the workload from the [system] section's workload.* keys.
-/// `num_clusters` sizes and validates the per-cluster rate table.
-Workload ParseWorkloadKeys(const Section& system, int num_clusters) {
-  Workload wl;
-  bool have_rates = false;
-  for (const auto& [key, value] : system.values) {
-    if (key.rfind("workload.", 0) != 0) continue;
-    try {
-      if (key == "workload.pattern") {
-        wl.pattern = ParseWorkloadPattern(value);
-      } else if (key == "workload.locality") {
-        wl.locality_fraction = ToDouble(system, key);
-      } else if (key == "workload.hotspot_fraction") {
-        wl.hotspot_fraction = ToDouble(system, key);
-      } else if (key == "workload.hotspot_node") {
-        wl.hotspot_node = ToInt(system, key);
-      } else if (key == "workload.msg_len") {
-        wl.message_length = MessageLength::Parse(value);
-      } else if (key == "workload.arrival") {
-        wl.arrival = ArrivalProcess::Parse(value);
-      } else if (key.rfind("workload.rate.", 0) == 0) {
-        const std::string idx_tok =
-            key.substr(std::string("workload.rate.").size());
-        const int idx = ParseFullInteger<int>(idx_tok).value_or(-1);
-        if (idx < 0) {
-          FailUnknownWorkloadKey(system.line, key);
-        }
-        if (idx >= num_clusters) {
-          Fail(system.line, "workload.rate." + idx_tok +
-                                ": cluster index out of range (system has " +
-                                std::to_string(num_clusters) + " clusters)");
-        }
-        if (!have_rates) {
-          wl.rate_scale.assign(static_cast<std::size_t>(num_clusters), 1.0);
-          have_rates = true;
-        }
-        const double s = ToDouble(system, key);
-        if (!(s >= 0)) Fail(system.line, "'" + key + "' must be >= 0");
-        wl.rate_scale[static_cast<std::size_t>(idx)] = s;
-      } else {
-        FailUnknownWorkloadKey(system.line, key);
-      }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      // Re-wrap messages that lack a config line number.
-      if (what.rfind("config line", 0) == 0) throw;
-      Fail(system.line, what);
-    }
-  }
-  return wl;
+  return AtKeyLine(s, key, ParseKeyInteger<int>);
 }
 
 }  // namespace
@@ -222,10 +121,20 @@ Experiment ParseExperiment(const std::string& text) {
   };
 
   std::vector<ClusterConfig> clusters;
+  std::int64_t total_clusters = 0;
   for (const Section* cs : cluster_sections) {
     const int count =
         cs->values.count("count") != 0 ? ToInt(*cs, "count") : 1;
     if (count < 1) Fail(cs->line, "count must be >= 1");
+    // Bound the list before it is built: each cluster takes one ICN2 slot,
+    // and no topology has more than kMaxTopologyNodes.
+    total_clusters += count;
+    if (total_clusters > kMaxTopologyNodes) {
+      Fail(cs->KeyLine("count"),
+           "count = " + std::to_string(count) + " makes " +
+               std::to_string(total_clusters) +
+               " clusters, more than the 2^22 an ICN2 can connect");
+    }
     ClusterConfig cluster{cs->values.count("n") != 0 ? ToInt(*cs, "n") : 0,
                           net_by_name(*cs, "icn1"), net_by_name(*cs, "ecn1")};
     cluster.icn1_topo = topo_by_key(*cs, "topology");
@@ -250,21 +159,27 @@ Experiment ParseExperiment(const std::string& text) {
     for (int i = 0; i < count; ++i) clusters.push_back(cluster);
   }
 
-  const Workload workload =
-      ParseWorkloadKeys(*system, static_cast<int>(clusters.size()));
+  WorkloadOverlay overlay;
+  for (const auto& [key, value] : system->values) {
+    if (key.rfind("workload.", 0) != 0) continue;
+    AtKeyLine(*system, key, [&overlay](const std::string& k,
+                                       const std::string& v) {
+      overlay.Set(k, v);
+    });
+  }
 
   const MessageFormat msg{ToInt(*system, "message_flits"),
                           ToDouble(*system, "flit_bytes")};
   Experiment exp{SystemConfig(ToInt(*system, "m"), std::move(clusters),
                               net_by_name(*system, "icn2"), msg,
                               topo_by_key(*system, "icn2_topology")),
-                 workload};
-  // System-dependent workload validation (e.g. workload.hotspot_node against
-  // the total node count) can only run once the SystemConfig exists; re-wrap
-  // its failures with the [system] section's location so a bad value fails
-  // here, at parse time, instead of deep inside the model's EffectiveU.
+                 Workload{}};
+  // System-dependent checks (the hotspot node and rate indices against this
+  // system, the pattern conflicts) run once the SystemConfig exists; they
+  // carry the [system] section's line so a bad workload fails here, at
+  // parse time, instead of deep inside the model.
   try {
-    exp.workload.Validate(exp.system);
+    exp.workload = overlay.ApplyTo(Workload{}, exp.system);
   } catch (const std::invalid_argument& e) {
     Fail(system->line,
          std::string(e.what()) + " (check the workload.* keys)");

@@ -20,7 +20,7 @@
 //   switch_latency = 0.01
 //
 //   [clusters]             # repeatable; each adds `count` clusters
-//   count = 12
+//   count = 12             #   (at most 2^22 clusters in all)
 //   n = 1
 //   icn1 = net1
 //   ecn1 = net2
@@ -40,18 +40,14 @@
 //
 // The workload — one shared abstraction for model and simulator — is set by
 // `workload.*` keys of the [system] section (all optional; the default is
-// the paper's uniform assumption 2). Unknown `workload.*` keys are rejected
-// with a did-you-mean suggestion:
+// the paper's uniform assumption 2). WorkloadOverlay in workload/workload.h
+// lists the keys and their semantics, which scenario files and the CLI's
+// workload flags share:
 //
 //   [system]
-//   workload.pattern = hotspot          # uniform|local|hotspot|permutation
-//   workload.locality = 0.8             # local: in-cluster share
-//   workload.hotspot_fraction = 0.2     # hotspot: share to the hot node
-//   workload.hotspot_node = 0           # hotspot: global node id
-//   workload.rate.3 = 2.5               # cluster 3 generates at 2.5x
-//   workload.msg_len = bimodal:8,64,0.1 # or "fixed" (MessageFormat's M)
-//   workload.arrival = mmpp:4,8         # poisson|mmpp:RATIO,BURSTLEN|
-//   ...                                 #   trace:PATH
+//   workload.pattern = hotspot
+//   workload.hotspot_fraction = 0.2
+//   workload.rate.3 = 2.5
 //
 // Alternatively the string "preset:1120", "preset:544", "preset:small",
 // "preset:tiny" or "preset:mixed" (heterogeneous topology families) selects

@@ -1,8 +1,10 @@
 #include "workload/workload.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
@@ -426,6 +428,179 @@ double Workload::MeanFlits(const MessageFormat& msg) const {
 
 double Workload::FlitVariance(const MessageFormat& msg) const {
   return message_length.VarianceFlits(msg.length_flits);
+}
+
+// --- WorkloadOverlay ---------------------------------------------------------
+
+namespace {
+
+constexpr std::string_view kRateKeyPrefix = "workload.rate.";
+
+/// Levenshtein distance, for the did-you-mean suggestion on unknown
+/// workload.* keys.
+std::size_t EditDistance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t prev = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t del = row[j] + 1;
+      const std::size_t ins = row[j - 1] + 1;
+      const std::size_t sub = prev + (a[i - 1] == b[j - 1] ? 0 : 1);
+      prev = row[j];
+      row[j] = std::min({del, ins, sub});
+    }
+  }
+  return row[b.size()];
+}
+
+const char* const kWorkloadKeys[] = {
+    "workload.pattern",         "workload.locality",
+    "workload.hotspot_fraction", "workload.hotspot_node",
+    "workload.msg_len",          "workload.rate.<cluster>",
+    "workload.arrival",
+};
+
+[[noreturn]] void FailUnknownWorkloadKey(const std::string& key) {
+  // Compare against the known key names; the per-cluster rate family is
+  // matched with the user's own index substituted for "<cluster>", so
+  // "workload.rates.0" suggests "workload.rate.<cluster>" and not an
+  // unrelated scalar key.
+  const auto last_dot = key.rfind('.');
+  const std::string suffix =
+      last_dot == std::string::npos ? "" : key.substr(last_dot + 1);
+  std::string best;
+  std::size_t best_dist = std::string::npos;
+  for (const std::string candidate : kWorkloadKeys) {
+    std::string comparable = candidate;
+    const auto ph = comparable.find("<cluster>");
+    if (ph != std::string::npos && !suffix.empty()) {
+      comparable.replace(ph, std::string("<cluster>").size(), suffix);
+    }
+    const std::size_t d = EditDistance(key, comparable);
+    if (d < best_dist) {
+      best_dist = d;
+      best = candidate;
+    }
+  }
+  throw std::invalid_argument("unknown workload key '" + key +
+                              "' (did you mean '" + best + "'?)");
+}
+
+}  // namespace
+
+void WorkloadOverlay::Set(const std::string& key, const std::string& value) {
+  if (key == "workload.pattern") {
+    pattern = ParseWorkloadPattern(value);
+  } else if (key == "workload.locality") {
+    locality = ParseKeyDouble(key, value);
+  } else if (key == "workload.hotspot_fraction") {
+    hotspot_fraction = ParseKeyDouble(key, value);
+  } else if (key == "workload.hotspot_node") {
+    hotspot_node = ParseKeyInteger<std::int64_t>(key, value);
+  } else if (key == "workload.msg_len") {
+    msg_len = MessageLength::Parse(value);
+  } else if (key == "workload.arrival") {
+    arrival = ArrivalProcess::Parse(value);
+  } else {
+    const auto idx =
+        key.rfind(kRateKeyPrefix, 0) == 0
+            ? ParseFullInteger<int>(key.substr(kRateKeyPrefix.size()))
+            : std::nullopt;
+    if (!idx || *idx < 0) FailUnknownWorkloadKey(key);
+    const double scale = ParseKeyDouble(key, value);
+    // Keep the table sorted by index, so equal overlays compare equal and
+    // serialize alike whatever order their keys were read in.
+    const auto at = std::find_if(
+        rate_scale.begin(), rate_scale.end(),
+        [&idx](const std::pair<int, double>& e) { return e.first >= *idx; });
+    if (at != rate_scale.end() && at->first == *idx) {
+      throw std::invalid_argument("duplicate cluster index " +
+                                  std::to_string(*idx) + " in '" + key + "'");
+    }
+    rate_scale.emplace(at, *idx, scale);
+  }
+}
+
+Workload WorkloadOverlay::ApplyTo(Workload base, const SystemConfig& sys) const {
+  if (pattern) base.pattern = *pattern;
+  if (locality) {
+    // --locality implies the cluster-local pattern, but never by silently
+    // overriding an explicitly contradictory pattern: --pattern hotspot
+    // --locality 0.6 is a hard error, not a locality run.
+    if (pattern && base.pattern != WorkloadPattern::kClusterLocal) {
+      throw std::invalid_argument(
+          std::string("--locality implies --pattern local and cannot be "
+                      "combined with --pattern ") +
+          WorkloadPatternName(base.pattern) +
+          " (drop --locality or use --pattern local)");
+    }
+    if (hotspot_fraction || hotspot_node) {
+      throw std::invalid_argument(
+          "--locality cannot be combined with --hotspot-fraction or "
+          "--hotspot-node (pick one pattern)");
+    }
+    base.pattern = WorkloadPattern::kClusterLocal;
+    base.locality_fraction = *locality;
+  }
+  if (hotspot_fraction) {
+    if (pattern && base.pattern != WorkloadPattern::kHotspot) {
+      throw std::invalid_argument(
+          std::string("--hotspot-fraction implies --pattern hotspot and "
+                      "cannot be combined with --pattern ") +
+          WorkloadPatternName(base.pattern) +
+          " (drop --hotspot-fraction or use --pattern hotspot)");
+    }
+    base.pattern = WorkloadPattern::kHotspot;
+    base.hotspot_fraction = *hotspot_fraction;
+  }
+  if (hotspot_node) {
+    // Implies the hotspot pattern from the uniform default, but never
+    // silently overrides an explicitly non-hotspot scenario — neither an
+    // explicit conflicting pattern (mirrors the --hotspot-fraction guard)
+    // nor a config file's local/permutation workload.
+    if (pattern && base.pattern != WorkloadPattern::kHotspot) {
+      throw std::invalid_argument(
+          std::string("--hotspot-node implies --pattern hotspot and cannot "
+                      "be combined with --pattern ") +
+          WorkloadPatternName(base.pattern) +
+          " (drop --hotspot-node or use --pattern hotspot)");
+    }
+    if (base.pattern == WorkloadPattern::kClusterLocal ||
+        base.pattern == WorkloadPattern::kPermutation) {
+      throw std::invalid_argument(
+          "--hotspot-node requires the hotspot pattern (add "
+          "--pattern hotspot or --hotspot-fraction F)");
+    }
+    base.pattern = WorkloadPattern::kHotspot;
+    base.hotspot_node = *hotspot_node;
+    // Range-check against this system here so the failure names the knob
+    // instead of surfacing from deep inside the model.
+    if (base.hotspot_node < 0 || base.hotspot_node >= sys.TotalNodes()) {
+      throw std::invalid_argument(
+          "--hotspot-node " + std::to_string(base.hotspot_node) +
+          " outside [0, " + std::to_string(sys.TotalNodes()) +
+          ") for this system");
+    }
+  }
+  if (msg_len) base.message_length = *msg_len;
+  if (arrival) base.arrival = *arrival;
+  if (!rate_scale.empty()) {
+    // (index, scale) pairs; unnamed clusters keep scale 1.
+    std::vector<double> scale(static_cast<std::size_t>(sys.num_clusters()),
+                              1.0);
+    for (const auto& [idx, s] : rate_scale) {
+      if (idx < 0 || idx >= sys.num_clusters()) {
+        throw std::invalid_argument("--rate-scale: cluster index " +
+                                    std::to_string(idx) + " out of range");
+      }
+      scale[static_cast<std::size_t>(idx)] = s;
+    }
+    base.rate_scale = std::move(scale);
+  }
+  base.Validate(sys);
+  return base;
 }
 
 // --- WorkloadDial ------------------------------------------------------------

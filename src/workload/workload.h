@@ -27,7 +27,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -106,8 +108,8 @@ class MessageLength {
   double long_fraction_ = 0;
 };
 
-/// One traffic scenario. Plain aggregate data (the parser and CLI fill it
-/// directly) plus the derived accessors both consumers share.
+/// One traffic scenario. Plain aggregate data (WorkloadOverlay fills it from
+/// keys and flags) plus the derived accessors both consumers share.
 struct Workload {
   WorkloadPattern pattern = WorkloadPattern::kUniform;
   double locality_fraction = 0.8;  ///< kClusterLocal: share kept in-cluster
@@ -204,6 +206,56 @@ struct Workload {
   /// Message-length moments against the system's MessageFormat.
   double MeanFlits(const MessageFormat& msg) const;
   double FlitVariance(const MessageFormat& msg) const;
+};
+
+/// Field-wise workload overrides, and the one reader of the `workload.*`
+/// keys: config files (the [system] section, applied to the uniform
+/// default), scenario files (applied to the system's workload) and the
+/// CLI's workload flags (`--rate-scale I=S` is `workload.rate.I = S`).
+///
+///   workload.pattern = hotspot          # uniform|local|hotspot|permutation
+///   workload.locality = 0.8             # local: in-cluster share
+///   workload.hotspot_fraction = 0.2     # hotspot: share to the hot node
+///   workload.hotspot_node = 0           # hotspot: global node id
+///   workload.rate.3 = 2.5               # cluster 3 generates at 2.5x
+///   workload.msg_len = bimodal:8,64,0.1 # or "fixed" (MessageFormat's M)
+///   workload.arrival = mmpp:4,8         # poisson|mmpp:RATIO,BURSTLEN|
+///                                       #   trace:PATH
+///
+/// The semantics are the same at every entry point:
+///   * `locality` implies `pattern = local`; `hotspot_fraction` and
+///     `hotspot_node` imply `pattern = hotspot`;
+///   * contradictory keys (an explicit pattern the other key does not
+///     imply, or `locality` with a hotspot key, or `hotspot_node` over a
+///     base workload that is local or permutation) are errors, never
+///     silent overrides;
+///   * a cluster index may be given only once, in any spelling (`rate.3`
+///     and `rate.03` are one cluster); unnamed clusters keep scale 1;
+///   * `hotspot_node` and the rate indices are range-checked against the
+///     system the overlay is applied to.
+struct WorkloadOverlay {
+  std::optional<WorkloadPattern> pattern;
+  std::optional<double> locality;
+  std::optional<double> hotspot_fraction;
+  std::optional<std::int64_t> hotspot_node;
+  std::optional<MessageLength> msg_len;
+  std::optional<ArrivalProcess> arrival;
+  /// Sparse per-cluster rate multipliers (cluster index, scale), which Set
+  /// keeps sorted by index. Non-empty replaces the base workload's table.
+  std::vector<std::pair<int, double>> rate_scale;
+
+  /// Parses one `workload.*` key into its field. Throws
+  /// std::invalid_argument on an unknown key (with a did-you-mean
+  /// suggestion), a malformed value, or a cluster index already set.
+  void Set(const std::string& key, const std::string& value);
+
+  /// Applies the overlay to `base` and validates the result against `sys`.
+  /// Throws std::invalid_argument with the CLI flag spellings on conflicts
+  /// (the messages are pinned by cli_test).
+  Workload ApplyTo(Workload base, const SystemConfig& sys) const;
+
+  friend bool operator==(const WorkloadOverlay&,
+                         const WorkloadOverlay&) = default;
 };
 
 /// The continuously-variable workload parameters — the x-axes of

@@ -8,6 +8,7 @@
 #include "api/scenario.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "ini_mutation.h"
 #include "system/presets.h"
 
 namespace coc {
@@ -150,51 +151,12 @@ TEST(Scenario, MutationPropertyNeverCrashesOnlyStructuredErrors) {
       "sim.max_events = 100000\n"
       "sim.condis = store-forward\n";
   Rng rng(20260807);
-  const auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng() % static_cast<std::uint64_t>(n));
-  };
-  const char kGarbage[] = "=[]#:.\n\t \"xyz09-+eE\x01\x7f";
   int parsed_ok = 0;
   for (int trial = 0; trial < 500; ++trial) {
     std::string text = base;
-    const int mutations = 1 + static_cast<int>(pick(3));
-    for (int m = 0; m < mutations; ++m) {
-      switch (pick(5)) {
-        case 0:  // truncate at an arbitrary byte
-          text.resize(pick(text.size() + 1));
-          break;
-        case 1: {  // corrupt a number-ish region with garbage bytes
-          if (text.empty()) break;
-          const std::size_t at = pick(text.size());
-          text[at] = kGarbage[pick(sizeof kGarbage - 1)];
-          break;
-        }
-        case 2: {  // duplicate a random line (duplicate-key territory)
-          if (text.empty()) break;
-          const std::size_t start = text.find_last_of('\n', pick(text.size()));
-          const std::size_t from = start == std::string::npos ? 0 : start + 1;
-          const std::size_t end = text.find('\n', from);
-          const std::string line = text.substr(
-              from, end == std::string::npos ? std::string::npos
-                                             : end - from + 1);
-          text.insert(pick(text.size() + 1), line);
-          break;
-        }
-        case 3: {  // splice random garbage at a random offset
-          std::string chunk;
-          for (std::size_t i = pick(8); i-- > 0;) {
-            chunk += kGarbage[pick(sizeof kGarbage - 1)];
-          }
-          text.insert(pick(text.size() + 1), chunk);
-          break;
-        }
-        case 4: {  // delete a random span
-          if (text.empty()) break;
-          const std::size_t at = pick(text.size());
-          text.erase(at, pick(text.size() - at) + 1);
-          break;
-        }
-      }
+    const std::size_t mutations = 1 + Pick(rng, 3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      MutateIni(text, Pick(rng, kIniMutations), rng);
     }
     try {
       const auto scenarios = ParseScenarios(text);

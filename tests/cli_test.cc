@@ -1,17 +1,21 @@
-// Tests for the CLI layer: config parsing (happy path and every rejection
-// branch), preset loading, each command's output through string streams,
-// the exact-text pins guarding the Scenario/Engine re-plumb, the --format
-// encodings, and the batch service path.
+// Tests for the CLI layer: config parsing (happy path, every rejection
+// branch and a seeded mutation sweep), preset loading, each command's output
+// through string streams, the exact-text pins guarding the Scenario/Engine
+// re-plumb, the --format encodings, the batch service path, and the
+// workload.* keys read alike by config files, scenario files and flags.
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/scenario.h"
 #include "cli/cli.h"
 #include "config/config_parser.h"
 #include "common/json.h"
 #include "harness/sweep.h"
 #include "gtest/gtest.h"
+#include "ini_mutation.h"
 
 namespace coc {
 namespace {
@@ -109,6 +113,26 @@ INSTANTIATE_TEST_SUITE_P(
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"
                 "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
                 "not a number"},
+        // A number error names the key's own line, not the section's.
+        BadCase{"BadNumberNamesItsLine",
+                "[system]\nm = four\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
+                "config line 2: 'm' is not a number"},
+        // The cluster list is bounded before it is built: no ICN2 connects
+        // more than 2^22 clusters, in one section or summed over several.
+        BadCase{"OversizedClusterCount",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\ncount=2000000000\nn=1\n"
+                "icn1=n\necn1=n\n",
+                "config line 11: count = 2000000000"},
+        BadCase{"ClusterCountsSumPastTheBound",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n"
+                "[clusters]\ncount=4194304\nn=1\nicn1=n\necn1=n\n",
+                "count = 4194304 makes 4194305 clusters"},
         BadCase{"UnknownNetworkRef",
                 "[system]\nm=4\nicn2=ghost\nmessage_flits=8\nflit_bytes=32\n"
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"
@@ -973,6 +997,229 @@ TEST(Cli, ConfigFileRoundTrip) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("nodes: 24"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// One reader of the workload.* keys: every row runs through a config file,
+// through a scenario file on the same system, and through the CLI's workload
+// flags. All three must run the same workload or raise the same error.
+
+struct WorkloadRow {
+  const char* name;
+  const char* keys;                // workload.* lines
+  std::vector<std::string> flags;  // the same request as CLI flags
+  const char* workload;            // Describe() of the workload, or null
+  const char* error;               // else a substring of all three errors
+};
+
+class WorkloadKeysAgree : public ::testing::TestWithParam<WorkloadRow> {};
+
+TEST_P(WorkloadKeysAgree, InConfigScenarioAndFlags) {
+  const WorkloadRow& row = GetParam();
+  const std::string path =
+      WriteTempFile("coc_cli_test_workload_keys.cfg", kValidConfig);
+  const Experiment base = ParseExperiment(kValidConfig);
+
+  std::string config = kValidConfig;
+  const std::string anchor = "flit_bytes = 64\n";
+  config.insert(config.find(anchor) + anchor.size(), row.keys);
+  std::optional<Workload> from_config;
+  std::string config_error;
+  try {
+    from_config = ParseExperiment(config).workload;
+  } catch (const std::invalid_argument& e) {
+    config_error = e.what();
+  }
+
+  std::optional<Workload> from_scenario;
+  std::string scenario_error;
+  try {
+    const Scenario s = ParseScenario("[scenario keys]\nsystem = " + path +
+                                     "\nrate = 1e-4\n" + row.keys);
+    from_scenario = s.workload.ApplyTo(base.workload, base.system);
+  } catch (const std::invalid_argument& e) {
+    scenario_error = e.what();
+  }
+
+  std::vector<std::string> args = {"info", path};
+  args.insert(args.end(), row.flags.begin(), row.flags.end());
+  const CliRun cli = RunCommand(args);
+  std::remove(path.c_str());
+
+  if (row.workload != nullptr) {
+    ASSERT_TRUE(from_config.has_value()) << config_error;
+    ASSERT_TRUE(from_scenario.has_value()) << scenario_error;
+    EXPECT_EQ(*from_config, *from_scenario);
+    EXPECT_EQ(from_config->Describe(), row.workload);
+    ASSERT_EQ(cli.code, 0) << cli.err;
+    EXPECT_NE(cli.out.find(std::string("workload: ") + row.workload + "\n"),
+              std::string::npos)
+        << cli.out;
+  } else {
+    EXPECT_FALSE(from_config.has_value()) << from_config->Describe();
+    EXPECT_FALSE(from_scenario.has_value()) << from_scenario->Describe();
+    EXPECT_EQ(cli.code, 1) << cli.out;
+    for (const std::string& what : {config_error, scenario_error, cli.err}) {
+      EXPECT_NE(what.find(row.error), std::string::npos) << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, WorkloadKeysAgree,
+    ::testing::Values(
+        // A key implies the pattern it parameterizes.
+        WorkloadRow{"LocalityAlone", "workload.locality = 0.9\n",
+                    {"--locality", "0.9"}, "local 90%", nullptr},
+        WorkloadRow{"HotspotFractionAlone",
+                    "workload.hotspot_fraction = 0.2\n",
+                    {"--hotspot-fraction", "0.2"}, "hotspot 20% -> node 0",
+                    nullptr},
+        WorkloadRow{"HotspotNodeAlone", "workload.hotspot_node = 5\n",
+                    {"--hotspot-node", "5"}, "hotspot 10% -> node 5",
+                    nullptr},
+        // Contradictory keys are errors, never a silent choice of one.
+        WorkloadRow{"HotspotWithLocality",
+                    "workload.pattern = hotspot\nworkload.locality = 0.6\n",
+                    {"--pattern", "hotspot", "--locality", "0.6"}, nullptr,
+                    "--locality implies --pattern local"},
+        WorkloadRow{"PermutationWithLocality",
+                    "workload.pattern = permutation\n"
+                    "workload.locality = 0.6\n",
+                    {"--pattern", "permutation", "--locality", "0.6"},
+                    nullptr, "--locality implies --pattern local"},
+        WorkloadRow{"LocalWithHotspotNode",
+                    "workload.pattern = local\nworkload.hotspot_node = 5\n",
+                    {"--pattern", "local", "--hotspot-node", "5"}, nullptr,
+                    "--hotspot-node implies --pattern hotspot"},
+        // One cluster index in two spellings is one cluster set twice.
+        WorkloadRow{"RateIndexTwice",
+                    "workload.rate.1 = 2\nworkload.rate.01 = 4\n",
+                    {"--rate-scale", "1=2,01=4"}, nullptr,
+                    "duplicate cluster index 1"},
+        // Every key at once (locality, which contradicts the hotspot keys,
+        // is the next row's).
+        WorkloadRow{"EveryKeyAtOnce",
+                    "workload.pattern = hotspot\n"
+                    "workload.hotspot_fraction = 0.2\n"
+                    "workload.hotspot_node = 3\nworkload.rate.0 = 2.5\n"
+                    "workload.rate.2 = 0.5\n"
+                    "workload.msg_len = bimodal:4,32,0.1\n"
+                    "workload.arrival = mmpp:4,8\n",
+                    {"--pattern", "hotspot", "--hotspot-fraction", "0.2",
+                     "--hotspot-node", "3", "--rate-scale", "0=2.5,2=0.5",
+                     "--msg-len", "bimodal:4,32,0.1", "--arrival",
+                     "mmpp:4,8"},
+                    "hotspot 20% -> node 3, per-cluster rates, "
+                    "bimodal:4,32,0.1, mmpp:4,8",
+                    nullptr},
+        WorkloadRow{"LocalWithRate",
+                    "workload.pattern = local\nworkload.locality = 0.7\n"
+                    "workload.rate.3 = 2\n",
+                    {"--pattern", "local", "--locality", "0.7",
+                     "--rate-scale", "3=2"},
+                    "local 70%, per-cluster rates", nullptr}),
+    [](const ::testing::TestParamInfo<WorkloadRow>& info) {
+      return info.param.name;
+    });
+
+TEST(ConfigParser, MutationPropertyNeverCrashesOnlyStructuredErrors) {
+  // The config-file counterpart of the scenario parser's mutation sweep:
+  // the five INI operators, plus numbers replaced by values at or past
+  // every bound and topology specs past the 2^22-node cap. Each trial must
+  // parse or raise std::invalid_argument, never another exception type or
+  // a crash (the suite runs under ASan/UBSan in CI). The base carries every
+  // key; locality contradicts the hotspot keys, so each trial carries one
+  // of the two pattern families.
+  constexpr const char* kBase = R"([system]
+m = 4
+icn2 = fast
+icn2_topology = torus:2x2
+message_flits = 16
+flit_bytes = 64
+%PATTERN%workload.rate.1 = 2.5
+workload.msg_len = bimodal:8,64,0.1
+workload.arrival = mmpp:4,8
+
+[network fast]
+bandwidth = 500
+network_latency = 0.01
+switch_latency = 0.02
+
+[network slow]
+bandwidth = 250
+network_latency = 0.05
+switch_latency = 0.01
+
+[clusters]
+count = 2
+n = 2
+icn1 = fast
+ecn1 = slow
+
+[clusters]
+count = 2
+topology = mesh:2x3
+ecn1_topology = mesh:2x3,tap=center
+icn1 = fast
+ecn1 = slow
+)";
+  const char* const kPatterns[] = {
+      "workload.pattern = hotspot\nworkload.hotspot_fraction = 0.25\n"
+      "workload.hotspot_node = 7\n",
+      "workload.pattern = local\nworkload.locality = 0.7\n"};
+  const char* const kExtremes[] = {"2000000000", "9223372036854775807",
+                                   "1e999", "nan"};
+  const char* const kOversized[] = {"tree:m=200000,n=4", "mesh:2x23",
+                                    "torus:4096x2048", "crossbar:4194305",
+                                    "dragonfly:64,64,64"};
+  Rng rng(20261017);
+  const auto replace_number = [&](std::string& text) {
+    const std::size_t at =
+        text.find_first_of("0123456789", Pick(rng, text.size() + 1));
+    if (at == std::string::npos) return;
+    const std::size_t end = text.find_first_not_of("0123456789.", at);
+    text.replace(at, (end == std::string::npos ? text.size() : end) - at,
+                 kExtremes[Pick(rng, std::size(kExtremes))]);
+  };
+  const auto oversize_topology = [&](std::string& text) {
+    std::vector<std::size_t> values;
+    for (std::size_t at = text.find("topology = "); at != std::string::npos;
+         at = text.find("topology = ", at + 1)) {
+      values.push_back(at + std::string("topology = ").size());
+    }
+    if (values.empty()) return;
+    const std::size_t from = values[Pick(rng, values.size())];
+    const std::size_t end = text.find('\n', from);
+    text.replace(from, (end == std::string::npos ? text.size() : end) - from,
+                 kOversized[Pick(rng, std::size(kOversized))]);
+  };
+
+  constexpr int kTrials = 1000;
+  int parsed_ok = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string text = kBase;
+    text.replace(text.find("%PATTERN%"), 9, kPatterns[trial % 2]);
+    const std::size_t mutations = 1 + Pick(rng, 3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t op = Pick(rng, kIniMutations + 2);
+      if (op < kIniMutations) {
+        MutateIni(text, op, rng);
+      } else if (op == kIniMutations) {
+        replace_number(text);
+      } else {
+        oversize_topology(text);
+      }
+    }
+    try {
+      ParseExperiment(text);
+      ++parsed_ok;
+    } catch (const std::invalid_argument& e) {
+      ASSERT_FALSE(std::string(e.what()).empty()) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(parsed_ok, 0);
+  EXPECT_LT(parsed_ok, kTrials);
 }
 
 }  // namespace

@@ -457,7 +457,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadKeyCase{"HotspotNodeOutOfRange",
                    "workload.pattern = hotspot\nworkload.hotspot_node = "
                    "999\n",
-                   "outside [0, N)"},
+                   "outside [0, 16)"},
         // System-dependent validation failures must carry the config
         // location (the [system] section's line), not surface bare from
         // Workload::Validate deep inside the model.
