@@ -99,22 +99,6 @@ void BM_ModelSweepPointwise(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSweepPointwise);
 
-// Warm-started saturation search: re-running with the refined bracket of a
-// previous run on the same model (the incremental-sweep case — e.g. the
-// Engine re-reporting a cached scenario) skips every probe.
-void BM_SaturationWarm(benchmark::State& state) {
-  const auto sys = MakeSystem1120(MessageFormat{32, 256});
-  const CompiledModel model(sys);
-  SaturationBracket bracket;
-  benchmark::DoNotOptimize(
-      model.SaturationRate(2e-3, 1e-3, nullptr, &bracket));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.SaturationRate(2e-3, 1e-3, &bracket, nullptr));
-  }
-}
-BENCHMARK(BM_SaturationWarm);
-
 // The rebind pair: one workload-dial move on the N=1120 organization —
 // bump one cluster's rate scale — recompiled incrementally
 // (CompiledModel::Rebind) vs from scratch. Both produce bit-identical
@@ -209,25 +193,6 @@ void BM_WorkloadDialSweepCold(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_WorkloadDialSweepCold);
-
-// Certified bracket transfer: the saturation search at an adjacent workload
-// point, warm-started from the previous point's refined bracket (two
-// certification probes + the probes the bracket doesn't answer) vs the cold
-// search BM_SaturationSearch1120 tracks.
-void BM_SaturationBracketTransfer(benchmark::State& state) {
-  const auto sys = MakeSystem1120(MessageFormat{32, 256});
-  const CompiledModel prev(sys, Workload::ClusterLocal(0.5));
-  SaturationBracket bracket;
-  benchmark::DoNotOptimize(
-      prev.SaturationRate(2e-3, 1e-3, nullptr, &bracket));
-  const CompiledModel next = prev.Rebind(Workload::ClusterLocal(0.55));
-  for (auto _ : state) {
-    const SaturationBracket warm = next.CertifyBracketTransfer(bracket);
-    benchmark::DoNotOptimize(
-        next.SaturationRate(2e-3, 1e-3, &warm, nullptr));
-  }
-}
-BENCHMARK(BM_SaturationBracketTransfer);
 
 }  // namespace
 }  // namespace coc

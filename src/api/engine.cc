@@ -171,8 +171,7 @@ double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
     if (entry->saturation_rate) return *entry->saturation_rate;
   }
   const double rate = entry->model->SaturationRate(
-      1.0, 1e-3, /*warm=*/nullptr, /*refined=*/nullptr,
-      deadline.Enabled() ? &deadline : nullptr);
+      1.0, 1e-3, deadline.Enabled() ? &deadline : nullptr);
   if (std::isnan(rate)) {
     // +inf is a certified "never saturates"; NaN means the search lost its
     // bracket.

@@ -143,8 +143,6 @@ std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
   std::vector<WorkloadGridPoint> points;
   points.reserve(spec.values.size());
   std::optional<CompiledModel> model;
-  SaturationBracket prev;
-  bool have_prev = false;
   for (std::size_t k = 0; k < spec.values.size(); ++k) {
     spec.deadline.Check("workload grid",
                         std::to_string(k) + " of " +
@@ -153,33 +151,28 @@ std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
     const Workload workload =
         ApplyWorkloadDial(spec.base, spec.dial, spec.values[k],
                           spec.rate_scale_cluster, sys.num_clusters());
+    // The arrival SCV enters only the G/G/1 waits, never a tracked
+    // utilization or the saturated flag, so a move of the arrival process
+    // alone leaves lambda* where it was (tests/arrival_process_test.cc).
+    bool same_saturation = false;
     if (!model) {
       model.emplace(sys, workload, spec.model_opts);
     } else {
+      Workload prev = model->workload();
+      prev.arrival = workload.arrival;
+      same_saturation = prev == workload;
       model = model->Rebind(workload);
     }
     WorkloadGridPoint p;
     p.dial_value = spec.values[k];
     p.rebind = model->rebind_stats();
     p.results = model->EvaluateMany(spec.rates);
-    // Transfer the previous dial point's refined bracket: certify each edge
-    // against THIS model, then warm-start. An adjacent move barely shifts
-    // lambda*, so most bisection probes are answered by the bracket; an
-    // invalid transfer degrades to a cold-equivalent search.
-    SaturationBracket warm;
-    const SaturationBracket* warm_ptr = nullptr;
-    int transfer_probes = 0;
-    if (have_prev) {
-      warm = model->CertifyBracketTransfer(prev, &spec.deadline);
-      transfer_probes = warm.probes;
-      warm_ptr = &warm;
+    if (same_saturation) {
+      p.saturation_rate = points.back().saturation_rate;
+    } else {
+      p.saturation_rate = model->SaturationRate(1.0, 1e-3, &spec.deadline,
+                                                &p.saturation_probes);
     }
-    SaturationBracket refined;
-    p.saturation_rate = model->SaturationRate(1.0, 1e-3, warm_ptr, &refined,
-                                              &spec.deadline);
-    p.saturation_probes = transfer_probes + refined.probes;
-    prev = refined;
-    have_prev = true;
     points.push_back(std::move(p));
   }
   return points;

@@ -75,9 +75,8 @@ struct WorkloadGridPoint {
   double dial_value = 0;
   std::vector<ModelResult> results;  ///< one per WorkloadGridSpec::rates
   double saturation_rate = 0;
-  /// Model evaluations the saturation answer cost at this point, including
-  /// the bracket-transfer certification probes. The warm-started points of
-  /// a grid spend a fraction of the first (cold) point's probes.
+  /// Model evaluations the saturation search spent at this point; 0 when
+  /// the point reused the previous point's rate (an arrival-only move).
   int saturation_probes = 0;
   CompiledModel::RebindStats rebind;  ///< structure reuse at this point
 };
@@ -100,11 +99,12 @@ struct WorkloadGridSpec {
 };
 
 /// Runs the dial sweep. The first point compiles cold; every later point
-/// rebinds the previous point's compiled structure (CompiledModel::Rebind)
-/// and warm-starts its saturation search from the previous point's refined
-/// bracket after certifying the transfer (CertifyBracketTransfer). Results
-/// are bit-identical to compiling and searching each point cold — the
-/// shortcuts only skip work, never change arithmetic (pinned by
+/// rebinds the previous point's compiled structure (CompiledModel::Rebind).
+/// Each point runs the cold saturation search, except that a point whose
+/// workload differs from the previous one only in its arrival process
+/// reuses that point's saturation rate: the arrival SCV moves no tracked
+/// utilization and never the saturated flag, so lambda* stays put. Results
+/// are bit-identical to compiling and searching each point cold (pinned by
 /// tests/harness_test.cc).
 std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
                                                const WorkloadGridSpec& spec);

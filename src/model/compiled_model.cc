@@ -705,65 +705,24 @@ SaturationProbe CompiledModel::ProbeSaturation(double lambda_g,
 }
 
 double CompiledModel::SaturationRate(double upper_bound, double rel_tol,
-                                     const SaturationBracket* warm,
-                                     SaturationBracket* refined,
-                                     const Deadline* deadline) const {
+                                     const Deadline* deadline,
+                                     int* probes) const {
   Scratch scratch;
   ModelResult r;
-  int probes = 0;
+  int count = 0;
   const auto probe = [&](double lambda_g) {
     // Cooperative per-probe deadline: each bisection/expansion step costs
     // one full model evaluation, the natural check granularity.
     if (deadline != nullptr) {
       deadline->Check("saturation search",
-                      std::to_string(probes) + " probes completed");
+                      std::to_string(count) + " probes completed");
     }
-    ++probes;
+    ++count;
     return ProbeSaturation(lambda_g, scratch, r);
   };
-  return SaturationSearch(probe, upper_bound, rel_tol, warm, refined);
-}
-
-SaturationBracket CompiledModel::CertifyBracketTransfer(
-    const SaturationBracket& adjacent, const Deadline* deadline) const {
-  // Starts from the bracket that certifies nothing; each edge of the
-  // adjacent model's bracket is admitted only after a direct probe of THIS
-  // model confirms it. A refuted edge contributes the fact its probe did
-  // establish instead (a saturated probe at the transferred finite edge
-  // certifies saturation there and above; a finite probe at the transferred
-  // saturated edge certifies finiteness there and below), so even a wildly
-  // wrong hypothesis only costs the two probes — SaturationRate's search
-  // then proceeds exactly as a cold search would within the certified facts.
-  SaturationBracket out;
-  Scratch scratch;
-  ModelResult r;
-  int probes = 0;
-  const auto probe = [&](double lambda_g) {
-    if (deadline != nullptr) {
-      deadline->Check("saturation bracket transfer",
-                      std::to_string(probes) + " probes completed");
-    }
-    ++probes;
-    return ProbeSaturation(lambda_g, scratch, r);
-  };
-  if (adjacent.finite_lo > 0 && std::isfinite(adjacent.finite_lo)) {
-    if (probe(adjacent.finite_lo).saturated) {
-      out.saturated_hi = adjacent.finite_lo;
-    } else {
-      out.finite_lo = adjacent.finite_lo;
-    }
-  }
-  if (std::isfinite(adjacent.saturated_hi) &&
-      adjacent.saturated_hi > out.finite_lo &&
-      adjacent.saturated_hi < out.saturated_hi) {
-    if (probe(adjacent.saturated_hi).saturated) {
-      out.saturated_hi = std::min(out.saturated_hi, adjacent.saturated_hi);
-    } else {
-      out.finite_lo = std::max(out.finite_lo, adjacent.saturated_hi);
-    }
-  }
-  out.probes = probes;
-  return out;
+  const double rate = SaturationSearch(probe, upper_bound, rel_tol);
+  if (probes != nullptr) *probes = count;
+  return rate;
 }
 
 }  // namespace coc

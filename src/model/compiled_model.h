@@ -86,17 +86,13 @@ class CompiledModel {
   /// Bit-identical to LatencyModel::Bottleneck.
   BottleneckReport Bottleneck(double lambda_g) const;
 
-  /// Bit-identical to LatencyModel::SaturationRate, with the shared
-  /// search's warm-start seam exposed: `warm` (optional) must hold
-  /// certified facts about THIS model — e.g. the `refined` bracket a
-  /// previous call returned — and lets the search skip every probe the
-  /// bracket already answers without changing the result. `deadline`
-  /// (optional) is probed once per model evaluation; a trip throws
-  /// DeadlineExceeded with the probe count as partial progress.
+  /// Bit-identical to LatencyModel::SaturationRate. `deadline` (optional)
+  /// is probed once per model evaluation; a trip throws DeadlineExceeded
+  /// with the probe count as partial progress. `probes` (optional) receives
+  /// the number of model evaluations the search spent.
   double SaturationRate(double upper_bound, double rel_tol = 1e-3,
-                        const SaturationBracket* warm = nullptr,
-                        SaturationBracket* refined = nullptr,
-                        const Deadline* deadline = nullptr) const;
+                        const Deadline* deadline = nullptr,
+                        int* probes = nullptr) const;
 
   /// Incrementally compiles a model for an adjacent workload on the same
   /// system and options. Bit-identical to
@@ -119,19 +115,6 @@ class CompiledModel {
                             ///< rebind source or deduped within one compile)
   };
   const RebindStats& rebind_stats() const { return rebind_stats_; }
-
-  /// Transfers a refined saturation bracket certified for an *adjacent*
-  /// model (the `refined` output of its SaturationRate) onto this model:
-  /// each transferred edge is re-certified with one direct probe, so the
-  /// returned bracket holds only facts true of THIS model and is safe to
-  /// pass as SaturationRate's `warm` without changing its result. An edge
-  /// the probe refutes flips to the fact the probe did establish, so an
-  /// invalid transfer (the dial move shifted saturation outside the old
-  /// bracket) degrades to a cold-search-equivalent run instead of
-  /// mis-certifying.
-  SaturationBracket CertifyBracketTransfer(
-      const SaturationBracket& adjacent,
-      const Deadline* deadline = nullptr) const;
 
  private:
   /// One deduplicated intra-cluster class: everything Eqs. 4-19 need that
@@ -229,8 +212,8 @@ class CompiledModel {
   void EvaluateInto(double lambda_g, Scratch& scratch,
                     ModelResult& result) const;
   /// One saturation-search probe: evaluate at lambda_g and fold the tracked
-  /// utilizations to the max rho (the certified facts SaturationSearch and
-  /// CertifyBracketTransfer reason from).
+  /// utilizations to the max rho (the certificate SaturationSearch reasons
+  /// from).
   SaturationProbe ProbeSaturation(double lambda_g, Scratch& scratch,
                                   ModelResult& r) const;
 
@@ -239,10 +222,10 @@ class CompiledModel {
   ModelOptions opts_;
 
   // Global message-format moments and option booleans. The arrival SCV
-  // enters only the per-rate G/G/1 evaluations (mg1.h GG1Wait), never the
-  // per-class constant tuples, so Rebind's class-reuse rules are untouched
-  // by arrival-process moves — a burstiness dial step reuses the full
-  // structure.
+  // enters only the per-rate G/G/1 waits (mg1.h GG1Wait), never the
+  // per-class constant tuples, a tracked utilization or the saturated flag:
+  // a burstiness dial step reuses the full structure under Rebind, and
+  // RunWorkloadGrid reuses its saturation rate.
   double m_flits_ = 0;
   double flit_var_ = 0;
   double arrival_scv_ = 1.0;

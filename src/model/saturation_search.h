@@ -1,29 +1,21 @@
-// Shared saturation-point search (bisection with certified-classification
-// shortcuts) used by CompiledModel and the tests' LatencyModel oracle.
+// Shared saturation-point search (bisection with a certified-classification
+// shortcut) used by CompiledModel and the tests' LatencyModel oracle.
 //
 // The search brackets the saturation rate lambda* — the largest rate at
 // which the model is still finite — by bisection, exactly as the seed
 // implementation did: lo = 0, hi = upper_bound, mid = (lo + hi) / 2 until
 // (hi - lo) <= rel_tol * hi. What changed is *when a probe is necessary*:
+// every queue the model counts has utilization of the form
+// rho_q(lambda) = c_q * lambda * s_q(lambda) with c_q >= 0 and the mean
+// service s_q nondecreasing in lambda (stage services grow with eta, C/D
+// and hot-eject services are constant). Hence for lambda <= p,
+// rho_q(lambda) <= (lambda / p) * rho_q(p). A saturated probe at p with max
+// tracked utilization R (>= 1 by construction) therefore certifies every
+// lambda < p / R as finite without evaluating it — the analytic initial
+// bracket: the first saturated probe typically pins lo to just below
+// lambda* in one step.
 //
-//   * rho bound. Every queue the model counts has utilization of the form
-//     rho_q(lambda) = c_q * lambda * s_q(lambda) with c_q >= 0 and the mean
-//     service s_q nondecreasing in lambda (stage services grow with eta,
-//     C/D and hot-eject services are constant). Hence for lambda <= p,
-//     rho_q(lambda) <= (lambda / p) * rho_q(p). A saturated probe at p with
-//     max tracked utilization R (>= 1 by construction) therefore certifies
-//     every lambda < p / R as finite without evaluating it — the analytic
-//     initial bracket: the first saturated probe typically pins lo to just
-//     below lambda* in one step.
-//   * warm start. A caller holding a bracket of certified facts about THIS
-//     model (finite at finite_lo, saturated at saturated_hi — e.g. the
-//     refined bracket returned by a previous search) seeds the classifier
-//     with it. Re-running the search with the previous result's bracket
-//     reproduces the cold answer bit for bit with zero model evaluations,
-//     because the bisection arithmetic never changes — only probes that the
-//     bracket already answers are skipped.
-//
-// Both shortcuts leave the lo/hi trajectory — and therefore the returned
+// The shortcut leaves the lo/hi trajectory — and therefore the returned
 // value — bit-identical to an exhaustive probe-every-midpoint search.
 //
 // The seed silently returned upper_bound when the model was still finite
@@ -47,58 +39,25 @@ struct SaturationProbe {
   double max_rho = 0;
 };
 
-/// Certified facts about one model, usable to warm-start a later search on
-/// the SAME model: the model is finite at every rate <= finite_lo and
-/// saturated at every rate >= saturated_hi. Default-constructed it certifies
-/// nothing. `probes` reports how many model evaluations the search that
-/// refined this bracket actually performed (diagnostic output only).
-struct SaturationBracket {
-  double finite_lo = 0.0;
-  double saturated_hi = std::numeric_limits<double>::infinity();
-  int probes = 0;
-};
-
 /// Runs the search. `probe(lambda)` must evaluate the model and return a
-/// SaturationProbe. `warm` (optional) seeds the classifier with certified
-/// facts about this model; `refined` (optional) receives the final bracket.
-/// Returns the saturation rate within rel_tol, or +infinity when the model
-/// never saturates.
+/// SaturationProbe. Returns the saturation rate within rel_tol, or +infinity
+/// when the model never saturates.
 template <typename ProbeFn>
-double SaturationSearch(ProbeFn&& probe, double upper_bound, double rel_tol,
-                        const SaturationBracket* warm = nullptr,
-                        SaturationBracket* refined = nullptr) {
+double SaturationSearch(ProbeFn&& probe, double upper_bound, double rel_tol) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  double finite_at = warm != nullptr ? warm->finite_lo : 0.0;
-  double saturated_at = warm != nullptr ? warm->saturated_hi : kInf;
-  double finite_below = 0.0;  // strict rho-bound certificate
+  double finite_below = 0.0;  // rho-bound certificate: finite below this
   double last_max_rho = 0.0;
-  int probes = 0;
 
   auto saturated = [&](double x) {
-    if (x <= finite_at || x < finite_below) return false;
-    if (x >= saturated_at) return true;
+    if (x < finite_below) return false;
     const SaturationProbe p = probe(x);
-    ++probes;
     last_max_rho = p.max_rho;
-    if (p.saturated) {
-      saturated_at = std::min(saturated_at, x);
-      // rho superlinearity: every rate below x / max_rho keeps every
-      // tracked rho strictly under 1, hence finite.
-      if (p.max_rho > 0 && std::isfinite(p.max_rho)) {
-        finite_below = std::max(finite_below, x / p.max_rho);
-      }
-    } else {
-      finite_at = std::max(finite_at, x);
+    // rho superlinearity: every rate below x / max_rho keeps every tracked
+    // rho strictly under 1, hence finite.
+    if (p.saturated && p.max_rho > 0 && std::isfinite(p.max_rho)) {
+      finite_below = std::max(finite_below, x / p.max_rho);
     }
     return p.saturated;
-  };
-
-  auto publish = [&](double lo, double hi) {
-    if (refined != nullptr) {
-      refined->finite_lo = lo;
-      refined->saturated_hi = hi;
-      refined->probes = probes;
-    }
   };
 
   double lo = 0.0;
@@ -108,35 +67,16 @@ double SaturationSearch(ProbeFn&& probe, double upper_bound, double rel_tol,
     // above it. Expand until a probe saturates. The rho-guided jump
     // hi / max_rho is certified to saturate the maximally-loaded queue;
     // doubling covers queues whose utilization the blend does not count.
-    bool found = false;
-    for (int iter = 0; iter < 200; ++iter) {
-      if (last_max_rho <= 0) {
-        // The classifier may have answered without probing (warm bracket),
-        // leaving no utilization to extrapolate from; measure it directly.
-        const SaturationProbe p = probe(hi);
-        ++probes;
-        last_max_rho = p.max_rho;
-      }
-      if (last_max_rho <= 0) {
-        publish(hi, kInf);
-        return kInf;  // no queue carries load: the model never saturates
-      }
+    int expansions = 0;
+    do {
+      // No queue carries load (the model never saturates), or 200 jumps
+      // found no saturated rate.
+      if (last_max_rho <= 0 || ++expansions > 200) return kInf;
       const double next = std::max(2.0 * hi, hi / last_max_rho);
-      if (!std::isfinite(next)) {
-        publish(hi, kInf);
-        return kInf;
-      }
+      if (!std::isfinite(next)) return kInf;
       lo = hi;
       hi = next;
-      if (saturated(hi)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      publish(lo, kInf);
-      return kInf;
-    }
+    } while (!saturated(hi));
   }
   // Seed bisection, bit for bit: tolerance relative to the current bracket
   // top, so a generous upper bound still resolves small saturation rates.
@@ -144,7 +84,6 @@ double SaturationSearch(ProbeFn&& probe, double upper_bound, double rel_tol,
     const double mid = 0.5 * (lo + hi);
     (saturated(mid) ? hi : lo) = mid;
   }
-  publish(lo, hi);
   return lo;
 }
 

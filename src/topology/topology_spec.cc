@@ -54,10 +54,14 @@ std::map<std::string, std::int64_t> KeyValues(const std::string& text,
 
 std::string TopologySpec::ToString() const {
   switch (type) {
+    // Unset (0) tree and crossbar parameters are omitted: the parser
+    // rejects an explicit 0.
     case Type::kTree:
-      return "tree:m=" + std::to_string(m) + ",n=" + std::to_string(n);
+      if (m == 0) return n == 0 ? "tree" : "tree:n=" + std::to_string(n);
+      return "tree:m=" + std::to_string(m) +
+             (n == 0 ? "" : ",n=" + std::to_string(n));
     case Type::kCrossbar:
-      return "crossbar:" + std::to_string(ports);
+      return ports == 0 ? "crossbar" : "crossbar:" + std::to_string(ports);
     case Type::kMesh:
       return "mesh:" + std::to_string(radix) + "x" + std::to_string(dims) +
              (tap == Tap::kCenter ? ",tap=center" : "");

@@ -64,8 +64,9 @@ TEST(Scenario, PropertyRandomizedRoundTrip) {
     s.name = "t" + std::to_string(trial);
     s.system = pick(2) ? "preset:tiny:16:64" : "some/config/file.cfg";
     if (pick(2)) {
-      s.icn2_override = ParseTopologySpec(
-          pick(2) ? "crossbar:16" : "mesh:2x2,tap=center");
+      const char* const kOverrides[] = {"crossbar:16", "mesh:2x2,tap=center",
+                                        "tree", "tree:3", "crossbar"};
+      s.icn2_override = ParseTopologySpec(kOverrides[pick(5)]);
     }
     s.analyses = 0;
     if (pick(2)) s.Request(Analysis::kModel);
@@ -141,7 +142,7 @@ TEST(Scenario, MutationPropertyNeverCrashesOnlyStructuredErrors) {
       "workload.pattern = hotspot\n"
       "workload.hotspot_fraction = 0.25\n"
       "workload.hotspot_node = 7\n"
-      "workload.len = bimodal:8:64:0.125\n"
+      "workload.msg_len = bimodal:8,64,0.125\n"
       "model.lambda_i2 = harmonic\n"
       "sweep.max_rate = 1e-3\n"
       "sweep.points = 5\n"
@@ -150,6 +151,8 @@ TEST(Scenario, MutationPropertyNeverCrashesOnlyStructuredErrors) {
       "sim.seed = 99\n"
       "sim.max_events = 100000\n"
       "sim.condis = store-forward\n";
+  // An invalid base would leave the trials exercising its one error.
+  for (const Scenario& s : ParseScenarios(base)) s.Validate();
   Rng rng(20260807);
   int parsed_ok = 0;
   for (int trial = 0; trial < 500; ++trial) {

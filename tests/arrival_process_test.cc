@@ -1,9 +1,10 @@
 // Pluggable arrival processes (src/workload/arrival_process.h): parsing,
 // the MMPP SCV closed form against the sampler, the bit-identity contract
 // (SCV == 1 arrivals are *exactly* Poisson, in the generator and in the
-// model), trace replay fidelity and its typed line-numbered diagnostics,
-// and the pinned model-vs-sim tolerance for bursty and trace scenarios on
-// every topology family.
+// model), the SCV-independence of every tracked utilization and of the
+// saturation rate, trace replay fidelity and its typed line-numbered
+// diagnostics, and the pinned model-vs-sim tolerance for bursty and trace
+// scenarios on every topology family.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -175,6 +176,65 @@ TEST(ArrivalProcess, UnitRatioMmppModelBitIdenticalToPoisson) {
       EXPECT_BIT_EQ(a.mean_latency, b.mean_latency) << "rate " << rate;
     }
     EXPECT_BIT_EQ(poisson.SaturationRate(1.0), mmpp.SaturationRate(1.0));
+  }
+}
+
+/// Every utilization a ModelResult tracks (per cluster) and the Bottleneck
+/// maxima at the same rate.
+std::vector<double> TrackedRhos(const CompiledModel& model, double rate) {
+  const ModelResult r = model.Evaluate(rate);
+  std::vector<double> rhos;
+  for (const ClusterLatency& cl : r.clusters) {
+    rhos.insert(rhos.end(), {cl.intra.source_rho, cl.inter.max_condis_rho,
+                             cl.inter.max_source_rho});
+  }
+  const BottleneckReport b = model.Bottleneck(rate);
+  rhos.insert(rhos.end(), {b.condis_rho, b.inter_source_rho,
+                           b.intra_source_rho, b.hot_eject_rho});
+  return rhos;
+}
+
+TEST(ArrivalProcess, ScvMovesNoRhoSaturatedFlagOrSaturationRate) {
+  // The arrival SCV scales only the G/G/1 waits. No tracked utilization,
+  // saturated flag or saturation rate may depend on it: RunWorkloadGrid
+  // reuses lambda* across arrival-only dial moves on this premise.
+  const std::string trace = WriteTempTrace(
+      "scv_premise.trace", "0.0 0 1 4\n0.5 1 0 4\n1.0 0 1 4\n400.0 1 0 4\n");
+  const MessageFormat fmt{32, 256};
+  const SystemConfig systems[] = {MakeSystem1120(fmt), MakeSystem544(fmt),
+                                  MakeSmallSystem(fmt),
+                                  MakeDragonflySystem(fmt)};
+  const Workload patterns[] = {Workload::Uniform(), Workload::ClusterLocal(0.6),
+                               Workload::Hotspot(0.2, 0),
+                               Workload::Permutation()};
+  const ArrivalProcess arrivals[] = {ArrivalProcess::Mmpp(4.0, 8.0),
+                                     ArrivalProcess::Mmpp(16.0, 100.0),
+                                     ArrivalProcess::TraceReplay(trace)};
+  for (const SystemConfig& sys : systems) {
+    for (const Workload& pattern : patterns) {
+      SCOPED_TRACE("C=" + std::to_string(sys.num_clusters()) + " " +
+                   pattern.Describe());
+      const CompiledModel poisson(sys, pattern);
+      const double sat = poisson.SaturationRate(1.0);
+      ASSERT_TRUE(std::isfinite(sat));
+      for (const ArrivalProcess& arrival : arrivals) {
+        SCOPED_TRACE(arrival.ToString());
+        ASSERT_GT(arrival.ArrivalScv(), 1.0);
+        Workload w = pattern;
+        w.arrival = arrival;
+        const CompiledModel bursty(sys, w);
+        EXPECT_BIT_EQ(bursty.SaturationRate(1.0), sat);
+        // 40 rates up to twice lambda*, finite and saturated.
+        for (int k = 1; k <= 40; ++k) {
+          const double rate = sat * 0.05 * k;
+          ASSERT_EQ(bursty.Evaluate(rate).saturated,
+                    poisson.Evaluate(rate).saturated)
+              << "rate " << Hex(rate);
+          ASSERT_EQ(TrackedRhos(bursty, rate), TrackedRhos(poisson, rate))
+              << "rate " << Hex(rate);
+        }
+      }
+    }
   }
 }
 

@@ -4,9 +4,8 @@
 // topology family (m-port n-tree, crossbar, mesh via the mixed preset,
 // dragonfly) and every workload pattern (uniform, cluster-local, hot-spot,
 // permutation, heterogeneous rate scales, bimodal message lengths), plus
-// the non-default model-option branches. Also pins the warm- vs cold-start
-// SaturationRate identity and the bracket-expansion fix for upper bounds
-// below the true saturation point.
+// the non-default model-option branches. Also pins the bracket-expansion
+// fix for upper bounds below the true saturation point.
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -195,30 +194,6 @@ TEST(CompiledEquivalence, NonDefaultModelOptionBranches) {
   }
 }
 
-TEST(SaturationSearch, WarmStartBitIdenticalToColdWithZeroProbes) {
-  const SystemConfig sys = MakeSystem1120(MessageFormat{32, 256});
-  const CompiledModel compiled(sys);
-
-  SaturationBracket cold_bracket;
-  const double cold = compiled.SaturationRate(2e-3, 1e-3, nullptr,
-                                              &cold_bracket);
-  EXPECT_GT(cold_bracket.probes, 0);
-  EXPECT_LE(cold_bracket.finite_lo, cold_bracket.saturated_hi);
-
-  // Re-running with the refined bracket answers every probe from the
-  // certified facts: identical result, zero model evaluations.
-  SaturationBracket warm_bracket;
-  const double warm = compiled.SaturationRate(2e-3, 1e-3, &cold_bracket,
-                                              &warm_bracket);
-  EXPECT_BIT_EQ(cold, warm);
-  EXPECT_EQ(warm_bracket.probes, 0);
-
-  // A warm start from a different (valid) search still changes nothing.
-  SaturationBracket other;
-  compiled.SaturationRate(1e-1, 1e-3, nullptr, &other);
-  EXPECT_BIT_EQ(compiled.SaturationRate(2e-3, 1e-3, &other, nullptr), cold);
-}
-
 TEST(SaturationSearch, ExpandsBracketWhenFiniteAtUpperBound) {
   // Regression for the seed behavior of silently returning upper_bound when
   // the model was still finite there. An upper bound far below the true
@@ -374,77 +349,6 @@ TEST(CompiledModelRebind, ChainedDialMovesStayBitIdentical) {
       }
     }
   }
-}
-
-// --- certified saturation-bracket transfer ----------------------------------
-
-TEST(SaturationBracketTransfer, NeverChangesSaturationOnAdjacentWorkloads) {
-  // Walk a locality dial; each point warm-starts from the previous point's
-  // refined bracket after certification. The certified transfer must leave
-  // every SaturationRate bit-identical to a cold search.
-  for (const char* system_name : {"1120", "small", "dragonfly"}) {
-    SCOPED_TRACE(system_name);
-    const SystemConfig sys = MakeNamedSystem(system_name);
-    CompiledModel model(sys, Workload::ClusterLocal(0.1));
-    SaturationBracket prev;
-    double warm_rate =
-        model.SaturationRate(1.0, 1e-3, nullptr, &prev);
-    EXPECT_BIT_EQ(CompiledModel(sys, Workload::ClusterLocal(0.1))
-                      .SaturationRate(1.0),
-                  warm_rate);
-    for (double locality : {0.2, 0.3, 0.4, 0.5}) {
-      SCOPED_TRACE("locality = " + Hex(locality));
-      model = model.Rebind(Workload::ClusterLocal(locality));
-      const SaturationBracket transferred =
-          model.CertifyBracketTransfer(prev);
-      // The certification probes are facts about THIS model only.
-      EXPECT_LE(transferred.finite_lo, transferred.saturated_hi);
-      SaturationBracket refined;
-      warm_rate = model.SaturationRate(1.0, 1e-3, &transferred, &refined);
-      const double cold_rate =
-          CompiledModel(sys, Workload::ClusterLocal(locality))
-              .SaturationRate(1.0);
-      EXPECT_BIT_EQ(cold_rate, warm_rate);
-      // Adjacent points barely move the saturation rate, so a valid
-      // transfer answers most bisection probes from the bracket.
-      prev = refined;
-    }
-  }
-}
-
-TEST(SaturationBracketTransfer, InvalidTransferFallsBackInsteadOfMiscertifying) {
-  // A hotspot-fraction jump moves the saturation point far below the old
-  // bracket: the transferred finite edge is now in the saturated region.
-  // Certification must refute it (flipping the probe's fact into the
-  // bracket) and the warm search must still match the cold search exactly.
-  const SystemConfig sys = MakeSmallSystem(MessageFormat{16, 64});
-  const CompiledModel mild(sys, Workload::Hotspot(0.02, 0));
-  SaturationBracket mild_bracket;
-  const double mild_rate = mild.SaturationRate(1.0, 1e-3, nullptr,
-                                               &mild_bracket);
-  const CompiledModel heavy = mild.Rebind(Workload::Hotspot(0.7, 0));
-  const double heavy_cold = CompiledModel(sys, Workload::Hotspot(0.7, 0))
-                                .SaturationRate(1.0);
-  ASSERT_LT(heavy_cold, mild_rate * 0.5)
-      << "the jump must actually move saturation for this test to bite";
-
-  const SaturationBracket transferred =
-      heavy.CertifyBracketTransfer(mild_bracket);
-  // The old finite edge is saturated on the heavy model: the certification
-  // must have flipped it to a saturated_hi fact, not kept it as finite_lo.
-  EXPECT_LT(transferred.saturated_hi, mild_bracket.finite_lo * 1.0000001);
-  EXPECT_LT(transferred.finite_lo, heavy_cold);
-  EXPECT_BIT_EQ(heavy.SaturationRate(1.0, 1e-3, &transferred, nullptr),
-                heavy_cold);
-
-  // A fabricated nonsense bracket (both edges far above saturation) must
-  // degrade the same way: refuted edges, cold-identical result.
-  SaturationBracket bogus;
-  bogus.finite_lo = mild_rate * 4;
-  bogus.saturated_hi = mild_rate * 8;
-  const SaturationBracket checked = heavy.CertifyBracketTransfer(bogus);
-  EXPECT_BIT_EQ(heavy.SaturationRate(1.0, 1e-3, &checked, nullptr),
-                heavy_cold);
 }
 
 TEST(CompiledModel, DedupesHeterogeneousTable1Organization) {

@@ -1,5 +1,6 @@
 // Tests for the sweep harness: grid construction, model/sim sweep output,
-// formatting, CSV emission, and the environment-controlled sim budget.
+// workload-dial sweeps and their saturation probe counts, formatting, CSV
+// emission, and the environment-controlled sim budget.
 #include <algorithm>
 #include <cstdlib>
 
@@ -174,8 +175,8 @@ TEST(Harness, FormatsContainSeriesAndLabel) {
 }
 
 TEST(Harness, WorkloadGridBitIdenticalToPerPointColdCompiles) {
-  // The dial sweep's rebind chain and certified saturation warm-starts are
-  // pure shortcuts: every point must match a cold compile + cold search.
+  // The dial sweep's rebind chain is a pure shortcut: every point must
+  // match a cold compile + cold search.
   const auto sys = MakeSmallSystem(MessageFormat{16, 64});
   WorkloadGridSpec spec;
   spec.dial = WorkloadDial::kLocality;
@@ -207,7 +208,8 @@ TEST(Harness, BurstinessGridBitIdenticalToPerPointColdCompiles) {
   // The burstiness dial walks the arrival process from Poisson (ratio 1)
   // into deep bursts. Arrival moves are the cheapest rebind (evaluate-time
   // SCV only), so every point past the first must reuse the full compiled
-  // structure — and still match a cold compile bit for bit.
+  // structure and the first point's saturation rate — and still match a
+  // cold compile and cold search bit for bit.
   const auto sys = MakeSmallSystem(MessageFormat{16, 64});
   WorkloadGridSpec spec;
   spec.dial = WorkloadDial::kBurstiness;
@@ -230,12 +232,70 @@ TEST(Harness, BurstinessGridBitIdenticalToPerPointColdCompiles) {
     if (k > 0) {
       EXPECT_EQ(grid[k].rebind.intra_rebuilt, 0) << "value " << spec.values[k];
       EXPECT_EQ(grid[k].rebind.pair_rebuilt, 0) << "value " << spec.values[k];
+      EXPECT_EQ(grid[k].saturation_probes, 0) << "value " << spec.values[k];
     }
   }
   // Burstiness degrades the saturation point monotonically: more variance
   // in the arrival stream means the queues blow up earlier.
   for (std::size_t k = 1; k < grid.size(); ++k) {
     EXPECT_LE(grid[k].saturation_rate, grid[k - 1].saturation_rate);
+  }
+}
+
+/// The dial values `coc_cli sweep --sweep-<dial> LO:HI:STEP` walks.
+std::vector<double> DialGrid(double lo, double hi, double step) {
+  std::vector<double> values;
+  for (int i = 0;; ++i) {
+    const double v = lo + i * step;
+    if (v > hi + step * 1e-9) break;
+    values.push_back(std::min(v, hi));
+  }
+  return values;
+}
+
+TEST(Harness, DialSweepSaturationProbeCountsArePinned) {
+  // Exact per-point saturation probes of the four dial sweeps on the
+  // Table 1 organizations, as `coc_cli sweep preset:P --max-rate 4e-4
+  // --points 2 --sweep-<dial> LO:HI:STEP` prints them. The search is
+  // deterministic, so these counts guard it: a search that skips the rho
+  // certificate, or a grid that stops reusing lambda* across arrival-only
+  // moves, changes them. Burstiness points after the first reuse lambda*.
+  const struct {
+    int preset;
+    WorkloadDial dial;
+    double lo, hi, step;
+    std::vector<int> probes;
+  } cases[] = {
+      {1120, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
+       {16, 15, 18, 17, 15, 17, 14, 13}},
+      {1120, WorkloadDial::kBurstiness, 1, 8, 1, {16, 0, 0, 0, 0, 0, 0, 0}},
+      {1120, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
+       {19, 17, 18, 19, 17, 18, 18, 16}},
+      {1120, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
+       {16, 16, 16, 16, 16, 16, 16, 16, 16}},
+      {544, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
+       {15, 14, 17, 16, 14, 16, 13, 12}},
+      {544, WorkloadDial::kBurstiness, 1, 8, 1, {19, 0, 0, 0, 0, 0, 0, 0}},
+      {544, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
+       {17, 17, 15, 16, 17, 15, 16, 15}},
+      {544, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
+       {19, 19, 19, 19, 19, 19, 19, 19, 19}},
+  };
+  const MessageFormat fmt{32, 256};
+  const SystemConfig sys1120 = MakeSystem1120(fmt);
+  const SystemConfig sys544 = MakeSystem544(fmt);
+  for (const auto& c : cases) {
+    WorkloadGridSpec spec;
+    spec.dial = c.dial;
+    spec.values = DialGrid(c.lo, c.hi, c.step);
+    spec.rates = LinearRates(4e-4, 2);
+    std::vector<int> probes;
+    for (const WorkloadGridPoint& p :
+         RunWorkloadGrid(c.preset == 1120 ? sys1120 : sys544, spec)) {
+      probes.push_back(p.saturation_probes);
+    }
+    EXPECT_EQ(probes, c.probes)
+        << "preset:" << c.preset << " " << WorkloadDialName(c.dial);
   }
 }
 

@@ -370,10 +370,13 @@ TEST(TopologySpec, ParsesAllForms) {
 }
 
 TEST(TopologySpec, RoundTripsThroughToString) {
+  // Unset tree and crossbar parameters too: ToString must omit them, since
+  // the parser rejects an explicit 0.
   for (const char* text : {"tree:m=8,n=2", "crossbar:16", "mesh:4x2",
                            "torus:3x3", "mesh:4x2,tap=center",
                            "torus:5x2,tap=center", "dragonfly:4,2,2",
-                           "dragonfly:2,1,3,routing=valiant"}) {
+                           "dragonfly:2,1,3,routing=valiant", "tree", "tree:3",
+                           "tree:m=8", "crossbar"}) {
     const auto spec = ParseTopologySpec(text);
     EXPECT_EQ(ParseTopologySpec(spec.ToString()), spec) << text;
   }
