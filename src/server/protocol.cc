@@ -107,7 +107,6 @@ std::string RequestHandler::Evaluate(const Json& request, bool envelope) {
     // cached ok report is valid under any deadline.
     const ResultCache::Lookup lookup =
         cache_.GetOrCompute(scenario.Serialize(), [&] {
-          ++evaluated_scenarios_;
           const std::vector<Report> reports =
               engine_.EvaluateBatch({scenario}, opts);
           ResultCache::Computed computed;
@@ -139,11 +138,10 @@ Json RequestHandler::StatsJson() const {
   const ResultCache::Stats c = cache_.GetStats();
   const Engine::CacheStats e = engine_.Stats();
   Json j = Json::Object();
-  j.Set("schema_version", 1);
+  j.Set("schema_version", 2);
   j.Set("cache", counters({{"capacity", c.capacity}, {"entries", c.entries},
                            {"hits", c.hits}, {"misses", c.misses},
-                           {"evictions", c.evictions},
-                           {"coalesced", c.coalesced}}));
+                           {"evictions", c.evictions}}));
   j.Set("engine", counters({{"systems", e.systems}, {"sims", e.sims},
                             {"models", e.models},
                             {"model_rebinds", e.model_rebinds},
@@ -152,7 +150,6 @@ Json RequestHandler::StatsJson() const {
                             {"system_evictions", e.system_evictions}}));
   j.Set("server",
         counters({{"requests", requests_.load()},
-                  {"evaluated_scenarios", evaluated_scenarios_.load()},
                   {"protocol_errors", protocol_errors_.load()},
                   {"connections", connections_.load()},
                   {"shed", shed_.load()}}));

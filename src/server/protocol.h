@@ -17,8 +17,10 @@
 //               timing block;
 //   batch     → the offline BatchToJson envelope, each report carrying its
 //               own "cache" field, plus an envelope-level "server" block;
-//   stats     → {"schema_version", "cache": {..}, "engine": {..},
-//               "server": {..}} counters;
+//   stats     → schema_version 2: {"schema_version", "cache": {"capacity",
+//               "entries", "hits", "misses", "evictions"}, "engine": {..},
+//               "server": {"requests", "protocol_errors", "connections",
+//               "shed"}} counters (a miss is one scenario evaluated);
 //   failures  → {"status": {"code", "ok": false, "message"}} in the
 //               common/status.h taxonomy (a line that is not JSON, or a
 //               field of the wrong type, is a usage_error). A malformed
@@ -26,11 +28,12 @@
 //               in sync and the next request is served normally.
 //
 // Results are bit-identical to offline batch runs for any worker count:
-// every scenario evaluates through Engine::EvaluateBatch and is rendered
-// once, compact (Report::ToJson().Dump()), into the result cache. Responses
-// are spliced from those bytes: each report is reopened at its closing '}'
-// for its "cache" field, and the "server" block closes the response — byte
-// for byte the dump of the report tree with those keys added.
+// every scenario evaluates through Engine::EvaluateBatch and is rendered on
+// its miss, compact (Report::ToJson().Dump()), into the result cache.
+// Responses are spliced from those bytes: each report is reopened at its
+// closing '}' for its "cache" field, and the "server" block closes the
+// response — byte for byte the dump of the report tree with those keys
+// added.
 #pragma once
 
 #include <atomic>
@@ -65,6 +68,7 @@ class RequestHandler {
   // "server" block of StatsJson).
   void CountConnection() { ++connections_; }
   void CountShed() { ++shed_; }
+  void CountProtocolError() { ++protocol_errors_; }
 
   Engine& engine() { return engine_; }
   const ResultCache& cache() const { return cache_; }
@@ -77,7 +81,6 @@ class RequestHandler {
   ResultCache cache_;
   const FaultInjector faults_;
   std::atomic<std::uint64_t> requests_{0};  ///< admitted evaluate/batch ops
-  std::atomic<std::uint64_t> evaluated_scenarios_{0};  ///< cache misses run
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> shed_{0};

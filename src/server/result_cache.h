@@ -3,27 +3,24 @@
 // Canonicalization is what makes content addressing sound — two textually
 // different scenario sections that parse to the same semantics serialize to
 // the same bytes, so they share one cache entry. The server stores each
-// report's compact Dump as a Json string, so hits, inserts and coalesced
-// waiters copy bytes, not a tree, and a hit is byte-identical to its miss.
+// report's compact Dump as a Json string, so hits and inserts copy bytes,
+// not a tree, and a hit is byte-identical to its miss.
 //
-// Single-flight: concurrent requests for the same key compute once. The
-// first caller (the leader) runs `compute`; every concurrent duplicate
-// blocks on the leader's in-flight record and shares its result (counted as
-// a coalesced hit). A leader failure propagates the same exception to every
-// waiter and caches nothing, so transient failures are retried by the next
-// request rather than pinned.
+// One rule, the one Engine::GetSystem and Engine::GetModel follow: a hit
+// returns the stored bytes; a miss runs `compute` with no lock held, so each
+// request is evaluated under its own deadline and never waits on another.
+// Concurrent misses of one key each compute and each return their own
+// result; the first cacheable one inserted is kept (LruMap::Insert).
 //
 // Only results the compute callback marks cacheable enter the LRU — the
 // server marks exactly the ok reports, so a deadline-tripped or faulted
 // evaluation (whose outcome depends on wall time or an injection counter)
-// can never poison the cache.
+// can never poison the cache. A compute that throws caches nothing, so a
+// transient failure is retried by the next request rather than pinned.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -35,7 +32,7 @@ namespace coc {
 class ResultCache {
  public:
   /// `capacity` is in entries; 0 disables caching entirely (every request
-  /// computes) while single-flight deduplication keeps working.
+  /// computes).
   explicit ResultCache(std::size_t capacity) : lru_(capacity) {}
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -49,45 +46,28 @@ class ResultCache {
   /// What a lookup hands out.
   struct Lookup {
     Json report;
-    /// True when the report came from the cache or from coalescing onto a
-    /// concurrent leader — either way, this caller ran no evaluation.
-    bool hit = false;
+    bool hit = false;  ///< true when the report came from the cache
   };
 
   struct Stats {
     std::size_t capacity = 0;
     std::size_t entries = 0;
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t misses = 0;  ///< computes run
     std::uint64_t evictions = 0;
-    /// Of the hits, how many were waiters coalesced onto an in-flight
-    /// leader rather than served from a resident entry.
-    std::uint64_t coalesced = 0;
   };
 
-  /// Returns the report for `key`, running `compute` at most once across
-  /// all concurrent callers of the same key. `compute` runs without the
-  /// cache lock held, so distinct keys never serialize each other. If the
-  /// leader's compute throws, the exception propagates to the leader and
-  /// every coalesced waiter alike.
+  /// Returns the cached report for `key`, or else runs `compute` (without
+  /// the cache lock) and returns its result. An exception from `compute`
+  /// propagates to this caller and caches nothing.
   Lookup GetOrCompute(const std::string& key,
                       const std::function<Computed()>& compute);
 
   Stats GetStats() const;
 
  private:
-  /// One in-flight computation; waiters block on `cv` until `done`.
-  struct InFlight {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Computed value;
-    std::exception_ptr error;
-  };
-
   mutable std::mutex mu_;
   LruMap<Json> lru_;  ///< capacity 0 never inserts
-  std::map<std::string, std::shared_ptr<InFlight>> inflight_;
   Stats stats_;
 };
 

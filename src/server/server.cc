@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -191,6 +192,7 @@ void EvalServer::ServeConnection(int fd, std::size_t slot) {
   // Each byte is searched for '\n' once, and answered lines are dropped
   // once per recv: long or pipelined input costs linear time.
   std::string buffer;  // between recvs: a partial line, no '\n'
+  bool skipping = false;  // buffer's line passed the bound and was answered
   std::string line;
   char chunk[4096];
   bool open = true;
@@ -200,12 +202,22 @@ void EvalServer::ServeConnection(int fd, std::size_t slot) {
     if (n <= 0) break;  // EOF or error: the client is done
     const std::size_t searched = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
+    auto eol = buffer.find('\n', searched);
+    if (std::min(eol, buffer.size()) > kMaxRequestLineBytes) {
+      // Answered once; its bytes are dropped as they arrive, through its
+      // newline, so the buffer never holds more than the bound and a chunk.
+      handler_.CountProtocolError();
+      WriteStatusLine(fd, StatusCode::kUsageError,
+                      "request line longer than " +
+                          std::to_string(kMaxRequestLineBytes) +
+                          " bytes (16 MiB); skipped through its newline");
+      skipping = true;
+    }
     std::size_t begin = 0;  // first byte of the first unanswered line
-    for (auto eol = buffer.find('\n', searched); eol != std::string::npos;
-         eol = buffer.find('\n', begin)) {
-      line.assign(buffer, begin, eol - begin);
-      begin = eol + 1;
-      if (line.empty()) continue;
+    for (; eol != std::string::npos; eol = buffer.find('\n', begin)) {
+      const std::size_t from = std::exchange(begin, eol + 1);
+      if (std::exchange(skipping, false) || eol == from) continue;
+      line.assign(buffer, from, eol - from);
       bool shutdown_requested = false;
       const std::string response =
           handler_.HandleLine(line, &shutdown_requested);
@@ -220,6 +232,7 @@ void EvalServer::ServeConnection(int fd, std::size_t slot) {
       }
     }
     buffer.erase(0, begin);
+    if (skipping) buffer.clear();
   }
   active_fds_[slot]->store(-1);
   close(fd);

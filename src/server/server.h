@@ -9,6 +9,9 @@
 //   * each worker owns one connection at a time and serves its requests
 //     sequentially until EOF (clients pipeline by writing several lines, or
 //     shutdown(SHUT_WR) after the last request for one-shot use);
+//   * a request line past kMaxRequestLineBytes is answered with one
+//     `usage_error` line and skipped through its newline, so no client can
+//     grow a worker's buffer without limit; the connection keeps serving;
 //   * graceful drain (Stop, or SIGINT/SIGTERM via
 //     InstallDrainSignalHandlers): the acceptor stops, in-flight requests
 //     finish and their responses are written, queued-but-unstarted
@@ -37,6 +40,9 @@
 #include "server/protocol.h"
 
 namespace coc {
+
+/// The longest request line a connection buffers (16 MiB).
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 24;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";

@@ -1,8 +1,11 @@
 #include "topology/topology_spec.h"
 
+#include <algorithm>
+#include <initializer_list>
 #include <limits>
-#include <map>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "common/parse_num.h"
 #include "topology/dragonfly.h"
@@ -33,21 +36,51 @@ int ToSmallCount(const std::string& text, const std::string& token) {
   return static_cast<int>(v);
 }
 
-/// Parses "k1=v1,k2=v2" into a map; every value must be a positive integer.
-std::map<std::string, std::int64_t> KeyValues(const std::string& text,
-                                              const std::string& params) {
-  std::map<std::string, std::int64_t> out;
-  std::size_t start = 0;
-  while (start < params.size()) {
-    auto comma = params.find(',', start);
-    if (comma == std::string::npos) comma = params.size();
-    const std::string pair = params.substr(start, comma - start);
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) Fail(text, "expected key=value: " + pair);
-    out[pair.substr(0, eq)] = ToCount(text, pair.substr(eq + 1));
+/// Splits a parameter list at commas; an empty token is an error.
+std::vector<std::string> Tokens(const std::string& text,
+                                const std::string& params) {
+  std::vector<std::string> tokens;
+  for (std::size_t start = 0;;) {
+    const auto comma = params.find(',', start);
+    tokens.push_back(params.substr(start, comma - start));
+    if (tokens.back().empty()) Fail(text, "empty parameter");
+    if (comma == std::string::npos) return tokens;
     start = comma + 1;
   }
-  return out;
+}
+
+/// The one parameter rule: positional values first, taking the keys in
+/// `positional` in order, then key=value pairs whose key is in `keys`.
+/// Calls set(key, value) per parameter; a parameter given twice, in either
+/// spelling, is an error.
+template <class Set>
+void ReadParams(const std::string& text, const std::string& family,
+                const std::vector<std::string>& tokens,
+                std::initializer_list<std::string_view> positional,
+                std::initializer_list<std::string_view> keys, Set&& set) {
+  std::vector<std::string> seen;
+  bool keyed = false;
+  for (const std::string& token : tokens) {
+    const auto eq = token.find('=');
+    if (eq == std::string::npos) {
+      if (keyed) Fail(text, "positional '" + token + "' after key=value");
+      if (seen.size() == positional.size()) {
+        Fail(text, family + " takes " + std::to_string(positional.size()) +
+                       " positional parameter(s), got extra '" + token + "'");
+      }
+      seen.emplace_back(positional.begin()[seen.size()]);
+    } else {
+      keyed = true;
+      seen.push_back(token.substr(0, eq));
+      if (std::find(keys.begin(), keys.end(), seen.back()) == keys.end()) {
+        Fail(text, "unknown " + family + " parameter '" + seen.back() + "'");
+      }
+    }
+    if (std::count(seen.begin(), seen.end(), seen.back()) > 1) {
+      Fail(text, "parameter '" + seen.back() + "' given twice");
+    }
+    set(seen.back(), eq == std::string::npos ? token : token.substr(eq + 1));
+  }
 }
 
 }  // namespace
@@ -79,79 +112,47 @@ std::string TopologySpec::ToString() const {
 TopologySpec ParseTopologySpec(const std::string& text) {
   const auto colon = text.find(':');
   const std::string head = text.substr(0, colon);
-  const std::string params =
-      colon == std::string::npos ? "" : text.substr(colon + 1);
+  std::vector<std::string> tokens;
+  if (colon != std::string::npos) tokens = Tokens(text, text.substr(colon + 1));
+  using Key = const std::string&;
 
   TopologySpec spec;
   if (head == "tree") {
     spec.type = TopologySpec::Type::kTree;
-    if (!params.empty()) {
-      if (params.find('=') == std::string::npos) {
-        spec.n = ToSmallCount(text, params);
-      } else {
-        for (const auto& [key, value] : KeyValues(text, params)) {
-          if (value > std::numeric_limits<int>::max()) {
-            Fail(text, "'" + key + "' is out of range");
-          }
-          if (key == "m") {
-            spec.m = static_cast<int>(value);
-          } else if (key == "n") {
-            spec.n = static_cast<int>(value);
-          } else {
-            Fail(text, "unknown tree parameter '" + key + "'");
-          }
-        }
-      }
-    }
+    ReadParams(text, head, tokens, {"n"}, {"m", "n"}, [&](Key key, Key value) {
+      (key == "m" ? spec.m : spec.n) = ToSmallCount(text, value);
+    });
     return spec;
   }
   if (head == "crossbar") {
     spec.type = TopologySpec::Type::kCrossbar;
-    if (!params.empty()) spec.ports = ToCount(text, params);
+    ReadParams(text, head, tokens, {"ports"}, {"ports"},
+               [&](Key, Key value) { spec.ports = ToCount(text, value); });
     return spec;
   }
   if (head == "mesh" || head == "torus") {
     spec.type = head == "mesh" ? TopologySpec::Type::kMesh
                                : TopologySpec::Type::kTorus;
-    if (params.empty()) Fail(text, "mesh/torus need RADIXxDIMS parameters");
-    // Comma-separated tokens: an optional leading RADIXxDIMS shorthand, then
-    // key=value pairs (radix=, dims=, tap=corner|center).
-    std::size_t start = 0;
-    bool first = true;
-    while (start <= params.size()) {
-      auto comma = params.find(',', start);
-      if (comma == std::string::npos) comma = params.size();
-      const std::string token = params.substr(start, comma - start);
-      start = comma + 1;
-      const auto eq = token.find('=');
-      if (eq == std::string::npos) {
-        if (!first) Fail(text, "expected key=value: " + token);
-        const auto x = token.find('x');
-        if (x == std::string::npos) Fail(text, "expected RADIXxDIMS");
-        spec.radix = ToSmallCount(text, token.substr(0, x));
-        spec.dims = ToSmallCount(text, token.substr(x + 1));
-      } else {
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "radix") {
-          spec.radix = ToSmallCount(text, value);
-        } else if (key == "dims") {
-          spec.dims = ToSmallCount(text, value);
-        } else if (key == "tap") {
-          if (value == "corner") {
-            spec.tap = TopologySpec::Tap::kCorner;
-          } else if (value == "center") {
-            spec.tap = TopologySpec::Tap::kCenter;
-          } else {
-            Fail(text, "tap must be corner or center, got '" + value + "'");
-          }
-        } else {
-          Fail(text, "unknown mesh parameter '" + key + "'");
-        }
-      }
-      first = false;
-      if (comma == params.size()) break;
+    // The positional RADIXxDIMS token holds two positional values.
+    if (!tokens.empty() && tokens[0].find('=') == std::string::npos) {
+      const auto x = tokens[0].find('x');
+      if (x == std::string::npos) Fail(text, "expected RADIXxDIMS");
+      tokens.insert(tokens.begin() + 1, tokens[0].substr(x + 1));
+      tokens[0].resize(x);
     }
+    ReadParams(text, head, tokens, {"radix", "dims"}, {"radix", "dims", "tap"},
+               [&](Key key, Key value) {
+                 if (key != "tap") {
+                   (key == "radix" ? spec.radix : spec.dims) =
+                       ToSmallCount(text, value);
+                 } else if (value == "corner" || value == "center") {
+                   spec.tap = value == "center" ? TopologySpec::Tap::kCenter
+                                                : TopologySpec::Tap::kCorner;
+                 } else {
+                   Fail(text, "tap must be corner or center, got '" + value +
+                                  "'");
+                 }
+               });
     if (spec.radix == 0 || spec.dims == 0) {
       Fail(text, "mesh/torus need both radix and dims");
     }
@@ -159,54 +160,20 @@ TopologySpec ParseTopologySpec(const std::string& text) {
   }
   if (head == "dragonfly") {
     spec.type = TopologySpec::Type::kDragonfly;
-    if (params.empty()) Fail(text, "dragonfly needs A,P,H parameters");
-    // Comma-separated tokens: up to three positional ints (a, p, h in that
-    // order), then key=value pairs (a=, p=, h=, routing=min|valiant).
-    // Positional tokens after a key=value pair are rejected (mirroring the
-    // mesh parser) — they would silently overwrite the keyed values.
-    int positional = 0;
-    bool keyed = false;
-    std::size_t start = 0;
-    while (start <= params.size()) {
-      auto comma = params.find(',', start);
-      if (comma == std::string::npos) comma = params.size();
-      const std::string token = params.substr(start, comma - start);
-      start = comma + 1;
-      const auto eq = token.find('=');
-      if (eq == std::string::npos) {
-        if (keyed) Fail(text, "expected key=value: " + token);
-        const int value = ToSmallCount(text, token);
-        switch (positional++) {
-          case 0: spec.a = value; break;
-          case 1: spec.p = value; break;
-          case 2: spec.h = value; break;
-          default: Fail(text, "dragonfly takes three positional parameters "
-                              "(a, p, h), got extra '" + token + "'");
-        }
-      } else {
-        keyed = true;
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "a") {
-          spec.a = ToSmallCount(text, value);
-        } else if (key == "p") {
-          spec.p = ToSmallCount(text, value);
-        } else if (key == "h") {
-          spec.h = ToSmallCount(text, value);
-        } else if (key == "routing") {
-          if (value == "min") {
-            spec.routing = TopologySpec::Routing::kMin;
-          } else if (value == "valiant") {
-            spec.routing = TopologySpec::Routing::kValiant;
-          } else {
-            Fail(text, "routing must be min or valiant, got '" + value + "'");
-          }
-        } else {
-          Fail(text, "unknown dragonfly parameter '" + key + "'");
-        }
-      }
-      if (comma == params.size()) break;
-    }
+    ReadParams(text, head, tokens, {"a", "p", "h"}, {"a", "p", "h", "routing"},
+               [&](Key key, Key value) {
+                 if (key != "routing") {
+                   (key == "a" ? spec.a : key == "p" ? spec.p : spec.h) =
+                       ToSmallCount(text, value);
+                 } else if (value == "min" || value == "valiant") {
+                   spec.routing = value == "valiant"
+                                      ? TopologySpec::Routing::kValiant
+                                      : TopologySpec::Routing::kMin;
+                 } else {
+                   Fail(text, "routing must be min or valiant, got '" + value +
+                                  "'");
+                 }
+               });
     if (spec.a == 0 || spec.p == 0 || spec.h == 0) {
       Fail(text, "dragonfly needs all of a, p and h");
     }

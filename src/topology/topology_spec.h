@@ -26,6 +26,12 @@
 //   dragonfly:4,2,2,routing=valiant
 //                         Valiant group-level randomized routing instead of
 //                         the default minimal (routing=min) l-g-l routing
+//
+// One parameter rule for every family: positional values come first (tree
+// n; crossbar ports; mesh/torus RADIXxDIMS, which sets radix and dims;
+// dragonfly a,p,h), then key=value pairs, so `tree:3,m=8` is tree m=8,n=3.
+// Each parameter may be given once, in either spelling (`mesh:4x2,radix=8`
+// is an error), and an empty token (`tree:m=8,`) is an error.
 #pragma once
 
 #include <cstdint>

@@ -335,6 +335,7 @@ TEST(DragonflyFamily, AccessJourneysAreTapPinnedAndShort) {
 TEST(TopologySpec, ParsesAllForms) {
   EXPECT_EQ(ParseTopologySpec("tree").type, TopologySpec::Type::kTree);
   EXPECT_EQ(ParseTopologySpec("tree:3").n, 3);
+  EXPECT_EQ(ParseTopologySpec("tree:3,m=8"), TopologySpec::Tree(8, 3));
   const auto full = ParseTopologySpec("tree:m=8,n=2");
   EXPECT_EQ(full.m, 8);
   EXPECT_EQ(full.n, 2);
@@ -407,11 +408,19 @@ TEST(TopologySpec, RejectsMalformedInput) {
   EXPECT_THROW(ParseTopologySpec("tree:m=4294967300,n=2"),
                std::invalid_argument);
   // Positional tokens after key=value pairs would silently overwrite the
-  // keyed values; rejected like the mesh parser's equivalent shape.
+  // keyed values; rejected in every family.
   EXPECT_THROW(ParseTopologySpec("dragonfly:a=8,4,2,2"),
                std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("dragonfly:4,2,2,routing=valiant,3"),
                std::invalid_argument);
+  // One parameter rule for every family: no empty token, and each
+  // parameter once, positionally or by key.
+  for (const char* text :
+       {"tree:m=8,", "tree:n=2,n=3", "mesh:4x2,radix=8",
+        "mesh:radix=4,radix=2,dims=2", "dragonfly:4,2,2,a=8",
+        "dragonfly:a=4,a=2,p=2,h=2"}) {
+    EXPECT_THROW(ParseTopologySpec(text), std::invalid_argument) << text;
+  }
   // Counts follow the one integer rule: no '+' sign.
   EXPECT_THROW(ParseTopologySpec("crossbar:+16"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("mesh:+4x2"), std::invalid_argument);

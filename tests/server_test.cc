@@ -1,6 +1,8 @@
-// The evaluation server: result-cache semantics (LRU, single-flight),
-// protocol handling, loopback round-trips pinned byte-identical to offline
-// EvaluateBatch, admission control, fault injection, and graceful drain.
+// The evaluation server: result-cache semantics (LRU; concurrent misses each
+// compute under their own deadline), protocol handling and a seeded mutation
+// property over HandleLine, loopback round-trips pinned byte-identical to
+// offline EvaluateBatch, line framing and its length bound, admission
+// control, fault injection, and graceful drain.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -31,6 +33,7 @@
 #include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/server.h"
+#include "ini_mutation.h"
 
 namespace coc {
 namespace {
@@ -104,47 +107,67 @@ TEST(ResultCache, ZeroCapacityDisablesStorageOnly) {
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
-TEST(ResultCache, SingleFlightComputesOnceAcrossConcurrentCallers) {
+TEST(ResultCache, ConcurrentMissRunsItsOwnComputeWithoutWaiting) {
+  // While one miss of "k" is blocked inside its compute, a second miss of
+  // "k" runs its own compute and returns its own result: it never waits on
+  // the first, nor takes the first's (here non-cacheable) result. A
+  // watchdog releases the blocked compute after 2 s, so a cache that makes
+  // the second call wait fails this test instead of hanging it.
   ResultCache cache(8);
-  std::atomic<int> computes{0};
   std::mutex m;
   std::condition_variable cv;
+  bool entered = false;
   bool release = false;
-  bool leader_entered = false;
-  const auto compute = [&] {
-    ++computes;
-    std::unique_lock<std::mutex> lock(m);
-    leader_entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-    return Value("v");
-  };
-  std::vector<std::thread> callers;
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 4; ++i) {
-    callers.emplace_back([&] {
-      const ResultCache::Lookup r = cache.GetOrCompute("k", compute);
-      EXPECT_EQ(r.report.AsString(), "v");
-      if (r.hit) ++hits;
+  std::thread first([&] {
+    const ResultCache::Lookup r = cache.GetOrCompute("k", [&] {
+      std::unique_lock<std::mutex> lock(m);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      return Value("first", /*cacheable=*/false);
     });
-  }
+    EXPECT_FALSE(r.hit);
+    EXPECT_EQ(r.report.AsString(), "first");
+  });
   {
-    // Wait until the leader is inside compute, then let the waiters pile
-    // up behind the in-flight record before releasing.
     std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return leader_entered; });
+    cv.wait(lock, [&] { return entered; });
+  }
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    release = true;
+    cv.notify_all();
+  });
+
+  int computes = 0;
+  const ResultCache::Lookup second = cache.GetOrCompute("k", [&] {
+    ++computes;
+    return Value("second");
+  });
+  {
+    std::lock_guard<std::mutex> lock(m);
     release = true;
     cv.notify_all();
   }
-  for (std::thread& t : callers) t.join();
-  EXPECT_EQ(computes.load(), 1);  // single flight: one compute for four calls
+  watchdog.join();
+  first.join();
+
+  EXPECT_EQ(computes, 1);
+  EXPECT_FALSE(second.hit);
+  EXPECT_EQ(second.report.AsString(), "second");
+  // Only the second result was cacheable, so it is the one kept.
+  const ResultCache::Lookup third = cache.GetOrCompute("k", [&] {
+    ++computes;
+    return Value("third");
+  });
+  EXPECT_TRUE(third.hit);
+  EXPECT_EQ(third.report.AsString(), "second");
+  EXPECT_EQ(computes, 1);
   const ResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 3u);  // every non-leader caller is a hit
-  EXPECT_EQ(hits.load(), 3);
-  // Hits split between coalesced waiters and resident-entry reads depending
-  // on when each thread got scheduled; only the bound is deterministic.
-  EXPECT_LE(stats.coalesced, stats.hits);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(ResultCache, LeaderFailurePropagatesToWaitersAndCachesNothing) {
@@ -191,17 +214,21 @@ rate = 1e-4
 sim.messages = 300
 )";
 
-std::string EvaluateLine(const std::string& scenario_text) {
+/// An evaluate request line; `deadline_ms` > 0 adds a request deadline.
+std::string EvaluateLine(const std::string& scenario_text,
+                         int deadline_ms = 0) {
   Json request = Json::Object();
   request.Set("op", "evaluate");
   request.Set("scenario", scenario_text);
+  if (deadline_ms > 0) request.Set("deadline_ms", deadline_ms);
   return JsonLine(request);
 }
 
-std::string BatchLine(const std::string& scenarios_text) {
+std::string BatchLine(const std::string& scenarios_text, int deadline_ms = 0) {
   Json request = Json::Object();
   request.Set("op", "batch");
   request.Set("scenarios", scenarios_text);
+  if (deadline_ms > 0) request.Set("deadline_ms", deadline_ms);
   return JsonLine(request);
 }
 
@@ -290,7 +317,6 @@ TEST(RequestHandler, RepeatedRequestIsACacheHitWithIdenticalBytes) {
   const Json stats = Json::Parse(handler.HandleLine("{\"op\":\"stats\"}"));
   EXPECT_EQ(stats.Find("cache")->Find("hits")->AsInt(), 3);
   EXPECT_EQ(stats.Find("cache")->Find("misses")->AsInt(), 3);
-  EXPECT_EQ(stats.Find("server")->Find("evaluated_scenarios")->AsInt(), 3);
   EXPECT_EQ(stats.Find("server")->Find("requests")->AsInt(), 2);
 }
 
@@ -400,6 +426,153 @@ TEST(RequestHandler, FailedScenariosAreNotCached) {
   }
   const Json stats = Json::Parse(handler.HandleLine("{\"op\":\"stats\"}"));
   EXPECT_EQ(stats.Find("cache")->Find("entries")->AsInt(), 0);
+}
+
+TEST(RequestHandler, EachRequestEvaluatesUnderItsOwnDeadline) {
+  // The same slow sim twice: first under a 20 ms deadline, then, while that
+  // one is evaluating, with none. The second evaluates on its own and
+  // answers ok; it never takes the first's deadline trip as a hit.
+  RequestHandler handler(Engine::Options{}, 8, FaultInjector{});
+  const std::string scenario =
+      "[scenario slow]\nsystem = preset:tiny\nanalyses = sim\n"
+      "rate = 1e-4\nsim.messages = 20000\n";
+  std::string hurried;
+  std::thread first(
+      [&] { hurried = handler.HandleLine(EvaluateLine(scenario, 20)); });
+  while (handler.cache().GetStats().misses == 0) std::this_thread::yield();
+  const Json patient = Json::Parse(handler.HandleLine(EvaluateLine(scenario)));
+  first.join();
+  EXPECT_EQ(Json::Parse(hurried).Find("status")->Find("code")->AsString(),
+            "deadline_exceeded");
+  EXPECT_EQ(patient.Find("status")->Find("code")->AsString(), "ok");
+  EXPECT_EQ(patient.Find("cache")->AsString(), "miss");
+  EXPECT_NE(patient.Find("sim"), nullptr);
+}
+
+/// True when `doc` carries a {"code": string, "ok": bool, ...} status block.
+bool HasStatusBlock(const Json& doc) {
+  const Json* status = doc.Find("status");
+  if (status == nullptr) return false;
+  const Json* code = status->Find("code");
+  const Json* ok = status->Find("ok");
+  return code != nullptr && code->kind() == Json::Kind::kString &&
+         ok != nullptr && ok->kind() == Json::Kind::kBool;
+}
+
+TEST(RequestHandler, MutationPropertyAnswersOneStructuredLine) {
+  // Seeded mutations of valid evaluate and batch lines: the five INI
+  // operators (on the scenario text before it is encoded, or on the wire
+  // bytes), deep nesting, invalid UTF-8, NaN/Infinity literals and an
+  // embedded newline, and in every 100th trial a 1 MB string first (a
+  // sanitized Debug build parses one in about 0.4 s). HandleLine must never
+  // throw and must answer exactly one '\n'-terminated JSON line: a reply
+  // with a status block, a batch envelope whose reports each carry one, or
+  // the stats payload. The bases are model-only preset:tiny scenarios under
+  // a request deadline, so every trial is cheap; the suite runs under
+  // ASan/UBSan in CI.
+  const std::string kModel =
+      "[scenario mut]\nsystem = preset:tiny\nanalyses = model,bottleneck\n"
+      "rate = 2.5e-4\nworkload.pattern = local\nworkload.locality = 0.7\n";
+  const std::string kBatch =
+      kModel +
+      "\n[scenario mut-2]\nsystem = preset:tiny\nanalyses = model\n"
+      "rate = 1e-4\nworkload.msg_len = bimodal:8,64,0.125\n";
+  const auto request_line = [](bool batch, const std::string& text) {
+    return batch ? BatchLine(text, 250) : EvaluateLine(text, 250);
+  };
+  const char* const kBadUtf8[] = {"\xff", "\xc3", "\xc0\xaf", "\xed\xa0\x80",
+                                  "\xf8\x88\x80\x80\x80"};
+  const char* const kNonFinite[] = {"NaN", "Infinity", "-Infinity", "nan",
+                                    "1e999"};
+  const std::string kHugeField =
+      "\"pad\":\"" + std::string(1 << 20, 'x') + "\",";
+  Rng rng(20261017);
+  // The INI operators, then four that act on the wire bytes only.
+  constexpr std::size_t kOperators = kIniMutations + 4;
+  const auto mutate_line = [&](std::string& line, std::size_t op) {
+    if (op < kIniMutations) {
+      MutateIni(line, op, rng);
+      return;
+    }
+    const std::size_t at = Pick(rng, line.size() + 1);
+    switch (op - kIniMutations) {
+      case 0: {  // nesting on both sides of the parser's 256-level cap
+        const std::size_t depth = 1 + Pick(rng, 512);
+        line.insert(std::min<std::size_t>(1, line.size()),
+                    "\"nest\":" + std::string(depth, '[') +
+                        std::string(depth, ']') + ",");
+        break;
+      }
+      case 1:
+        line.insert(at, kBadUtf8[Pick(rng, std::size(kBadUtf8))]);
+        break;
+      case 2: {  // a non-finite deadline_ms, or a literal anywhere
+        const char* literal = kNonFinite[Pick(rng, std::size(kNonFinite))];
+        const std::string key = "\"deadline_ms\":";
+        const auto value = line.find(key);
+        if (value == std::string::npos) {
+          line.insert(at, literal);
+          break;
+        }
+        const std::size_t from = value + key.size();
+        const std::size_t end = line.find_first_of(",}", from);
+        line.replace(from,
+                     (end == std::string::npos ? line.size() : end) - from,
+                     literal);
+        break;
+      }
+      case 3:
+        line.insert(at, "\n");
+        break;
+    }
+  };
+
+  RequestHandler handler(Engine::Options{}, 64, FaultInjector{});
+  constexpr int kTrials = 1000;
+  int evaluated = 0;  // trials answered with a report or a batch envelope
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const bool batch = trial % 2 == 1;
+    std::string text = batch ? kBatch : kModel;
+    std::vector<std::size_t> line_ops;
+    for (std::size_t m = 1 + Pick(rng, 3); m-- > 0;) {
+      const std::size_t op = Pick(rng, kOperators);
+      if (op < kIniMutations && rng() % 2 == 0) {
+        MutateIni(text, op, rng);  // inside the scenario text
+      } else {
+        line_ops.push_back(op);
+      }
+    }
+    std::string line = request_line(batch, text);
+    if (trial % 100 == 0) line.insert(1, kHugeField);
+    for (const std::size_t op : line_ops) mutate_line(line, op);
+
+    std::string response;
+    ASSERT_NO_THROW(response = handler.HandleLine(line)) << "trial " << trial;
+    ASSERT_FALSE(response.empty()) << "trial " << trial;
+    ASSERT_EQ(response.find('\n'), response.size() - 1) << "trial " << trial;
+    Json doc;
+    ASSERT_NO_THROW(doc = Json::Parse(response)) << "trial " << trial;
+    if (const Json* reports = doc.Find("reports")) {
+      for (std::size_t i = 0; i < reports->Size(); ++i) {
+        EXPECT_TRUE(HasStatusBlock(reports->At(i))) << "trial " << trial;
+      }
+      ++evaluated;
+    } else if (HasStatusBlock(doc)) {
+      if (doc.Find("scenario") != nullptr) ++evaluated;
+    } else {
+      EXPECT_TRUE(doc.Find("cache") != nullptr &&
+                  doc.Find("engine") != nullptr &&
+                  doc.Find("server") != nullptr)
+          << "trial " << trial << ": " << response.substr(0, 200);
+    }
+  }
+  RecordProperty("evaluated", evaluated);
+  EXPECT_GT(evaluated, 0);
+  EXPECT_LT(evaluated, kTrials);
+  // The handler still answers a clean request.
+  const Json clean =
+      Json::Parse(handler.HandleLine(request_line(false, kModel)));
+  EXPECT_TRUE(clean.Find("status")->Find("ok")->AsBool());
 }
 
 TEST(RequestHandler, ServerFaultSiteFailsOneRequestAndIsolatesNeighbors) {
@@ -578,6 +751,37 @@ TEST(EvalServer, PipelinedAndFragmentedLinesAnswerInOrder) {
             WithoutServerBlock(reference.HandleLine(last)));
   EXPECT_EQ(client.ReadLine(), "");  // the half-close ends the connection
   client.Close();
+
+  server.Stop();
+  EXPECT_EQ(server.Wait(), 0);
+}
+
+TEST(EvalServer, OverlongLineAnswersUsageErrorAndKeepsServing) {
+  ServerOptions opts;
+  opts.threads = 1;
+  EvalServer server(std::move(opts));
+  server.Start();
+  // One byte past the bound with no newline: answered once, skipped through
+  // the newline, and the next request on the connection is served.
+  Client client(server.port());
+  client.Send(std::string(kMaxRequestLineBytes + 1, 'x'));
+  client.Send("\n" + EvaluateLine(kOneScenario));
+  const Json rejected = Json::Parse(client.ReadLine());
+  EXPECT_EQ(rejected.Find("status")->Find("code")->AsString(), "usage_error");
+  EXPECT_NE(rejected.Find("status")->Find("message")->AsString().find(
+                std::to_string(kMaxRequestLineBytes) + " bytes"),
+            std::string::npos);
+  const Json report = Json::Parse(client.ReadLine());
+  EXPECT_TRUE(report.Find("status")->Find("ok")->AsBool());
+  EXPECT_NE(report.Find("model"), nullptr);
+  client.Close();
+
+  Client stats(server.port());
+  stats.SendAndFinish("{\"op\":\"stats\"}\n");
+  const Json counters = Json::Parse(stats.ReadLine());
+  EXPECT_EQ(counters.Find("schema_version")->AsInt(), 2);
+  EXPECT_EQ(counters.Find("server")->Find("protocol_errors")->AsInt(), 1);
+  stats.Close();
 
   server.Stop();
   EXPECT_EQ(server.Wait(), 0);
