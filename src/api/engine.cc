@@ -125,7 +125,8 @@ std::shared_ptr<const CocSystemSim> Engine::GetSim(
 
 std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
     const std::string& system_key, const SystemEntry& entry,
-    const Workload& workload, const ModelOptions& opts) {
+    const Workload& workload, const ModelOptions& opts,
+    const Deadline* deadline) {
   std::string family_key = system_key;
   family_key += '\x1e';
   family_key += OptionsKey(opts);
@@ -147,10 +148,11 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   // tables, combo arrays, and ICN2 census carry over.
   std::shared_ptr<const CompiledModel> model;
   if (sibling) {
-    model = std::make_shared<const CompiledModel>(sibling->Rebind(workload));
+    model = std::make_shared<const CompiledModel>(
+        sibling->Rebind(workload, deadline));
   } else {
     model = std::make_shared<const CompiledModel>(entry.experiment.system,
-                                                  workload, opts);
+                                                  workload, opts, deadline);
   }
   auto mentry = std::make_shared<ModelEntry>(std::move(model));
   std::lock_guard<std::mutex> lock(mu_);
@@ -165,13 +167,12 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
 }
 
 double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
-                                 const Deadline& deadline) {
+                                 const Deadline* deadline) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (entry->saturation_rate) return *entry->saturation_rate;
   }
-  const double rate = entry->model->SaturationRate(
-      1.0, 1e-3, deadline.Enabled() ? &deadline : nullptr);
+  const double rate = entry->model->SaturationRate(1.0, 1e-3, deadline);
   if (std::isnan(rate)) {
     // +inf is a certified "never saturates"; NaN means the search lost its
     // bracket.
@@ -230,25 +231,27 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
   report.workload = workload.Describe();
 
   const char* note = workload.ModelApproximationNote();
+  const Deadline* model_deadline = deadline.Enabled() ? &deadline : nullptr;
   std::shared_ptr<ModelEntry> mentry;
   std::shared_ptr<const CompiledModel> model;
   double saturation_rate = 0;
   if (scenario.Has(Analysis::kModel) || scenario.Has(Analysis::kBottleneck) ||
       scenario.Has(Analysis::kSaturation)) {
     deadline.Check("model compilation");
-    mentry = GetModel(SystemKey(scenario), *entry, workload, scenario.model);
+    mentry = GetModel(SystemKey(scenario), *entry, workload, scenario.model,
+                      model_deadline);
     model = mentry->model;
     // One bisection serves every analysis that reports the saturation point,
     // and the result is cached on the model entry, so scenarios sharing a
     // model (batch sweeps over the rate dial) run the search exactly once.
-    saturation_rate = GetSaturationRate(mentry, deadline);
+    saturation_rate = GetSaturationRate(mentry, model_deadline);
   }
 
   if (scenario.Has(Analysis::kModel)) {
     deadline.Check("model evaluation");
     ModelAnalysisResult a;
     a.rate = scenario.rate;
-    a.result = model->Evaluate(scenario.rate);
+    a.result = model->Evaluate(scenario.rate, model_deadline);
     if (opts.faults.Armed(FaultInjector::Site::kModel, scenario_index)) {
       // Poison this result copy only — the shared CompiledModel is
       // untouched, so other scenarios on the same model are unaffected.
@@ -269,7 +272,7 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
     deadline.Check("bottleneck analysis");
     BottleneckAnalysisResult a;
     a.rate = scenario.rate;
-    a.report = model->Bottleneck(scenario.rate);
+    a.report = model->Bottleneck(scenario.rate, model_deadline);
     a.destination_skewed = workload.DestinationSkewed();
     a.saturation_rate = saturation_rate;
     if (note != nullptr) a.note = note;

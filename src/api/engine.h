@@ -148,12 +148,15 @@ class Engine {
   std::shared_ptr<SystemEntry> GetSystem(const Scenario& scenario);
   std::shared_ptr<const CocSystemSim> GetSim(
       const std::shared_ptr<SystemEntry>& entry);
+  /// `deadline` (null when the scenario has none) bounds the compile or
+  /// rebind on a miss, as it bounds the search and the evaluations.
   std::shared_ptr<ModelEntry> GetModel(const std::string& system_key,
                                        const SystemEntry& entry,
                                        const Workload& workload,
-                                       const ModelOptions& opts);
+                                       const ModelOptions& opts,
+                                       const Deadline* deadline);
   double GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
-                           const Deadline& deadline);
+                           const Deadline* deadline);
 
   /// Fills `report` in place (so a thrown error leaves the completed
   /// analyses in the caller's hands). `scenario_index` keys fault arms.

@@ -120,21 +120,43 @@ Experiment ParseExperiment(const std::string& text) {
     }
   };
 
-  std::vector<ClusterConfig> clusters;
+  const int m = ToInt(*system, "m");
+  if (m < 4 || m % 2 != 0) {
+    Fail(system->KeyLine("m"), "switch arity m must be even and >= 4");
+  }
+  const std::optional<TopologySpec> icn2_topo =
+      topo_by_key(*system, "icn2_topology");
+  // Bound the cluster list before any of it is built: each cluster takes
+  // one ICN2 slot, no topology has more than kMaxTopologyNodes, and the
+  // ICN2 that the summed count resolves (SystemConfig's rule) must hold
+  // them all; a failure names the last count's line.
+  std::vector<int> counts;
   std::int64_t total_clusters = 0;
+  std::string makes;
   for (const Section* cs : cluster_sections) {
     const int count =
         cs->values.count("count") != 0 ? ToInt(*cs, "count") : 1;
     if (count < 1) Fail(cs->line, "count must be >= 1");
-    // Bound the list before it is built: each cluster takes one ICN2 slot,
-    // and no topology has more than kMaxTopologyNodes.
+    counts.push_back(count);
     total_clusters += count;
+    makes = "count = " + std::to_string(count) + " makes " +
+            std::to_string(total_clusters) + " clusters, ";
     if (total_clusters > kMaxTopologyNodes) {
       Fail(cs->KeyLine("count"),
-           "count = " + std::to_string(count) + " makes " +
-               std::to_string(total_clusters) +
-               " clusters, more than the 2^22 an ICN2 can connect");
+           makes + "more than the 2^22 an ICN2 can connect");
     }
+  }
+  try {
+    CheckIcn2Capacity(
+        *BuildTopology(ResolveIcn2Spec(icn2_topo, m, total_clusters)),
+        total_clusters);
+  } catch (const std::invalid_argument& e) {
+    Fail(cluster_sections.back()->KeyLine("count"),
+         makes + "which the ICN2 cannot hold: " + e.what());
+  }
+  std::vector<ClusterConfig> clusters;
+  for (std::size_t k = 0; k < cluster_sections.size(); ++k) {
+    const Section* cs = cluster_sections[k];
     ClusterConfig cluster{cs->values.count("n") != 0 ? ToInt(*cs, "n") : 0,
                           net_by_name(*cs, "icn1"), net_by_name(*cs, "ecn1")};
     cluster.icn1_topo = topo_by_key(*cs, "topology");
@@ -156,7 +178,8 @@ Experiment ParseExperiment(const std::string& text) {
            "ecn1_topology = tree needs 'n = DEPTH' or an explicit depth "
            "(e.g. tree:2)");
     }
-    for (int i = 0; i < count; ++i) clusters.push_back(cluster);
+    clusters.insert(clusters.end(), static_cast<std::size_t>(counts[k]),
+                    cluster);
   }
 
   WorkloadOverlay overlay;
@@ -170,9 +193,8 @@ Experiment ParseExperiment(const std::string& text) {
 
   const MessageFormat msg{ToInt(*system, "message_flits"),
                           ToDouble(*system, "flit_bytes")};
-  Experiment exp{SystemConfig(ToInt(*system, "m"), std::move(clusters),
-                              net_by_name(*system, "icn2"), msg,
-                              topo_by_key(*system, "icn2_topology")),
+  Experiment exp{SystemConfig(m, std::move(clusters),
+                              net_by_name(*system, "icn2"), msg, icn2_topo),
                  Workload{}};
   // System-dependent checks (the hotspot node and rate indices against this
   // system, the pattern conflicts) run once the SystemConfig exists; they

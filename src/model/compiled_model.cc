@@ -68,33 +68,106 @@ bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/// One deadline probe; the progress note is formatted only once a probe
+/// finds the deadline passed, which it then stays, so Check throws.
+void CheckDeadline(const Deadline* deadline, const char* stage,
+                   std::size_t done, const char* unit) {
+  if (deadline != nullptr && deadline->Expired()) {
+    deadline->Check(stage, std::to_string(done) + " " + unit);
+  }
+}
+
 }  // namespace
 
-CompiledModel::CompiledModel(const SystemConfig& sys, ModelOptions opts)
+CompiledModel::CompiledModel(const SystemConfig& sys, ModelOptions opts,
+                             const Deadline* deadline)
     : sys_(sys), opts_(opts) {
-  CompileFrom(nullptr);
+  CompileFrom(nullptr, deadline);
 }
 
 CompiledModel::CompiledModel(const SystemConfig& sys, const Workload& workload,
-                             ModelOptions opts)
+                             ModelOptions opts, const Deadline* deadline)
     : sys_(sys), workload_(workload), opts_(opts) {
   workload_.Validate(sys_);
-  CompileFrom(nullptr);
+  CompileFrom(nullptr, deadline);
 }
 
-CompiledModel::CompiledModel(const CompiledModel& prev, const Workload& next)
+CompiledModel::CompiledModel(const CompiledModel& prev, const Workload& next,
+                             const Deadline* deadline)
     // Copying prev's SystemConfig shares its Topology instances (shared_ptr
     // members), so prev's pointer-keyed dedup tables stay valid here.
     : sys_(prev.sys_), workload_(next), opts_(prev.opts_) {
   workload_.Validate(sys_);
-  CompileFrom(&prev);
+  CompileFrom(&prev, deadline);
 }
 
-CompiledModel CompiledModel::Rebind(const Workload& next) const {
-  return CompiledModel(*this, next);
+CompiledModel CompiledModel::Rebind(const Workload& next,
+                                    const Deadline* deadline) const {
+  return CompiledModel(*this, next, deadline);
 }
 
-void CompiledModel::CompileFrom(const CompiledModel* prev) {
+std::vector<double> CompiledModel::EcnLoads(const Deadline* deadline) {
+  const auto c = static_cast<std::size_t>(sys_.num_clusters());
+  // The Eq. (22) term N_c U_c s_c, in EcnLoadFactor's operation order.
+  std::vector<double> out(c);
+  for (std::size_t i = 0; i < c; ++i) {
+    const int ci = static_cast<int>(i);
+    out[i] = static_cast<double>(sys_.NodesInCluster(ci)) * u_[i] *
+             workload_.RateScale(ci);
+  }
+  if (!skewed_) return out;
+
+  // Hot-spot: InterDestProbability's masses and normalizers, in its order;
+  // a run of equal masses shares its normalizer (compiled_model.h).
+  const double n = static_cast<double>(sys_.TotalNodes());
+  const auto h = static_cast<std::size_t>(
+      sys_.ClusterOfNode(workload_.hotspot_node));
+  const double f = workload_.hotspot_fraction;
+  const auto repeats = [](const std::vector<double>& v, std::size_t i) {
+    return i > 0 && BitsEqual(v[i], v[i - 1]);
+  };
+  hot_mass_.resize(c);
+  hot_norm_.resize(c);
+  for (std::size_t j = 0; j < c; ++j) {
+    hot_mass_[j] = (1.0 - f) *
+                   static_cast<double>(sys_.NodesInCluster(static_cast<int>(j))) /
+                   (n - 1.0);
+    if (j == h) hot_mass_[j] += f;
+  }
+  for (std::size_t i = 0; i < c; ++i) {
+    if (repeats(hot_mass_, i)) {
+      hot_norm_[i] = hot_norm_[i - 1];
+      continue;
+    }
+    CheckDeadline(deadline, "model compilation", i, "hot-spot sums");
+    double total = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      if (j != i) total += hot_mass_[j];
+    }
+    hot_norm_[i] = total;
+  }
+  // EcnLoadFactor's overlay: the mean of the outgoing load and the incoming
+  // one, summed over sources in order; shared by a run of equal outgoing
+  // rates and masses.
+  std::vector<double> loads(c);
+  double in = 0;
+  for (std::size_t j = 0; j < c; ++j) {
+    if (!repeats(out, j) || !repeats(hot_mass_, j)) {
+      CheckDeadline(deadline, "model compilation", j, "hot-spot sums");
+      in = 0;
+      for (std::size_t i = 0; i < c; ++i) {
+        if (i != j && hot_norm_[i] > 0) {
+          in += out[i] * (hot_mass_[j] / hot_norm_[i]);
+        }
+      }
+    }
+    loads[j] = 0.5 * (out[j] + in);
+  }
+  return loads;
+}
+
+void CompiledModel::CompileFrom(const CompiledModel* prev,
+                                const Deadline* deadline) {
   const int c = sys_.num_clusters();
   const MessageFormat& msg = sys_.message();
   m_flits_ = workload_.MeanFlits(msg);
@@ -119,12 +192,9 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
   const bool reuse_classes = prev != nullptr &&
                              BitsEqual(m_flits_, prev->m_flits_) &&
                              BitsEqual(flit_var_, prev->flit_var_);
-  const std::vector<double> loads = workload_.EcnLoadFactors(sys_);
-
   u_.resize(static_cast<std::size_t>(c));
   weight_.resize(static_cast<std::size_t>(c));
   intra_class_of_.resize(static_cast<std::size_t>(c));
-  pair_class_of_.assign(static_cast<std::size_t>(c) * c, -1);
 
   double total_weight = 0;
   for (int i = 0; i < c; ++i) {
@@ -137,6 +207,7 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
         static_cast<double>(sys_.NodesInCluster(i)) * workload_.RateScale(i) /
         total_weight;
   }
+  const std::vector<double> loads = EcnLoads(deadline);
 
   // --- intra-cluster classes (Eqs. 4-19 constants) -----------------------
   for (int i = 0; i < c; ++i) {
@@ -158,6 +229,8 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
     const auto [it, inserted] = intra_keys_.emplace(
         std::move(key), static_cast<int>(intra_classes_.size()));
     if (inserted) {
+      CheckDeadline(deadline, "model compilation", intra_classes_.size(),
+                    "intra classes");
       const auto hit =
           reuse_classes ? prev->intra_keys_.find(it->first) : intra_keys_.end();
       if (reuse_classes && hit != prev->intra_keys_.end()) {
@@ -195,68 +268,66 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
   }
 
   // --- ordered-pair classes (Eqs. 20-39 constants) -----------------------
-  if (c >= 2) {
-    if (skewed_) {
-      dest_prob_ = workload_.InterDestProbabilities(sys_);
+  // A pair class is fully determined by its two per-cluster "side"
+  // signatures (topology instance, per-flit times, beta, census, U, rate
+  // scale, ECN load), so the pair key is sideSig(i) + sideSig(j). The C
+  // signatures (fixed width) dedupe to K side ids, and each of the K x K
+  // shapes some ordered pair i != j takes is interned from one such pair.
+  sid_.resize(static_cast<std::size_t>(c));
+  std::map<std::string, int> side_ids;
+  std::vector<const std::string*> side_sig;  // side id -> its signature
+  std::vector<int> first, second;  // side id -> its first two clusters
+  std::string sig;
+  for (int i = 0; i < c; ++i) {
+    const ClusterConfig& ci = sys_.cluster(i);
+    sig.clear();
+    AppendPtr(sig, &sys_.ecn1_topology(i));
+    AppendBits(sig, ci.ecn1.TCs(msg.flit_bytes));
+    AppendBits(sig, ci.ecn1.TCn(msg.flit_bytes));
+    AppendBits(sig, ci.ecn1.beta());
+    AppendBits(sig, static_cast<double>(sys_.NodesInCluster(i)));
+    AppendBits(sig, u_[static_cast<std::size_t>(i)]);
+    AppendBits(sig, workload_.RateScale(i));
+    AppendBits(sig, loads[static_cast<std::size_t>(i)]);
+    const auto [it, fresh] =
+        side_ids.emplace(sig, static_cast<int>(side_sig.size()));
+    if (fresh) {
+      side_sig.push_back(&it->first);
+      first.push_back(i);
+      second.push_back(-1);
+    } else if (second[static_cast<std::size_t>(it->second)] < 0) {
+      second[static_cast<std::size_t>(it->second)] = i;
     }
-    // A pair class is fully determined by its two per-cluster "side"
-    // signatures (topology instance, per-flit times, beta, census, U, rate
-    // scale, ECN load), so the pair key is sideSig(i) + sideSig(j).
-    std::vector<std::string> side(static_cast<std::size_t>(c));
-    for (int i = 0; i < c; ++i) {
-      const ClusterConfig& ci = sys_.cluster(i);
-      std::string& sig = side[static_cast<std::size_t>(i)];
-      AppendPtr(sig, &sys_.ecn1_topology(i));
-      AppendBits(sig, ci.ecn1.TCs(msg.flit_bytes));
-      AppendBits(sig, ci.ecn1.TCn(msg.flit_bytes));
-      AppendBits(sig, ci.ecn1.beta());
-      AppendBits(sig, static_cast<double>(sys_.NodesInCluster(i)));
-      AppendBits(sig, u_[static_cast<std::size_t>(i)]);
-      AppendBits(sig, workload_.RateScale(i));
-      AppendBits(sig, loads[static_cast<std::size_t>(i)]);
-    }
-    // Dedupe the C side signatures down to K ids and walk the C^2 pairs
-    // through a K x K int table, so each distinct pair shape pays the
-    // string lookups exactly once. Signatures have a fixed width, so equal
-    // id pairs <=> equal pair keys: the first (i, j) of each shape interns
-    // a new class, in the order a pair-by-pair walk over the keys would.
-    std::map<std::string, int> side_ids;
-    std::vector<int> sid(static_cast<std::size_t>(c));
-    for (int i = 0; i < c; ++i) {
-      sid[static_cast<std::size_t>(i)] =
-          side_ids
-              .emplace(side[static_cast<std::size_t>(i)],
-                       static_cast<int>(side_ids.size()))
-              .first->second;
-    }
-    const int k_sides = static_cast<int>(side_ids.size());
-    std::vector<int> lut(
-        static_cast<std::size_t>(k_sides) * static_cast<std::size_t>(k_sides),
-        -1);
-    for (int i = 0; i < c; ++i) {
-      for (int j = 0; j < c; ++j) {
-        if (j == i) continue;
-        int& slot = lut[static_cast<std::size_t>(
-            sid[static_cast<std::size_t>(i)] * k_sides +
-            sid[static_cast<std::size_t>(j)])];
-        if (slot < 0) {
-          slot = static_cast<int>(pair_classes_.size());
-          std::string key = side[static_cast<std::size_t>(i)];
-          key += side[static_cast<std::size_t>(j)];
-          const auto hit =
-              reuse_classes ? prev->pair_keys_.find(key) : pair_keys_.end();
-          if (reuse_classes && hit != prev->pair_keys_.end()) {
-            pair_classes_.push_back(
-                prev->pair_classes_[static_cast<std::size_t>(hit->second)]);
-            ++rebind_stats_.pair_reused;
-          } else {
-            pair_classes_.push_back(BuildPairClass(i, j, loads));
-            ++rebind_stats_.pair_rebuilt;
-          }
-          pair_keys_.emplace(std::move(key), slot);
-        }
-        pair_class_of_[static_cast<std::size_t>(i * c + j)] = slot;
+    sid_[static_cast<std::size_t>(i)] = it->second;
+  }
+  num_sides_ = static_cast<int>(side_sig.size());
+  pair_class_of_sides_.assign(
+      static_cast<std::size_t>(num_sides_) * static_cast<std::size_t>(num_sides_),
+      -1);
+  for (int a = 0; a < num_sides_; ++a) {
+    for (int b = 0; b < num_sides_; ++b) {
+      const int i = first[static_cast<std::size_t>(a)];
+      const int j = a == b ? second[static_cast<std::size_t>(a)]
+                           : first[static_cast<std::size_t>(b)];
+      if (j < 0) continue;  // one cluster of shape a: no (a, a) pair
+      CheckDeadline(deadline, "model compilation", pair_classes_.size(),
+                    "pair classes");
+      const int slot = static_cast<int>(pair_classes_.size());
+      std::string key = *side_sig[static_cast<std::size_t>(a)];
+      key += *side_sig[static_cast<std::size_t>(b)];
+      const auto hit =
+          reuse_classes ? prev->pair_keys_.find(key) : pair_keys_.end();
+      if (reuse_classes && hit != prev->pair_keys_.end()) {
+        pair_classes_.push_back(
+            prev->pair_classes_[static_cast<std::size_t>(hit->second)]);
+        ++rebind_stats_.pair_reused;
+      } else {
+        pair_classes_.push_back(BuildPairClass(i, j, loads));
+        ++rebind_stats_.pair_rebuilt;
       }
+      pair_keys_.emplace(std::move(key), slot);
+      pair_class_of_sides_[static_cast<std::size_t>(a * num_sides_ + b)] =
+          slot;
     }
   }
   for (const PairClass& k : pair_classes_) {
@@ -279,13 +350,6 @@ void CompiledModel::CompileFrom(const CompiledModel* prev) {
     hot_.x_inter = m_flits_ * t_cn_ecn1;
     hot_.var_intra = flit_var_ * t_cn_icn1 * t_cn_icn1;
     hot_.var_inter = flit_var_ * t_cn_ecn1 * t_cn_ecn1;
-    hot_s_.resize(static_cast<std::size_t>(c));
-    hot_n_.resize(static_cast<std::size_t>(c));
-    for (int cc = 0; cc < c; ++cc) {
-      hot_s_[static_cast<std::size_t>(cc)] = workload_.RateScale(cc);
-      hot_n_[static_cast<std::size_t>(cc)] =
-          static_cast<double>(sys_.NodesInCluster(cc));
-    }
   }
 }
 
@@ -425,8 +489,8 @@ CompiledModel::HotEject CompiledModel::HotEjectOverlay(double lambda_g) const {
   const int c = sys_.num_clusters();
   for (int cc = 0; cc < c; ++cc) {
     if (cc == hot_.hot_cluster) continue;
-    remote_nodes_rate += (lambda_g * hot_s_[static_cast<std::size_t>(cc)]) *
-                         hot_n_[static_cast<std::size_t>(cc)];
+    remote_nodes_rate += (lambda_g * workload_.RateScale(cc)) *
+                         static_cast<double>(sys_.NodesInCluster(cc));
   }
   const double lambda_inter = hot_.f * remote_nodes_rate;
   out.w_intra = GG1Wait(lambda_intra, hot_.x_intra, hot_.var_intra,
@@ -556,13 +620,18 @@ InterResult CompiledModel::AggregateInter(int i,
   const int c = sys_.num_clusters();
   if (c < 2) return out;
 
+  const int* pair_class = &pair_class_of_sides_[static_cast<std::size_t>(
+      sid_[static_cast<std::size_t>(i)] * num_sides_)];
+  const auto pair_to = [&](int j) -> const InterPairResult& {
+    return scratch.pair_vals[static_cast<std::size_t>(
+        pair_class[sid_[static_cast<std::size_t>(j)]])];
+  };
   if (!skewed_) {
     double l_ex_sum = 0;
     double w_d_sum = 0;
     for (int j = 0; j < c; ++j) {
       if (j == i) continue;
-      const InterPairResult& pair = scratch.pair_vals[static_cast<std::size_t>(
-          pair_class_of_[static_cast<std::size_t>(i * c + j)])];
+      const InterPairResult& pair = pair_to(j);
       l_ex_sum += pair.l_ex;
       w_d_sum += 2.0 * pair.w_c;
       out.max_condis_rho = std::max(out.max_condis_rho, pair.condis_rho);
@@ -572,14 +641,15 @@ InterResult CompiledModel::AggregateInter(int i,
     out.l_ex = l_ex_sum / (c - 1);
     out.w_d = w_d_sum / (c - 1);
   } else {
+    const double norm = hot_norm_[static_cast<std::size_t>(i)];
     double l_ex_sum = 0;
     double w_d_sum = 0;
     double w_sum = 0;
     for (int j = 0; j < c; ++j) {
       if (j == i) continue;
-      const double w = dest_prob_[static_cast<std::size_t>(i * c + j)];
-      const InterPairResult& pair = scratch.pair_vals[static_cast<std::size_t>(
-          pair_class_of_[static_cast<std::size_t>(i * c + j)])];
+      const double w =
+          norm > 0 ? hot_mass_[static_cast<std::size_t>(j)] / norm : 0.0;
+      const InterPairResult& pair = pair_to(j);
       l_ex_sum += w * pair.l_ex;
       w_d_sum += w * 2.0 * pair.w_c;
       w_sum += w;
@@ -595,7 +665,8 @@ InterResult CompiledModel::AggregateInter(int i,
 }
 
 void CompiledModel::EvaluateInto(double lambda_g, Scratch& scratch,
-                                 ModelResult& result) const {
+                                 ModelResult& result,
+                                 const Deadline* deadline) const {
   // An invalid operating point would silently propagate NaN through every
   // closed form below; fail it as a typed model error instead.
   if (!std::isfinite(lambda_g) || lambda_g < 0) {
@@ -621,13 +692,23 @@ void CompiledModel::EvaluateInto(double lambda_g, Scratch& scratch,
         EvaluatePairClass(pair_classes_[k], lambda_g, scratch.t0);
   }
 
+  // Eqs. 35/38 once per run of one side shape; the hot cluster is a run of
+  // its own (compiled_model.h shows each cluster of a run gets these bits).
   double weighted = 0;
+  InterResult inter;
   for (int i = 0; i < c; ++i) {
+    if (i == 0 || sid_[static_cast<std::size_t>(i)] !=
+                      sid_[static_cast<std::size_t>(i - 1)] ||
+        i == hot_.hot_cluster || i - 1 == hot_.hot_cluster) {
+      CheckDeadline(deadline, "model evaluation",
+                    static_cast<std::size_t>(i), "clusters aggregated");
+      inter = AggregateInter(i, scratch);
+    }
     ClusterLatency cl;
     cl.u = u_[static_cast<std::size_t>(i)];
     cl.intra =
         scratch.intra_vals[static_cast<std::size_t>(intra_class_of_[static_cast<std::size_t>(i)])];
-    cl.inter = AggregateInter(i, scratch);
+    cl.inter = inter;
     cl.blended = 0;
     if (cl.u > 0) cl.blended += cl.u * cl.inter.l_out;
     if (cl.u < 1) cl.blended += (1.0 - cl.u) * cl.intra.l_in;
@@ -642,10 +723,11 @@ void CompiledModel::EvaluateInto(double lambda_g, Scratch& scratch,
   result.mean_latency = weighted;
 }
 
-ModelResult CompiledModel::Evaluate(double lambda_g) const {
+ModelResult CompiledModel::Evaluate(double lambda_g,
+                                    const Deadline* deadline) const {
   Scratch scratch;
   ModelResult result;
-  EvaluateInto(lambda_g, scratch, result);
+  EvaluateInto(lambda_g, scratch, result, deadline);
   return result;
 }
 
@@ -654,7 +736,7 @@ void CompiledModel::EvaluateMany(std::span<const double> rates,
   out.resize(rates.size());
   Scratch scratch;
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    EvaluateInto(rates[i], scratch, out[i]);
+    EvaluateInto(rates[i], scratch, out[i], nullptr);
   }
 }
 
@@ -665,8 +747,9 @@ std::vector<ModelResult> CompiledModel::EvaluateMany(
   return out;
 }
 
-BottleneckReport CompiledModel::Bottleneck(double lambda_g) const {
-  const ModelResult r = Evaluate(lambda_g);
+BottleneckReport CompiledModel::Bottleneck(double lambda_g,
+                                           const Deadline* deadline) const {
+  const ModelResult r = Evaluate(lambda_g, deadline);
   BottleneckReport report;
   for (const auto& cl : r.clusters) {
     report.condis_rho = std::max(report.condis_rho, cl.inter.max_condis_rho);
@@ -694,8 +777,9 @@ BottleneckReport CompiledModel::Bottleneck(double lambda_g) const {
 
 SaturationProbe CompiledModel::ProbeSaturation(double lambda_g,
                                                Scratch& scratch,
-                                               ModelResult& r) const {
-  EvaluateInto(lambda_g, scratch, r);
+                                               ModelResult& r,
+                                               const Deadline* deadline) const {
+  EvaluateInto(lambda_g, scratch, r, deadline);
   double rho = HotEjectOverlay(lambda_g).rho;
   for (const auto& cl : r.clusters) {
     rho = std::max({rho, cl.intra.source_rho, cl.inter.max_condis_rho,
@@ -718,7 +802,7 @@ double CompiledModel::SaturationRate(double upper_bound, double rel_tol,
                       std::to_string(count) + " probes completed");
     }
     ++count;
-    return ProbeSaturation(lambda_g, scratch, r);
+    return ProbeSaturation(lambda_g, scratch, r, deadline);
   };
   const double rate = SaturationSearch(probe, upper_bound, rel_tol);
   if (probes != nullptr) *probes = count;

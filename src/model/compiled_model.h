@@ -19,11 +19,27 @@
 //     one backward chain per (v, d_l) yields T_0 for every r in a single
 //     pass, instead of re-running the recursion per combination.
 //
+//   * Clusters form runs: maximal blocks of adjacent clusters with one
+//     pair-side shape. The model stores a side id per cluster and a K x K
+//     pair-class table over the K shapes (O(C + K^2) state, never C x C),
+//     and aggregates Eqs. 35/38 once per run.
+//
 // Every shortcut preserves IEEE operation order, so all outputs are
 // bit-identical to LatencyModel's (tests/compiled_model_test.cc pins this
 // across topology families and workload patterns). LatencyModel, the
 // directly-equation-shaped statement of the paper, lives on as the tests'
 // oracle (tests/oracle/latency_model.h); this is the one production model.
+//
+// Why a run's aggregate is exact for each of its clusters: cluster i sums
+// its pair results over j = 0..C-1, skipping j = i. For adjacent clusters i
+// and i+1 of one run (shape s), the two j-sequences differ only at position
+// i, where one holds pair(s, s) toward i+1 and the other pair(s, s) toward
+// i: the same class, so the same value, and the sums are bit-identical.
+// Under hot-spot traffic each term is weighted by the destination's mass
+// over the source's normalizer (every mass but its own); adjacent equal
+// masses give equal normalizers by the same argument, and the hot cluster,
+// whose mass differs, is a run of its own. The hot-spot ECN1 load sums
+// are shared the same way by runs of equal outgoing rates and masses.
 //
 // The same split extends along the workload axis: Rebind(next) compiles a
 // model for an adjacent workload by diffing the rate-invariant constant
@@ -62,19 +78,27 @@ LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys);
 /// Construction costs roughly one LatencyModel::Evaluate; each evaluation
 /// afterwards touches only the flattened class arrays. All methods are
 /// const and thread-safe.
+///
+/// The optional `deadline` is probed once per class and per run of the
+/// hot-spot sums while compiling, and once per run while evaluating; a trip
+/// throws DeadlineExceeded naming "model compilation" or "model
+/// evaluation". Interleaved kinds make every run one cluster and an
+/// evaluation C^2, so these probes are what bound such a request.
 class CompiledModel {
  public:
-  explicit CompiledModel(const SystemConfig& sys, ModelOptions opts = {});
+  explicit CompiledModel(const SystemConfig& sys, ModelOptions opts = {},
+                         const Deadline* deadline = nullptr);
   /// Same, under a non-default workload (validated against `sys`).
   CompiledModel(const SystemConfig& sys, const Workload& workload,
-                ModelOptions opts = {});
+                ModelOptions opts = {}, const Deadline* deadline = nullptr);
 
   const SystemConfig& system() const { return sys_; }
   const Workload& workload() const { return workload_; }
   const ModelOptions& options() const { return opts_; }
 
   /// Bit-identical to LatencyModel::Evaluate on the same triple.
-  ModelResult Evaluate(double lambda_g) const;
+  ModelResult Evaluate(double lambda_g,
+                       const Deadline* deadline = nullptr) const;
 
   /// Batch entry point: evaluates a whole sweep grid in one pass, reusing
   /// the per-rate scratch across points. out[k] is bit-identical to
@@ -84,12 +108,13 @@ class CompiledModel {
   std::vector<ModelResult> EvaluateMany(std::span<const double> rates) const;
 
   /// Bit-identical to LatencyModel::Bottleneck.
-  BottleneckReport Bottleneck(double lambda_g) const;
+  BottleneckReport Bottleneck(double lambda_g,
+                              const Deadline* deadline = nullptr) const;
 
   /// Bit-identical to LatencyModel::SaturationRate. `deadline` (optional)
-  /// is probed once per model evaluation; a trip throws DeadlineExceeded
-  /// with the probe count as partial progress. `probes` (optional) receives
-  /// the number of model evaluations the search spent.
+  /// is probed once per model evaluation, with the probe count as partial
+  /// progress, and inside each evaluation once per run. `probes` (optional)
+  /// receives the number of model evaluations the search spent.
   double SaturationRate(double upper_bound, double rel_tol = 1e-3,
                         const Deadline* deadline = nullptr,
                         int* probes = nullptr) const;
@@ -97,10 +122,11 @@ class CompiledModel {
   /// Incrementally compiles a model for an adjacent workload on the same
   /// system and options. Bit-identical to
   /// CompiledModel(system(), next, options()): every reused class was
-  /// matched by its full constant tuple, and the shared (r, v, d_l) combo
-  /// tables, ICN2 census, and destination-probability rows are
-  /// workload-invariant or recomputed in the reference order.
-  CompiledModel Rebind(const Workload& next) const;
+  /// matched by its full constant tuple, the shared (r, v, d_l) combo
+  /// tables and ICN2 census are workload-invariant, and the hot-spot masses
+  /// are recomputed in the reference order.
+  CompiledModel Rebind(const Workload& next,
+                       const Deadline* deadline = nullptr) const;
 
   /// How much structure the compile reused. A cold compile reports zero
   /// class reuse (combos_shared may still count intra-compile combo-table
@@ -194,14 +220,18 @@ class CompiledModel {
 
   /// Rebind's private constructor: same system and options, next workload,
   /// compiled against prev's structure.
-  CompiledModel(const CompiledModel& prev, const Workload& next);
+  CompiledModel(const CompiledModel& prev, const Workload& next,
+                const Deadline* deadline);
 
   /// The one compile path. `prev` == nullptr is a cold compile; otherwise
   /// classes whose full constant tuple matches one of prev's are copied
   /// (when the message-length moments also match bit for bit), and the
   /// workload-invariant shared structure (combo cache, ICN2 census) is
   /// adopted outright.
-  void CompileFrom(const CompiledModel* prev);
+  void CompileFrom(const CompiledModel* prev, const Deadline* deadline);
+  /// Per-cluster Workload::EcnLoadFactor, bit for bit, with each hot-spot
+  /// sum once per run of equal summands; also fills hot_mass_, hot_norm_.
+  std::vector<double> EcnLoads(const Deadline* deadline);
   PairClass BuildPairClass(int i, int j, const std::vector<double>& loads);
   std::shared_ptr<const PairCombos> GetPairCombos(int i, int j);
   HotEject HotEjectOverlay(double lambda_g) const;
@@ -209,13 +239,14 @@ class CompiledModel {
   InterPairResult EvaluatePairClass(const PairClass& k, double lambda_g,
                                     std::vector<double>& t0) const;
   InterResult AggregateInter(int i, const Scratch& scratch) const;
-  void EvaluateInto(double lambda_g, Scratch& scratch,
-                    ModelResult& result) const;
+  void EvaluateInto(double lambda_g, Scratch& scratch, ModelResult& result,
+                    const Deadline* deadline) const;
   /// One saturation-search probe: evaluate at lambda_g and fold the tracked
   /// utilizations to the max rho (the certificate SaturationSearch reasons
   /// from).
   SaturationProbe ProbeSaturation(double lambda_g, Scratch& scratch,
-                                  ModelResult& r) const;
+                                  ModelResult& r,
+                                  const Deadline* deadline) const;
 
   SystemConfig sys_;
   Workload workload_;
@@ -236,13 +267,18 @@ class CompiledModel {
   std::vector<IntraClass> intra_classes_;
   std::vector<PairClass> pair_classes_;
   std::vector<int> intra_class_of_;  ///< cluster -> intra class
-  std::vector<int> pair_class_of_;   ///< i * C + j -> pair class (-1 on diag)
+  std::vector<int> sid_;             ///< cluster -> pair-side shape id
+  int num_sides_ = 0;                ///< K, the distinct side shapes
+  /// sid_i * K + sid_j -> pair class of the ordered pair (i, j); -1 for a
+  /// shape no pair takes (s, s when only one cluster has shape s).
+  std::vector<int> pair_class_of_sides_;
   std::vector<double> u_;            ///< U^(i) per cluster
   std::vector<double> weight_;       ///< Eq. 3 weight N_i s_i / sum N_c s_c
-  std::vector<double> dest_prob_;    ///< i * C + j -> InterDestProbability
+  /// Hot-spot destination weights, empty when not skewed: P(j | i) =
+  /// hot_mass_[j] / hot_norm_[i] (Workload::InterDestProbability's terms).
+  std::vector<double> hot_mass_;
+  std::vector<double> hot_norm_;
   HotConstants hot_;
-  std::vector<double> hot_s_;   ///< per-cluster rate scales (remote-rate sum)
-  std::vector<double> hot_n_;   ///< per-cluster node counts as doubles
   std::size_t max_t0_size_ = 0;
 
   // Dedup tables, retained so Rebind can match the next workload's constant

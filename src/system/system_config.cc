@@ -7,6 +7,34 @@
 
 namespace coc {
 
+TopologySpec ResolveIcn2Spec(std::optional<TopologySpec> spec, int m,
+                             std::int64_t clusters) {
+  TopologySpec icn2 = spec.value_or(TopologySpec::Tree(0, 0));
+  if (icn2.type == TopologySpec::Type::kTree && icn2.n == 0) {
+    // Auto-depth honors an explicitly overridden tree arity; degenerate
+    // arities (k < 2) get depth 1 and fail MPortNTree's own validation.
+    const int k = (icn2.m != 0 ? icn2.m : m) / 2;
+    std::int64_t slots = 2 * k;
+    int depth = 1;
+    while (k >= 2 && slots < clusters) {
+      slots *= k;
+      ++depth;
+    }
+    icn2.n = depth;
+  }
+  return ResolveTopologySpec(icn2, m, /*default_depth=*/0,
+                             /*fit_nodes=*/std::max<std::int64_t>(clusters, 2));
+}
+
+void CheckIcn2Capacity(const Topology& icn2, std::int64_t clusters) {
+  if (icn2.num_nodes() < clusters) {
+    throw std::invalid_argument(
+        "ICN2 topology " + icn2.Name() + " has only " +
+        std::to_string(icn2.num_nodes()) + " slots for " +
+        std::to_string(clusters) + " clusters");
+  }
+}
+
 SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
                            NetworkCharacteristics icn2, MessageFormat message,
                            std::optional<TopologySpec> icn2_topo)
@@ -64,32 +92,11 @@ SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
     total_nodes_ += size;
   }
 
-  // ICN2: its node slots host the C concentrator/dispatchers. The default
-  // tree auto-sizes to the smallest depth with at least C slots.
+  // ICN2: its node slots host the C concentrator/dispatchers.
   const auto c_count = static_cast<std::int64_t>(clusters_.size());
-  TopologySpec icn2_spec = icn2_topo.value_or(TopologySpec::Tree(0, 0));
-  if (icn2_spec.type == TopologySpec::Type::kTree && icn2_spec.n == 0) {
-    // Auto-depth honors an explicitly overridden tree arity; degenerate
-    // arities (k < 2) get depth 1 and fail MPortNTree's own validation.
-    const int k = (icn2_spec.m != 0 ? icn2_spec.m : m_) / 2;
-    std::int64_t slots = 2 * k;
-    int depth = 1;
-    while (k >= 2 && slots < c_count) {
-      slots *= k;
-      ++depth;
-    }
-    icn2_spec.n = depth;
-  }
-  icn2_spec = ResolveTopologySpec(icn2_spec, m_, /*default_depth=*/0,
-                                  /*fit_nodes=*/std::max<std::int64_t>(
-                                      c_count, 2));
+  const TopologySpec icn2_spec = ResolveIcn2Spec(icn2_topo, m_, c_count);
   icn2_topo_ = build(icn2_spec);
-  if (icn2_topo_->num_nodes() < c_count) {
-    throw std::invalid_argument(
-        "ICN2 topology " + icn2_topo_->Name() + " has only " +
-        std::to_string(icn2_topo_->num_nodes()) + " slots for " +
-        std::to_string(c_count) + " clusters");
-  }
+  CheckIcn2Capacity(*icn2_topo_, c_count);
   icn2_depth_ =
       icn2_spec.type == TopologySpec::Type::kTree ? icn2_spec.n : 0;
   icn2_exact_fit_ = (icn2_topo_->num_nodes() == c_count);

@@ -48,6 +48,15 @@ struct ClusterConfig {
   std::optional<TopologySpec> ecn1_topo;
 };
 
+/// The ICN2 spec for `clusters` concentrators under switch arity `m`:
+/// `spec` (unset = the paper's m-port tree), a tree's unset depth the
+/// smallest with at least `clusters` slots. One rule for SystemConfig and
+/// the config parser, which applies it before building the cluster list.
+TopologySpec ResolveIcn2Spec(std::optional<TopologySpec> spec, int m,
+                             std::int64_t clusters);
+/// Throws std::invalid_argument unless `icn2` has a slot per cluster.
+void CheckIcn2Capacity(const Topology& icn2, std::int64_t clusters);
+
 /// Full system description plus derived quantities used by both the
 /// analytical model and the simulator.
 class SystemConfig {

@@ -316,49 +316,6 @@ double Workload::InterDestProbability(const SystemConfig& sys, int i,
   return total > 0 ? target / total : 0.0;
 }
 
-std::vector<double> Workload::InterDestProbabilities(
-    const SystemConfig& sys) const {
-  const int c = sys.num_clusters();
-  std::vector<double> out(static_cast<std::size_t>(c) * c, 0.0);
-  if (c < 2) return out;
-  const double n = static_cast<double>(sys.TotalNodes());
-  if (!DestinationSkewed()) {
-    for (int i = 0; i < c; ++i) {
-      const double ni = static_cast<double>(sys.NodesInCluster(i));
-      for (int j = 0; j < c; ++j) {
-        if (j == i) continue;
-        out[static_cast<std::size_t>(i * c + j)] =
-            static_cast<double>(sys.NodesInCluster(j)) / (n - ni);
-      }
-    }
-    return out;
-  }
-  // Hotspot: each row's unnormalized masses and their total are the same
-  // terms, in the same destination order, as InterDestProbability's
-  // per-pair loop — computed once per row so the whole matrix is O(C^2).
-  const int h = sys.ClusterOfNode(hotspot_node);
-  const double f = hotspot_fraction;
-  std::vector<double> row(static_cast<std::size_t>(c), 0.0);
-  for (int i = 0; i < c; ++i) {
-    double total = 0;
-    for (int j = 0; j < c; ++j) {
-      if (j == i) continue;
-      const double nj = static_cast<double>(sys.NodesInCluster(j));
-      double q = (1.0 - f) * nj / (n - 1.0);
-      if (j == h && i != h) q += f;
-      row[static_cast<std::size_t>(j)] = q;
-      total += q;
-    }
-    if (total <= 0) continue;  // row stays all-zero, as the per-pair form
-    for (int j = 0; j < c; ++j) {
-      if (j == i) continue;
-      out[static_cast<std::size_t>(i * c + j)] =
-          row[static_cast<std::size_t>(j)] / total;
-    }
-  }
-  return out;
-}
-
 double Workload::EcnLoadFactor(const SystemConfig& sys, int c) const {
   // Ordered so the default workload reproduces Eq. (22)'s N_c U_c term bit
   // for bit (the trailing * 1.0 is exact).
@@ -375,51 +332,6 @@ double Workload::EcnLoadFactor(const SystemConfig& sys, int c) const {
           RateScale(i) * InterDestProbability(sys, i, c);
   }
   return 0.5 * (out + in);
-}
-
-std::vector<double> Workload::EcnLoadFactors(const SystemConfig& sys) const {
-  const int c = sys.num_clusters();
-  std::vector<double> out(static_cast<std::size_t>(c));
-  for (int i = 0; i < c; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<double>(sys.NodesInCluster(i)) * EffectiveU(sys, i) *
-        RateScale(i);
-  }
-  if (!DestinationSkewed()) return out;
-  // Accumulate each cluster's incoming inter rate row by row — the same
-  // terms, in the same source order, as EcnLoadFactor's per-cluster loop,
-  // but with each source's destination-probability row (and its normalizer)
-  // computed once instead of per (source, destination) pair.
-  const double n = static_cast<double>(sys.TotalNodes());
-  const int h = sys.ClusterOfNode(hotspot_node);
-  const double f = hotspot_fraction;
-  std::vector<double> in(static_cast<std::size_t>(c), 0.0);
-  std::vector<double> row(static_cast<std::size_t>(c), 0.0);
-  for (int i = 0; i < c; ++i) {
-    const double out_raw = static_cast<double>(sys.NodesInCluster(i)) *
-                           EffectiveU(sys, i) * RateScale(i);
-    double total = 0;
-    for (int j = 0; j < c; ++j) {
-      if (j == i) continue;
-      const double nj = static_cast<double>(sys.NodesInCluster(j));
-      double q = (1.0 - f) * nj / (n - 1.0);
-      if (j == h && i != h) q += f;
-      row[static_cast<std::size_t>(j)] = q;
-      total += q;
-    }
-    if (total <= 0) continue;
-    for (int j = 0; j < c; ++j) {
-      if (j == i) continue;
-      in[static_cast<std::size_t>(j)] +=
-          out_raw * (row[static_cast<std::size_t>(j)] / total);
-    }
-  }
-  for (int j = 0; j < c; ++j) {
-    out[static_cast<std::size_t>(j)] =
-        0.5 * (out[static_cast<std::size_t>(j)] +
-               in[static_cast<std::size_t>(j)]);
-  }
-  return out;
 }
 
 double Workload::MeanFlits(const MessageFormat& msg) const {

@@ -18,10 +18,12 @@
 //     interarrival SCV through the two-moment G/G/1 correction; the sim
 //     draws gaps (and, for traces, sources/destinations/lengths) from it.
 //
-// The model consumes the probabilistic accessors (EffectiveU, EcnLoadFactor,
-// InterDestProbability, MeanFlits/FlitVariance); the simulator's traffic
-// generator draws from exactly the same object (thinned per-cluster Poisson
-// superposition, sampled flit counts). The default-constructed Workload is
+// The model consumes the probabilistic accessors (EffectiveU, MeanFlits/
+// FlitVariance) and reproduces EcnLoadFactor and InterDestProbability bit
+// for bit, summing once per run of equal clusters instead of once per
+// cluster or pair (the tests' oracle calls these two directly); the
+// simulator's traffic generator draws from exactly the same object (thinned
+// per-cluster Poisson superposition, sampled flit counts). The default-constructed Workload is
 // the paper's assumption 2 and reproduces the seed model and simulator
 // outputs bit for bit (tests/workload_test.cc pins this).
 #pragma once
@@ -181,27 +183,17 @@ struct Workload {
   }
 
   /// P(destination cluster = j | inter-cluster message from cluster i), for
-  /// j != i. Uniform-family patterns: N_j / (N - N_i); hotspot concentrates
-  /// mass on the hot cluster.
+  /// j != i. Uniform-family patterns: N_j / (N - N_i); hotspot gives each
+  /// destination mass (1 - f) N_j / (N - 1), plus f for the hot cluster,
+  /// normalized over the destinations other than i (O(C) per call).
   double InterDestProbability(const SystemConfig& sys, int i, int j) const;
-
-  /// The full i * C + j destination-probability matrix in one O(C^2) pass,
-  /// bit-identical to calling InterDestProbability per ordered pair (each
-  /// row's masses and normalizer are the same terms in the same source
-  /// order, computed once per row instead of once per pair). The compiled
-  /// model's hotspot path fills dest_prob_ from this.
-  std::vector<double> InterDestProbabilities(const SystemConfig& sys) const;
 
   /// Per-unit-lambda_g message rate the pair equations attribute to cluster
   /// c's ECN1: N_c U_c s_c (the Eq. 22 term) for unskewed patterns, and the
   /// symmetrized actual load (outgoing + incoming)/2 under hotspot — the
-  /// per-link rate overlay on the routes into the hot cluster.
+  /// per-link rate overlay on the routes into the hot cluster (O(C^2) per
+  /// call).
   double EcnLoadFactor(const SystemConfig& sys, int c) const;
-
-  /// All clusters' EcnLoadFactor values in one O(C^2) pass (bit-identical to
-  /// calling EcnLoadFactor per cluster). ComputeInter precomputes this once
-  /// so the per-pair equations don't redo the hotspot incoming-rate sums.
-  std::vector<double> EcnLoadFactors(const SystemConfig& sys) const;
 
   /// Message-length moments against the system's MessageFormat.
   double MeanFlits(const MessageFormat& msg) const;

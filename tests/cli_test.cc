@@ -133,6 +133,30 @@ INSTANTIATE_TEST_SUITE_P(
                 "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n"
                 "[clusters]\ncount=4194304\nn=1\nicn1=n\necn1=n\n",
                 "count = 4194304 makes 4194305 clusters"},
+        // So is the ICN2 those clusters resolve: 2^22 clusters need a
+        // 2^23-slot 8-port tree, refused before either section's 2^21
+        // clusters are listed (the list alone took 932 MB).
+        BadCase{"ClusterCountsOverflowTheIcn2",
+                "[system]\nm=8\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\ncount=2097152\nn=1\n"
+                "icn1=n\necn1=n\n[clusters]\ncount=2097152\nn=1\n"
+                "icn1=n\necn1=n\n",
+                "config line 16: count = 2097152 makes 4194304 clusters, "
+                "which the ICN2 cannot hold: tree too large"},
+        BadCase{"ClusterCountsOverflowAnExplicitIcn2",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "icn2_topology=crossbar:4\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\ncount=3\nn=1\nicn1=n\n"
+                "ecn1=n\n[clusters]\ncount=3\nn=1\nicn1=n\necn1=n\n",
+                "config line 17: count = 3 makes 6 clusters, which the ICN2 "
+                "cannot hold: ICN2 topology crossbar 4 has only 4 slots"},
+        BadCase{"OddSwitchArityNamesItsLine",
+                "[system]\nm=5\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
+                "config line 2: switch arity m must be even and >= 4"},
         BadCase{"UnknownNetworkRef",
                 "[system]\nm=4\nicn2=ghost\nmessage_flits=8\nflit_bytes=32\n"
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"

@@ -4,15 +4,21 @@
 // topology family (m-port n-tree, crossbar, mesh via the mixed preset,
 // dragonfly) and every workload pattern (uniform, cluster-local, hot-spot,
 // permutation, heterogeneous rate scales, bimodal message lengths), plus
-// the non-default model-option branches. Also pins the bracket-expansion
-// fix for upper bounds below the true saturation point.
+// the non-default model-option branches. Config-built rows cover runs of
+// equal clusters: two long runs, kinds interleaved so every run is one
+// cluster, the hot node in the middle, first and last cluster of a run, and
+// a rate scale on one cluster inside a run. Also pins the bracket-expansion
+// fix for upper bounds below the true saturation point, and the deadline
+// checks inside compile and evaluation.
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "config/config_parser.h"
 #include "gtest/gtest.h"
 #include "model/compiled_model.h"
 #include "oracle/latency_model.h"
@@ -75,7 +81,28 @@ struct Combo {
   const char* workload;
 };
 
+/// A config of clusters of two kinds, built through the config parser:
+/// kind a is an 8-node tree with ICN1 net1 and ECN1 net2, kind b a 32-node
+/// tree with the networks swapped. `runs` gives each run's length, the
+/// kinds alternating a, b, a, ...
+SystemConfig TwoKindSystem(const std::vector<int>& runs) {
+  std::string text =
+      "[system]\nm = 8\nicn2 = net1\nmessage_flits = 16\nflit_bytes = 64\n"
+      "[network net1]\nbandwidth = 500\nnetwork_latency = 0.01\n"
+      "switch_latency = 0.02\n"
+      "[network net2]\nbandwidth = 250\nnetwork_latency = 0.05\n"
+      "switch_latency = 0.01\n";
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    text += "[clusters]\ncount = " + std::to_string(runs[r]) +
+            (r % 2 == 0 ? "\nn = 1\nicn1 = net1\necn1 = net2\n"
+                        : "\nn = 2\nicn1 = net2\necn1 = net1\n");
+  }
+  return ParseSystemConfig(text);
+}
+
 SystemConfig MakeNamedSystem(const std::string& name) {
+  if (name == "runs64") return TwoKindSystem({32, 32});
+  if (name == "interleaved") return TwoKindSystem({1, 1, 1, 1, 1, 1, 1, 1});
   const MessageFormat msg{16, 64};
   if (name == "1120") return MakeSystem1120(MessageFormat{32, 256});
   if (name == "544") return MakeSystem544(MessageFormat{32, 256});
@@ -90,6 +117,19 @@ Workload MakeNamedWorkload(const std::string& name, const SystemConfig& sys) {
   if (name == "local") return Workload::ClusterLocal(0.7);
   if (name == "hotspot") {
     return Workload::Hotspot(0.2, sys.TotalNodes() / 2);
+  }
+  // On runs64 the middle node lies inside the second run; these put the hot
+  // node in the first cluster of that run and in the last of the first.
+  const int half = sys.num_clusters() / 2;
+  if (name == "hot_first") return Workload::Hotspot(0.2, sys.ClusterBase(half));
+  if (name == "hot_last") {
+    return Workload::Hotspot(0.2, sys.ClusterBase(half - 1) + 3);
+  }
+  if (name == "rate_in_run") {  // one cluster inside runs64's first run
+    std::vector<double> scales(static_cast<std::size_t>(sys.num_clusters()),
+                               1.0);
+    scales[10] = 2.5;
+    return Workload::Uniform().WithRateScale(std::move(scales));
   }
   if (name == "permutation") return Workload::Permutation();
   if (name == "scaled") {
@@ -167,7 +207,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{"dragonfly", "uniform"},
                       Combo{"dragonfly", "hotspot"},
                       Combo{"dragonfly", "permutation"},
-                      Combo{"dragonfly", "bimodal"}),
+                      Combo{"dragonfly", "bimodal"},
+                      Combo{"runs64", "uniform"}, Combo{"runs64", "local"},
+                      Combo{"runs64", "permutation"},
+                      Combo{"runs64", "hotspot"}, Combo{"runs64", "hot_first"},
+                      Combo{"runs64", "hot_last"},
+                      Combo{"runs64", "rate_in_run"},
+                      Combo{"interleaved", "uniform"},
+                      Combo{"interleaved", "local"},
+                      Combo{"interleaved", "hotspot"}),
     [](const ::testing::TestParamInfo<Combo>& info) {
       return std::string(info.param.system) + "_" + info.param.workload;
     });
@@ -348,6 +396,55 @@ TEST(CompiledModelRebind, ChainedDialMovesStayBitIdentical) {
                              Hex(rates[k]));
       }
     }
+  }
+}
+
+TEST(CompiledModel, DeadlineTripsInsideCompileAndEvaluation) {
+  // Interleaved kinds make every run one cluster, so an evaluation is C^2
+  // and only its per-run checks bound it. The compile checks once per class
+  // (2 intra classes, 4 pair classes), the evaluation once per run (8).
+  const SystemConfig sys = MakeNamedSystem("interleaved");
+  int compile_trips = 0;
+  int evaluate_trips = 0;
+  for (int k = 0; k < 20; ++k) {
+    SCOPED_TRACE("checks allowed: " + std::to_string(k));
+    const Deadline deadline = Deadline::TripAfterChecks(k);
+    std::optional<CompiledModel> model;
+    try {
+      model.emplace(sys, Workload::Uniform(), ModelOptions{}, &deadline);
+    } catch (const DeadlineExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find("during model compilation ("),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(evaluate_trips, 0);
+      ++compile_trips;
+      continue;
+    }
+    try {
+      ExpectSameResult(CompiledModel(sys).Evaluate(1e-4),
+                       model->Evaluate(1e-4, &deadline), "untripped");
+    } catch (const DeadlineExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find("during model evaluation ("),
+                std::string::npos)
+          << e.what();
+      ++evaluate_trips;
+    }
+  }
+  EXPECT_EQ(compile_trips, 6);
+  EXPECT_EQ(evaluate_trips, 8);
+
+  // Under hot-spot the compile also checks once per run of its load sums,
+  // before any class is built.
+  const Deadline first = Deadline::TripAfterChecks(0);
+  try {
+    CompiledModel(sys, MakeNamedWorkload("hotspot", sys), ModelOptions{},
+                  &first);
+    ADD_FAILURE() << "expected DeadlineExceeded";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "during model compilation (0 hot-spot sums)"),
+              std::string::npos)
+        << e.what();
   }
 }
 

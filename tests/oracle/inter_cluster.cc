@@ -193,17 +193,23 @@ InterPairResult ComputeInterPair(const SystemConfig& sys, int i, int j,
                                    workload.EcnLoadFactor(sys, j));
 }
 
+std::vector<double> EcnLoadFactors(const SystemConfig& sys,
+                                   const Workload& workload) {
+  std::vector<double> loads;
+  for (int c = 0; c < sys.num_clusters(); ++c) {
+    loads.push_back(workload.EcnLoadFactor(sys, c));
+  }
+  return loads;
+}
+
 InterResult ComputeInter(const SystemConfig& sys, int i, double lambda_g,
                          const LinkDistribution& icn2_links,
-                         const Workload& workload, const ModelOptions& opts) {
+                         const Workload& workload, const ModelOptions& opts,
+                         const std::vector<double>& loads) {
   InterResult out;
   const int c = sys.num_clusters();
   if (c < 2) return out;
 
-  // One pass over the clusters' ECN1 load factors; under hot-spot each
-  // factor folds the full incoming-rate sum, so the per-pair equations must
-  // not recompute it.
-  const std::vector<double> loads = workload.EcnLoadFactors(sys);
   const double load_i = loads[static_cast<std::size_t>(i)];
 
   if (!workload.DestinationSkewed()) {

@@ -16,6 +16,8 @@
 // average by the actual destination-cluster distribution.
 #pragma once
 
+#include <vector>
+
 #include "model/model_options.h"
 #include "model/results.h"
 #include "system/system_config.h"
@@ -35,11 +37,18 @@ InterPairResult ComputeInterPair(const SystemConfig& sys, int i, int j,
                                  const Workload& workload,
                                  const ModelOptions& opts);
 
+/// Every cluster's Workload::EcnLoadFactor, in cluster order. Rate-invariant
+/// (and O(C^3) under hot-spot), so callers compute it once per model.
+std::vector<double> EcnLoadFactors(const SystemConfig& sys,
+                                   const Workload& workload);
+
 /// Evaluates Eqs. 35, 38, 39 for cluster i. Destination clusters are
 /// averaged arithmetically (the paper's Eq. 35) for unskewed workloads, and
 /// by the workload's destination-cluster distribution under hot-spot.
+/// `loads` is EcnLoadFactors(sys, workload).
 InterResult ComputeInter(const SystemConfig& sys, int i, double lambda_g,
                          const LinkDistribution& icn2_links,
-                         const Workload& workload, const ModelOptions& opts);
+                         const Workload& workload, const ModelOptions& opts,
+                         const std::vector<double>& loads);
 
 }  // namespace coc

@@ -14,7 +14,10 @@
 namespace coc {
 
 LatencyModel::LatencyModel(const SystemConfig& sys, ModelOptions opts)
-    : sys_(sys), opts_(opts), icn2_links_(MakeIcn2LinkDistribution(sys_)) {}
+    : sys_(sys),
+      opts_(opts),
+      icn2_links_(MakeIcn2LinkDistribution(sys_)),
+      ecn_loads_(EcnLoadFactors(sys_, workload_)) {}
 
 LatencyModel::LatencyModel(const SystemConfig& sys, const Workload& workload,
                            ModelOptions opts)
@@ -23,6 +26,7 @@ LatencyModel::LatencyModel(const SystemConfig& sys, const Workload& workload,
       opts_(opts),
       icn2_links_(MakeIcn2LinkDistribution(sys_)) {
   workload_.Validate(sys_);
+  ecn_loads_ = EcnLoadFactors(sys_, workload_);
 }
 
 LatencyModel::HotEject LatencyModel::HotEjectOverlay(double lambda_g) const {
@@ -91,7 +95,8 @@ ModelResult LatencyModel::Evaluate(double lambda_g) const {
     ClusterLatency cl;
     cl.u = workload_.EffectiveU(sys_, i);
     cl.intra = ComputeIntra(sys_, i, lambda_g, workload_, opts_);
-    cl.inter = ComputeInter(sys_, i, lambda_g, icn2_links_, workload_, opts_);
+    cl.inter = ComputeInter(sys_, i, lambda_g, icn2_links_, workload_, opts_,
+                            ecn_loads_);
     // Eq. (1). A component with zero traffic share cannot saturate the
     // blend (e.g. L_out in a single-cluster system where U = 0).
     cl.blended = 0;

@@ -76,6 +76,8 @@ class LatencyModel {
   Workload workload_;
   ModelOptions opts_;
   LinkDistribution icn2_links_;
+  /// Per-cluster Workload::EcnLoadFactor, computed once (rate-invariant).
+  std::vector<double> ecn_loads_;
 };
 
 }  // namespace coc
