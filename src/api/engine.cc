@@ -48,17 +48,6 @@ std::string WorkloadKey(const Workload& w) {
   return key;
 }
 
-std::string OptionsKey(const ModelOptions& o) {
-  std::string key;
-  key += static_cast<char>('0' + static_cast<int>(o.lambda_i2));
-  key += static_cast<char>('0' + static_cast<int>(o.ecn_eta));
-  key += static_cast<char>('0' + static_cast<int>(o.condis_service));
-  key += static_cast<char>('0' + static_cast<int>(o.relaxing_factor));
-  key += static_cast<char>('0' + static_cast<int>(o.source_queue_rate));
-  key += o.include_last_stage_wait ? '1' : '0';
-  return key;
-}
-
 /// The sim budget a scenario asks for: the environment-controlled default,
 /// with the scenario's overrides applied the way the CLI's flags are.
 SimConfig ScenarioSimBudget(const Scenario& s, double lambda_g) {
@@ -129,7 +118,7 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
     const Deadline* deadline) {
   std::string family_key = system_key;
   family_key += '\x1e';
-  family_key += OptionsKey(opts);
+  PrintModelKeys(opts, family_key);
   std::string key = family_key;
   key += '\x1e';
   key += WorkloadKey(workload);

@@ -11,21 +11,13 @@
 //   system = preset:tiny:16:64        # config path or preset:... specifier
 //   analyses = model,bottleneck       # model|bottleneck|saturation|sweep|sim
 //   rate = 1e-4                       # operating point (model/bottleneck/sim)
-//   icn2_topology = crossbar          # optional global-network override
-//   workload.pattern = hotspot        # optional overlay on the system's
-//   workload.hotspot_fraction = 0.2   #   workload; WorkloadOverlay in
-//   workload.rate.3 = 2.5             #   workload/workload.h lists the keys
-//   sweep.max_rate = 1e-3             # sweep analysis parameters
-//   sweep.points = 8
-//   sweep.sim = true
-//   sim.messages = 20000              # sim analysis budget (measured window;
-//   sim.seed = 1                      #   warmup/drain derive as N/10)
-//   sim.condis = cut-through          # or store-forward
-//   model.lambda_i2 = pair_mean       # ModelOptions knobs (all optional,
-//   model.relaxing_factor = off       #   serialized only when non-default)
+//   workload.pattern = hotspot        # a WorkloadOverlay key
+//   model.lambda_i2 = harmonic        # a ModelOptions knob
 //
-// Parse and Serialize are inverse up to canonicalization: Serialize emits a
-// canonical key order and only non-default values, and
+// The key rows in scenario.cc are the one list of keys (the workload.* rows
+// are WorkloadOverlay's): Set, Serialize, the did-you-mean for an unknown
+// key and the Engine's model-memo key all read them. Serialize emits the
+// rows' order and only non-default values, and
 // Parse(Serialize(Parse(text))) == Parse(text) for every valid input (the
 // round-trip property test pins this).
 #pragma once
@@ -106,6 +98,11 @@ struct Scenario {
     return *this;
   }
 
+  /// Parses one scenario-file key into its field through the key rows.
+  /// Throws std::invalid_argument on an unknown key (with a did-you-mean
+  /// suggestion) or a malformed value.
+  void Set(const std::string& key, const std::string& value);
+
   /// Structural validation (system present, analyses non-empty, rate
   /// positive where an analysis needs it, sweep parameters sane). Throws
   /// ScenarioError (an std::invalid_argument) naming the scenario.
@@ -117,6 +114,11 @@ struct Scenario {
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
+
+/// Appends the `model.*` lines of the knobs in `opts` that differ from their
+/// defaults, in canonical order: Serialize's spelling of ModelOptions, and
+/// the Engine's model-memo key for it.
+void PrintModelKeys(const ModelOptions& opts, std::string& out);
 
 /// Parses a scenario batch file: one or more [scenario NAME] sections.
 /// Unnamed sections get "scenario<index>" (1-based). Throws

@@ -439,14 +439,8 @@ int CmdSim(const std::string& system, Flags& flags, std::ostream& out) {
   if (flags.Present("messages")) {
     s.sim_messages = flags.Integer<std::int64_t>("messages");
   }
-  const std::string condis = flags.Text("condis", "cut-through");
-  if (condis == "cut-through") {
-    s.condis = CondisMode::kCutThrough;
-  } else if (condis == "store-forward") {
-    s.condis = CondisMode::kStoreForward;
-  } else {
-    throw std::invalid_argument("unknown --condis '" + condis + "'");
-  }
+  // --condis is the scenario key sim.condis.
+  if (flags.Present("condis")) s.Set("sim.condis", flags.Text("condis", ""));
   s.deadline_ms = DeadlineFromFlags(flags);
   const Format format = FormatFromFlags(flags);
   flags.CheckAllUsed();
@@ -518,8 +512,16 @@ int RunWorkloadDialSweep(const Scenario& s, WorkloadDial dial,
                      " outside [0, " + std::to_string(sys.num_clusters()) +
                      ") for this system");
   }
+  // The base workload carries the dial's own overlay field at the grid's
+  // first value, so a workload flag the dial contradicts (--pattern hotspot
+  // with --sweep-locality) fails as it does in `model`, not silently.
+  WorkloadOverlay overlay = s.workload;
+  if (dial == WorkloadDial::kLocality) overlay.locality = values.front();
+  if (dial == WorkloadDial::kHotspotFraction) {
+    overlay.hotspot_fraction = values.front();
+  }
   WorkloadGridSpec spec;
-  spec.base = s.workload.ApplyTo(exp.workload, sys);
+  spec.base = overlay.ApplyTo(exp.workload, sys);
   spec.dial = dial;
   spec.values = values;
   spec.rate_scale_cluster = dial_cluster;

@@ -1,5 +1,6 @@
 #include "common/ini.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,6 +54,68 @@ std::vector<IniSection> ParseIniSections(const std::string& text) {
     sections.back().key_lines.emplace(key, line_no);
   }
   return sections;
+}
+
+bool IniKeyMatches(std::string_view name, std::string_view key) {
+  if (name.back() == '.') return key.starts_with(name);  // a nested table
+  if (name.back() != '>') return key == name;
+  const auto open = name.rfind('<');  // a family: the prefix, then an index
+  if (!key.starts_with(name.substr(0, open))) return false;
+  const auto index = ParseFullInteger<int>(key.substr(open));
+  return index && *index >= 0;
+}
+
+namespace {
+
+/// Levenshtein distance, for the did-you-mean suggestion.
+std::size_t EditDistance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t prev = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = prev + (a[i - 1] == b[j - 1] ? 0 : 1);
+      prev = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
+    }
+  }
+  return row[b.size()];
+}
+
+}  // namespace
+
+std::string UnknownIniKey(std::string_view what, const std::string& key,
+                          std::string_view where,
+                          std::span<const std::string_view> names) {
+  // A family is compared with the key's own last segment in place of its
+  // placeholder, so "workload.rates.0" suggests "workload.rate.<cluster>"
+  // and not an unrelated scalar key.
+  const auto dot = key.rfind('.');
+  const std::string suffix =
+      dot == std::string::npos ? "" : key.substr(dot + 1);
+  std::string_view best;
+  std::size_t best_dist = std::string::npos;
+  for (const std::string_view name : names) {
+    if (name.back() == '.') continue;
+    std::string comparable(name);
+    const auto open = comparable.find('<');
+    if (open != std::string::npos && !suffix.empty()) {
+      comparable.replace(open, std::string::npos, suffix);
+    }
+    const std::size_t d = EditDistance(key, comparable);
+    if (d < best_dist) {
+      best_dist = d;
+      best = name;
+    }
+  }
+  return "unknown " + std::string(what) + " '" + key + "'" +
+         std::string(where) + " (did you mean '" + std::string(best) + "'?)";
+}
+
+void AppendIniLine(std::string& out, std::string_view key,
+                   std::string_view value) {
+  out.append(key).append(" = ").append(value) += '\n';
 }
 
 }  // namespace coc

@@ -12,6 +12,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace coc {
 
@@ -20,7 +22,7 @@ namespace coc {
 /// with an optional leading '-' only: no whitespace, no '+', no exponent or
 /// fraction, and no sign at all for unsigned T.
 template <typename T>
-std::optional<T> ParseFullInteger(const std::string& token) {
+std::optional<T> ParseFullInteger(std::string_view token) {
   T v{};
   const char* end = token.data() + token.size();
   const auto res = std::from_chars(token.data(), end, v);
@@ -31,7 +33,7 @@ std::optional<T> ParseFullInteger(const std::string& token) {
 /// A finite decimal double over the whole token. Like ParseFullInteger it
 /// takes no whitespace and no '+'; it also takes no hex and no inf or nan
 /// (a non-finite value has no spelling that serializes back).
-inline std::optional<double> ParseFullDouble(const std::string& token) {
+inline std::optional<double> ParseFullDouble(std::string_view token) {
   double v = 0;
   const char* end = token.data() + token.size();
   const auto res = std::from_chars(token.data(), end, v);
@@ -59,7 +61,9 @@ template <typename T>
 T ParseKeyInteger(const std::string& key, const std::string& value) {
   if (const auto v = ParseFullInteger<T>(value)) return *v;
   ParseKeyDouble(key, value);
-  throw std::invalid_argument("'" + key + "' must be an integer");
+  throw std::invalid_argument(
+      "'" + key + "' must be " +
+      (std::is_unsigned_v<T> ? "a non-negative integer" : "an integer"));
 }
 
 }  // namespace coc

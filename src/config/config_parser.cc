@@ -1,5 +1,6 @@
 #include "config/config_parser.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -23,16 +24,40 @@ using Section = IniSection;
   IniFail(line, what);
 }
 
-/// Line-level parse via the shared tokenizer plus this format's section-kind
-/// validation (the tokenizer accepts any kind; scenario files use others).
+/// Line-level parse via the shared tokenizer plus this format's section
+/// kinds and keys (the tokenizer accepts any; scenario files use others).
 std::vector<Section> Tokenize(const std::string& text) {
+  // The keys each section kind reads; [system]'s workload.* keys go to
+  // WorkloadOverlay's rows.
+  static const std::map<std::string, std::vector<std::string_view>>
+      kSectionKeys = {
+          {"system",
+           {"m", "icn2", "icn2_topology", "message_flits", "flit_bytes",
+            "workload."}},
+          {"network", {"bandwidth", "network_latency", "switch_latency"}},
+          {"clusters",
+           {"count", "n", "topology", "ecn1_topology", "icn1", "ecn1"}}};
   std::vector<Section> sections = ParseIniSections(text);
   for (const Section& s : sections) {
-    if (s.kind != "system" && s.kind != "network" && s.kind != "clusters") {
+    const auto kind = kSectionKeys.find(s.kind);
+    if (kind == kSectionKeys.end()) {
       Fail(s.line, "unknown section kind '" + s.kind + "'");
     }
     if (s.kind == "network" && s.name.empty()) {
       Fail(s.line, "[network ...] needs a name");
+    }
+    const std::vector<std::string_view>& keys = kind->second;
+    for (const auto& [key, value] : s.values) {
+      if (std::none_of(keys.begin(), keys.end(), [&key](std::string_view k) {
+            return IniKeyMatches(k, key);
+          })) {
+        std::vector<std::string_view> names = keys;
+        if (s.kind == "system") WorkloadOverlay::KeyNames(names);
+        const std::string header =
+            s.kind + (s.name.empty() ? "" : " ") + s.name;
+        Fail(s.KeyLine(key),
+             UnknownIniKey("key", key, " in [" + header + "]", names));
+      }
     }
   }
   return sections;

@@ -4,55 +4,36 @@
 // Format (INI-like; '#' starts a comment):
 //
 //   [system]
-//   m = 8                  # switch arity (even, >= 4)
-//   icn2 = net1            # name of a [network ...] section
+//   m = 8                       # switch arity (even, >= 4)
+//   icn2 = net1                 # name of a [network ...] section
 //   message_flits = 32
 //   flit_bytes = 256
+//   icn2_topology = crossbar    # optional; default tree, auto depth
+//   workload.pattern = hotspot  # optional workload.* keys (the paper's
+//                               #   uniform assumption 2 by default)
 //
-//   [network net1]
-//   bandwidth = 500        # bytes/us
+//   [network net1]              # one section per network name
+//   bandwidth = 500             # bytes/us
 //   network_latency = 0.01
 //   switch_latency = 0.02
 //
-//   [network net2]
-//   bandwidth = 250
-//   network_latency = 0.05
-//   switch_latency = 0.01
-//
-//   [clusters]             # repeatable; each adds `count` clusters
-//   count = 12             #   (at most 2^22 clusters in all)
-//   n = 1
+//   [clusters]                  # repeatable; each adds `count` clusters
+//   count = 12                  #   (default 1; at most 2^22 in all)
+//   n = 1                       # tree depth
 //   icn1 = net1
-//   ecn1 = net2
+//   ecn1 = net1
+//   topology = mesh:4x2         # optional ICN1 (then 'n' may be omitted)
+//   ecn1_topology = crossbar    # optional; default mirrors the ICN1 spec
 //
-// Topologies default to the paper's m-port n-tree everywhere but are
-// pluggable per network (see src/topology/topology_spec.h for the spec
-// syntax):
+// Topologies default to the paper's m-port n-tree; topology_spec.h has the
+// spec syntax. Each section kind reads the keys its list in
+// config_parser.cc names, and [system]'s workload.* keys go to
+// WorkloadOverlay's rows (workload/workload.h), which scenario files and
+// the CLI's workload flags share. Any other key is an error at its line.
 //
-//   [system]
-//   icn2_topology = crossbar        # optional; default tree, auto depth
-//   ...
-//   [clusters]
-//   topology = mesh:4x2             # ICN1 (defines the cluster node count;
-//                                   # 'n' may then be omitted)
-//   ecn1_topology = crossbar        # optional; default mirrors the ICN1 spec
-//   ...
-//
-// The workload — one shared abstraction for model and simulator — is set by
-// `workload.*` keys of the [system] section (all optional; the default is
-// the paper's uniform assumption 2). WorkloadOverlay in workload/workload.h
-// lists the keys and their semantics, which scenario files and the CLI's
-// workload flags share:
-//
-//   [system]
-//   workload.pattern = hotspot
-//   workload.hotspot_fraction = 0.2
-//   workload.rate.3 = 2.5
-//
-// Alternatively the string "preset:1120", "preset:544", "preset:small",
-// "preset:tiny" or "preset:mixed" (heterogeneous topology families) selects
-// a built-in configuration (message format given by the optional
-// "preset:NAME:M:dm" suffix).
+// Alternatively "preset:NAME" (1120, 544, small, tiny, mixed or dragonfly)
+// selects a built-in configuration, with the message format given by the
+// optional "preset:NAME:M:dm" suffix.
 #pragma once
 
 #include <string>

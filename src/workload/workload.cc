@@ -7,6 +7,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/ini.h"
 #include "common/json.h"
 #include "common/parse_num.h"
 #include "system/system_config.h"
@@ -17,27 +18,26 @@ namespace coc {
 // (it cannot include this header); keep the two in lock step.
 static_assert(MessageLength::kMaxFlits == (1 << 20));
 
+namespace {
+
+// "cluster-local" is an accepted alias; names read back as the first entry.
+constexpr IniName<WorkloadPattern> kPatternNames[] = {
+    {WorkloadPattern::kUniform, "uniform"},
+    {WorkloadPattern::kHotspot, "hotspot"},
+    {WorkloadPattern::kClusterLocal, "local"},
+    {WorkloadPattern::kPermutation, "permutation"},
+    {WorkloadPattern::kClusterLocal, "cluster-local"}};
+
+}  // namespace
+
 const char* WorkloadPatternName(WorkloadPattern pattern) {
-  switch (pattern) {
-    case WorkloadPattern::kUniform:
-      return "uniform";
-    case WorkloadPattern::kHotspot:
-      return "hotspot";
-    case WorkloadPattern::kClusterLocal:
-      return "local";
-    case WorkloadPattern::kPermutation:
-      return "permutation";
-  }
-  return "?";
+  return IniNameOf(kPatternNames, pattern).data();  // names are literals
 }
 
 WorkloadPattern ParseWorkloadPattern(const std::string& name) {
-  if (name == "uniform") return WorkloadPattern::kUniform;
-  if (name == "hotspot") return WorkloadPattern::kHotspot;
-  if (name == "local" || name == "cluster-local") {
-    return WorkloadPattern::kClusterLocal;
+  for (const auto& [pattern, n] : kPatternNames) {
+    if (n == name) return pattern;
   }
-  if (name == "permutation") return WorkloadPattern::kPermutation;
   throw std::invalid_argument("unknown workload pattern '" + name +
                               "' (use uniform, hotspot, local or permutation)");
 }
@@ -346,93 +346,58 @@ double Workload::FlitVariance(const MessageFormat& msg) const {
 
 namespace {
 
-constexpr std::string_view kRateKeyPrefix = "workload.rate.";
-
-/// Levenshtein distance, for the did-you-mean suggestion on unknown
-/// workload.* keys.
-std::size_t EditDistance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t prev = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t del = row[j] + 1;
-      const std::size_t ins = row[j - 1] + 1;
-      const std::size_t sub = prev + (a[i - 1] == b[j - 1] ? 0 : 1);
-      prev = row[j];
-      row[j] = std::min({del, ins, sub});
-    }
+/// Keeps the rate table sorted by index, so equal overlays compare equal
+/// and serialize alike whatever order their keys were read in.
+void SetRateScale(WorkloadOverlay& o, const std::string& key,
+                  const std::string& value) {
+  const int idx = *ParseFullInteger<int>(
+      std::string_view(key).substr(key.rfind('.') + 1));
+  const double scale = ParseKeyDouble(key, value);
+  const auto at = std::find_if(
+      o.rate_scale.begin(), o.rate_scale.end(),
+      [idx](const std::pair<int, double>& e) { return e.first >= idx; });
+  if (at != o.rate_scale.end() && at->first == idx) {
+    throw std::invalid_argument("duplicate cluster index " +
+                                std::to_string(idx) + " in '" + key + "'");
   }
-  return row[b.size()];
+  o.rate_scale.emplace(at, idx, scale);
 }
 
-const char* const kWorkloadKeys[] = {
-    "workload.pattern",         "workload.locality",
-    "workload.hotspot_fraction", "workload.hotspot_node",
-    "workload.msg_len",          "workload.rate.<cluster>",
-    "workload.arrival",
+void PrintRateScale(const WorkloadOverlay& o, std::string_view name,
+                    std::string& out) {
+  for (const auto& [idx, s] : o.rate_scale) {
+    std::string key(name.substr(0, name.rfind('<')));
+    key += std::to_string(idx);
+    AppendIniLine(out, key, JsonNumber(s));
+  }
+}
+
+constexpr IniKey<WorkloadOverlay> kOverlayKeys[] = {
+    IniFieldKey<&WorkloadOverlay::pattern, ParseWorkloadPattern,
+                WorkloadPatternName>("workload.pattern"),
+    IniNumberKey<&WorkloadOverlay::locality>("workload.locality"),
+    IniNumberKey<&WorkloadOverlay::hotspot_fraction>(
+        "workload.hotspot_fraction"),
+    IniNumberKey<&WorkloadOverlay::hotspot_node>("workload.hotspot_node"),
+    IniFieldKey<&WorkloadOverlay::msg_len, MessageLength::Parse,
+                &MessageLength::ToString>("workload.msg_len"),
+    IniFieldKey<&WorkloadOverlay::arrival, ArrivalProcess::Parse,
+                &ArrivalProcess::ToString>("workload.arrival"),
+    {"workload.rate.<cluster>", SetRateScale, PrintRateScale},
 };
-
-[[noreturn]] void FailUnknownWorkloadKey(const std::string& key) {
-  // Compare against the known key names; the per-cluster rate family is
-  // matched with the user's own index substituted for "<cluster>", so
-  // "workload.rates.0" suggests "workload.rate.<cluster>" and not an
-  // unrelated scalar key.
-  const auto last_dot = key.rfind('.');
-  const std::string suffix =
-      last_dot == std::string::npos ? "" : key.substr(last_dot + 1);
-  std::string best;
-  std::size_t best_dist = std::string::npos;
-  for (const std::string candidate : kWorkloadKeys) {
-    std::string comparable = candidate;
-    const auto ph = comparable.find("<cluster>");
-    if (ph != std::string::npos && !suffix.empty()) {
-      comparable.replace(ph, std::string("<cluster>").size(), suffix);
-    }
-    const std::size_t d = EditDistance(key, comparable);
-    if (d < best_dist) {
-      best_dist = d;
-      best = candidate;
-    }
-  }
-  throw std::invalid_argument("unknown workload key '" + key +
-                              "' (did you mean '" + best + "'?)");
-}
 
 }  // namespace
 
 void WorkloadOverlay::Set(const std::string& key, const std::string& value) {
-  if (key == "workload.pattern") {
-    pattern = ParseWorkloadPattern(value);
-  } else if (key == "workload.locality") {
-    locality = ParseKeyDouble(key, value);
-  } else if (key == "workload.hotspot_fraction") {
-    hotspot_fraction = ParseKeyDouble(key, value);
-  } else if (key == "workload.hotspot_node") {
-    hotspot_node = ParseKeyInteger<std::int64_t>(key, value);
-  } else if (key == "workload.msg_len") {
-    msg_len = MessageLength::Parse(value);
-  } else if (key == "workload.arrival") {
-    arrival = ArrivalProcess::Parse(value);
-  } else {
-    const auto idx =
-        key.rfind(kRateKeyPrefix, 0) == 0
-            ? ParseFullInteger<int>(key.substr(kRateKeyPrefix.size()))
-            : std::nullopt;
-    if (!idx || *idx < 0) FailUnknownWorkloadKey(key);
-    const double scale = ParseKeyDouble(key, value);
-    // Keep the table sorted by index, so equal overlays compare equal and
-    // serialize alike whatever order their keys were read in.
-    const auto at = std::find_if(
-        rate_scale.begin(), rate_scale.end(),
-        [&idx](const std::pair<int, double>& e) { return e.first >= *idx; });
-    if (at != rate_scale.end() && at->first == *idx) {
-      throw std::invalid_argument("duplicate cluster index " +
-                                  std::to_string(*idx) + " in '" + key + "'");
-    }
-    rate_scale.emplace(at, *idx, scale);
-  }
+  SetIniKey(kOverlayKeys, "workload", *this, key, value);
+}
+
+void WorkloadOverlay::PrintKeys(std::string& out) const {
+  PrintIniKeys(kOverlayKeys, *this, out);
+}
+
+void WorkloadOverlay::KeyNames(std::vector<std::string_view>& out) {
+  IniKeyNames(kOverlayKeys, out);
 }
 
 Workload WorkloadOverlay::ApplyTo(Workload base, const SystemConfig& sys) const {

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -200,19 +201,21 @@ struct Workload {
   double FlitVariance(const MessageFormat& msg) const;
 };
 
-/// Field-wise workload overrides, and the one reader of the `workload.*`
-/// keys: config files (the [system] section, applied to the uniform
-/// default), scenario files (applied to the system's workload) and the
-/// CLI's workload flags (`--rate-scale I=S` is `workload.rate.I = S`).
+/// Field-wise workload overrides, and the one reader and writer of the
+/// `workload.*` keys: config files (the [system] section, applied to the
+/// uniform default), scenario files (applied to the system's workload) and
+/// the CLI's workload flags (`--rate-scale I=S` is `workload.rate.I = S`).
+/// The overlay's seven key rows in workload.cc declare them; in their
+/// (canonical) order:
 ///
 ///   workload.pattern = hotspot          # uniform|local|hotspot|permutation
 ///   workload.locality = 0.8             # local: in-cluster share
 ///   workload.hotspot_fraction = 0.2     # hotspot: share to the hot node
 ///   workload.hotspot_node = 0           # hotspot: global node id
-///   workload.rate.3 = 2.5               # cluster 3 generates at 2.5x
 ///   workload.msg_len = bimodal:8,64,0.1 # or "fixed" (MessageFormat's M)
 ///   workload.arrival = mmpp:4,8         # poisson|mmpp:RATIO,BURSTLEN|
 ///                                       #   trace:PATH
+///   workload.rate.3 = 2.5               # cluster 3 generates at 2.5x
 ///
 /// The semantics are the same at every entry point:
 ///   * `locality` implies `pattern = local`; `hotspot_fraction` and
@@ -240,6 +243,13 @@ struct WorkloadOverlay {
   /// std::invalid_argument on an unknown key (with a did-you-mean
   /// suggestion), a malformed value, or a cluster index already set.
   void Set(const std::string& key, const std::string& value);
+
+  /// Appends the `key = value` lines of the fields that are set, in the
+  /// rows' order (Scenario::Serialize's workload part).
+  void PrintKeys(std::string& out) const;
+
+  /// Appends the key names, for other formats' did-you-mean suggestions.
+  static void KeyNames(std::vector<std::string_view>& out);
 
   /// Applies the overlay to `base` and validates the result against `sys`.
   /// Throws std::invalid_argument with the CLI flag spellings on conflicts

@@ -780,6 +780,34 @@ workload.arrival = mmpp:4,8
   EXPECT_NE(reports[0].model->result.mean_latency, reports[1].model->result.mean_latency);
 }
 
+TEST(Engine, EveryModelKnobKeysItsOwnModel) {
+  // The defaults, then each of the 7 non-default model.* values, on one
+  // shared Engine. A knob missing from the model-memo key would make its
+  // scenario a memo hit on an earlier option set's model: its report would
+  // differ from a fresh Engine's, and the memo would hold fewer models.
+  const char* const kKnobs[] = {
+      "",
+      "model.lambda_i2 = harmonic\n",
+      "model.ecn_eta = source_side\n",
+      "model.condis_service = supply_limited\n",
+      "model.relaxing_factor = as_printed\n",
+      "model.relaxing_factor = off\n",
+      "model.source_queue_rate = network_total\n",
+      "model.include_last_stage_wait = false\n",
+  };
+  Engine shared;
+  for (const char* knob : kKnobs) {
+    SCOPED_TRACE(knob);
+    const Scenario s = ParseScenario(
+        std::string("[scenario knob]\nsystem = preset:tiny\n") +
+        "analyses = model,bottleneck,saturation\nrate = 1e-3\n" + knob);
+    Engine fresh;
+    EXPECT_EQ(shared.Evaluate(s).ToJson().Dump(2),
+              fresh.Evaluate(s).ToJson().Dump(2));
+  }
+  EXPECT_EQ(shared.Stats().models, 8u);
+}
+
 TEST(Engine, NearbyArrivalParametersKeepDistinctModels) {
   // The model memo key spells the arrival process, and these three differ
   // only past the sixth digit: each must match its own evaluation alone,

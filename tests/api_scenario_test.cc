@@ -102,15 +102,18 @@ TEST(Scenario, PropertyRandomizedRoundTrip) {
                                                 0.5 + 64.0 * rng.NextDouble());
     }
     if (pick(2)) s.workload.rate_scale = {{pick(4), 0.25 * (1 + pick(8))}};
-    if (pick(2)) s.model.ecn_eta = ModelOptions::EcnEta::kSourceSideOnly;
-    if (pick(2)) {
-      s.model.condis_service = ModelOptions::CondisService::kSupplyLimited;
-    }
-    if (pick(2)) {
-      s.model.source_queue_rate = ModelOptions::SourceQueueRate::kNetworkTotal;
-    }
+    // Every model.* knob over all of its values (enumerators are 0..n-1).
+    s.model.lambda_i2 = static_cast<ModelOptions::LambdaI2>(pick(2));
+    s.model.ecn_eta = static_cast<ModelOptions::EcnEta>(pick(2));
+    s.model.condis_service =
+        static_cast<ModelOptions::CondisService>(pick(2));
+    s.model.relaxing_factor =
+        static_cast<ModelOptions::RelaxingFactor>(pick(3));
+    s.model.source_queue_rate =
+        static_cast<ModelOptions::SourceQueueRate>(pick(2));
+    s.model.include_last_stage_wait = pick(2) != 0;
     s.sweep_max_rate = (1 + pick(100)) * 1e-5;  // kept even without kSweep
-    s.sweep_points = 1 + pick(16);
+    s.sweep_points = 1 + pick(Scenario::kMaxSweepPoints);
     s.sweep_sim = pick(2) != 0;
     if (pick(2)) s.sim_messages = 1 + pick(10000);
     s.sim_seed = static_cast<std::uint64_t>(1 + pick(1 << 20));

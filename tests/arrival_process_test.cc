@@ -5,6 +5,7 @@
 // saturation rate, trace replay fidelity and its typed line-numbered
 // diagnostics, and the pinned model-vs-sim tolerance for bursty and trace
 // scenarios on every topology family.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "common/status.h"
 #include "gtest/gtest.h"
+#include "ini_mutation.h"
 #include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "sim/traffic.h"
@@ -376,6 +378,116 @@ TEST(ArrivalProcess, TraceProblemsRaiseTypedLineNumberedErrors) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Replaces whitespace-separated field `field` of line `line` of `text`
+/// with `with`; a line or field that mutations already removed is skipped.
+void ReplaceTraceField(std::string& text, std::size_t line, std::size_t field,
+                       const std::string& with) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < line; ++i) {
+    at = text.find('\n', at);
+    if (at == std::string::npos) return;
+    ++at;
+  }
+  const std::size_t end = std::min(text.find('\n', at), text.size());
+  for (std::size_t f = 0;; ++f) {
+    at = text.find_first_not_of(" \t\r", at);
+    if (at == std::string::npos || at >= end) return;
+    const std::size_t stop = std::min(text.find_first_of(" \t\r\n", at), end);
+    if (f == field) {
+      text.replace(at, stop - at, with);
+      return;
+    }
+    at = stop;
+  }
+}
+
+TEST(ArrivalProcess, TraceMutationPropertyLoadsOrRaisesStructuredErrors) {
+  // Trace files are daemon input: a served scenario naming trace:PATH
+  // re-reads the file at parse. Seeded mutations of a valid trace (the INI
+  // truncate/duplicate/splice/delete operators, timestamps that go
+  // backwards, node ids past the system, NaN and 1e999 fields, CRLF line
+  // ends, invalid UTF-8, and once a 16 MB line) must each load and validate
+  // against a system, or raise the std::invalid_argument family
+  // (ScenarioError, UsageError): never another type, never a crash. The
+  // suite runs under ASan/UBSan in CI.
+  const auto sys = MakeTinySystem(MessageFormat{8, 32});
+  const std::int64_t n = sys.TotalNodes();
+  std::string base = "# seeded trace\n";
+  for (int i = 0; i < 24; ++i) {
+    base += std::to_string(0.5 * i) + " " + std::to_string(i % n) + " " +
+            std::to_string((i + 1 + i % 3) % n) + " " +
+            std::to_string(1 + i % 8) + "\n";
+  }
+  {
+    Workload valid;
+    valid.arrival = ArrivalProcess::TraceReplay(
+        WriteTempTrace("mutation_base.trace", base));
+    valid.Validate(sys);  // an invalid base would test only its one error
+  }
+  const std::string kNodes[] = {std::to_string(n), std::to_string(n + 7),
+                                "2147483648", "9223372036854775807",
+                                "99999999999999999999"};
+  const std::string kNumbers[] = {"nan", "NaN", "1e999", "-1e999", "inf",
+                                  "1e308", "-0", "0x10"};
+  const std::string kBadUtf8[] = {"\xff", "\xc0\x80", "\xed\xa0\x80",
+                                  "\xfe\xfe", "\xe2\x82"};
+  Rng rng(20261018);
+  constexpr int kTrials = 2000;
+  int loaded = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string text = base;
+    const std::size_t lines = 1 + std::count(text.begin(), text.end(), '\n');
+    for (std::size_t m = 1 + Pick(rng, 3); m-- > 0;) {
+      switch (Pick(rng, 9)) {
+        case 0: MutateIni(text, 0, rng); break;  // truncate
+        case 1: MutateIni(text, 2, rng); break;  // duplicate a line
+        case 2: MutateIni(text, 3, rng); break;  // splice garbage
+        case 3: MutateIni(text, 4, rng); break;  // delete a span
+        case 4:  // a timestamp below its predecessor's
+          ReplaceTraceField(text, 2 + Pick(rng, lines - 2), 0,
+                            std::to_string(0.25 * Pick(rng, 4)));
+          break;
+        case 5:  // a node id past the system (or past int64)
+          ReplaceTraceField(text, 1 + Pick(rng, lines - 1), 1 + Pick(rng, 2),
+                            kNodes[Pick(rng, std::size(kNodes))]);
+          break;
+        case 6:  // a non-finite or odd number in any field
+          ReplaceTraceField(text, 1 + Pick(rng, lines - 1), Pick(rng, 4),
+                            kNumbers[Pick(rng, std::size(kNumbers))]);
+          break;
+        case 7: {  // CRLF line ends
+          for (std::size_t at = text.find('\n'); at != std::string::npos;
+               at = text.find('\n', at + 2)) {
+            text.insert(at, 1, '\r');
+          }
+          break;
+        }
+        case 8:  // invalid UTF-8
+          text.insert(Pick(rng, text.size() + 1),
+                      kBadUtf8[Pick(rng, std::size(kBadUtf8))]);
+          break;
+      }
+    }
+    if (trial == kTrials / 2) {
+      // One 16 MB line: a record padded to 16 MB with blanks.
+      text += "100 0 1 4" + std::string(std::size_t{16} << 20, ' ') + "\n";
+    }
+    const std::string path = WriteTempTrace("mutation.trace", text);
+    try {
+      Workload w;
+      w.arrival = ArrivalProcess::Parse("trace:" + path);
+      w.Validate(sys);
+      ++loaded;
+    } catch (const std::invalid_argument& e) {
+      ASSERT_FALSE(std::string(e.what()).empty()) << "trial " << trial;
+    }
+    // Any other exception type escapes and fails the test.
+  }
+  // The sweep must reach both outcomes to mean anything.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kTrials);
 }
 
 TEST(ArrivalProcess, NonPoissonWorkloadsCarryTheApproximationNote) {

@@ -157,6 +157,28 @@ INSTANTIATE_TEST_SUITE_P(
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"
                 "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
                 "config line 2: switch arity m must be even and >= 4"},
+        // Every section kind reads a fixed list of keys; a key none of
+        // them reads fails at its own line, not silently ignored.
+        BadCase{"UnknownSystemKeyNamesItsLine",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "icn2_topolgy=crossbar\n[network n]\nbandwidth=1\n"
+                "network_latency=0\nswitch_latency=0\n[clusters]\nn=1\n"
+                "icn1=n\necn1=n\n",
+                "config line 6: unknown key 'icn2_topolgy' in [system] (did "
+                "you mean 'icn2_topology'?)"},
+        BadCase{"UnknownNetworkKeyNamesItsLine",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwith=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\nn=1\nicn1=n\necn1=n\n",
+                "config line 7: unknown key 'bandwith' in [network n] (did "
+                "you mean 'bandwidth'?)"},
+        BadCase{"UnknownClustersKeyNamesItsLine",
+                "[system]\nm=4\nicn2=n\nmessage_flits=8\nflit_bytes=32\n"
+                "[network n]\nbandwidth=1\nnetwork_latency=0\n"
+                "switch_latency=0\n[clusters]\ncout=12\nn=1\nicn1=n\n"
+                "ecn1=n\n",
+                "config line 11: unknown key 'cout' in [clusters] (did you "
+                "mean 'count'?)"},
         BadCase{"UnknownNetworkRef",
                 "[system]\nm=4\nicn2=ghost\nmessage_flits=8\nflit_bytes=32\n"
                 "[network n]\nbandwidth=1\nnetwork_latency=0\n"
@@ -432,6 +454,31 @@ TEST(Cli, SweepWorkloadDialRejectsBadGridsAndCombos) {
                        "1024 points"),
             std::string::npos)
       << r.err;
+  // A workload flag that contradicts the dial fails as it does in `model`
+  // (exit 1, the same message), never silently overridden by the dial.
+  const struct {
+    std::vector<std::string> flags;
+    const char* expect;
+  } combos[] = {
+      {{"--pattern", "hotspot", "--sweep-locality", "0.2:0.8:0.3"},
+       "--locality implies --pattern local and cannot be combined with "
+       "--pattern hotspot"},
+      {{"--hotspot-fraction", "0.1", "--sweep-locality", "0.2:0.8:0.3"},
+       "--locality cannot be combined with --hotspot-fraction"},
+      {{"--locality", "0.6", "--sweep-hotspot-fraction", "0.02:0.08:0.03"},
+       "--locality cannot be combined with --hotspot-fraction"},
+      {{"--pattern", "local", "--sweep-hotspot-fraction", "0.02:0.08:0.03"},
+       "--hotspot-fraction implies --pattern hotspot and cannot be combined "
+       "with --pattern local"},
+  };
+  for (const auto& c : combos) {
+    std::vector<std::string> args = {"sweep", "preset:tiny", "--max-rate",
+                                     "1e-3", "--points", "2"};
+    args.insert(args.end(), c.flags.begin(), c.flags.end());
+    r = RunCommand(args);
+    EXPECT_EQ(r.code, 1) << c.expect;
+    EXPECT_NE(r.err.find(c.expect), std::string::npos) << r.err;
+  }
   for (const bool with_dial : {true, false}) {
     std::vector<std::string> args = {"sweep", "preset:tiny:8:32",
                                      "--max-rate", "1e-3", "--no-sim",
