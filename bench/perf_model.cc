@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the analytical model itself: a design
 // tool is only useful if a full-system evaluation is cheap, so we track the
 // cost of one Evaluate() on both Table 1 organizations, the cost of the
-// saturation search, and the compiled sweep path (CompiledModel +
-// EvaluateMany) against the pointwise reference loop it replaced.
+// saturation search (the oracle's plain search and the compiled one), and
+// the compiled sweep path (CompiledModel + EvaluateMany) against the
+// pointwise reference loop it replaced.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -47,6 +48,28 @@ void BM_SaturationSearch1120(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SaturationSearch1120);
+
+// The search the Engine runs: CompiledModel::SaturationRate(1.0), with the
+// model evaluations it spent as the `probes` counter.
+void CompiledSaturationSearch(benchmark::State& state,
+                              const SystemConfig& sys) {
+  const CompiledModel model(sys);
+  int probes = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.SaturationRate(1.0, 1e-3, nullptr, &probes));
+  }
+  state.counters["probes"] = probes;
+}
+
+void BM_CompiledSaturationSearch1120(benchmark::State& state) {
+  CompiledSaturationSearch(state, MakeSystem1120(MessageFormat{32, 256}));
+}
+BENCHMARK(BM_CompiledSaturationSearch1120);
+
+void BM_CompiledSaturationSearch544(benchmark::State& state) {
+  CompiledSaturationSearch(state, MakeSystem544(MessageFormat{32, 256}));
+}
+BENCHMARK(BM_CompiledSaturationSearch544);
 
 void BM_ModelConstruction(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256});

@@ -161,7 +161,12 @@ double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
     std::lock_guard<std::mutex> lock(mu_);
     if (entry->saturation_rate) return *entry->saturation_rate;
   }
-  const double rate = entry->model->SaturationRate(1.0, 1e-3, deadline);
+  int probes = 0;
+  const double rate =
+      entry->model->SaturationRate(1.0, 1e-3, deadline, &probes);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++saturation_searches_;
+  saturation_probes_ += static_cast<std::size_t>(probes);
   if (std::isnan(rate)) {
     // +inf is a certified "never saturates"; NaN means the search lost its
     // bracket.
@@ -169,7 +174,6 @@ double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
   }
   // Cache only a successful search: a deadline trip above threw before this
   // point, so a faulted scenario cannot poison the shared entry.
-  std::lock_guard<std::mutex> lock(mu_);
   if (!entry->saturation_rate) entry->saturation_rate = rate;
   return *entry->saturation_rate;
 }
@@ -186,6 +190,8 @@ Engine::CacheStats Engine::Stats() const {
   stats.rebind_evictions = rebind_sources_.evictions();
   stats.model_evictions = models_.evictions();
   stats.system_evictions = systems_.evictions();
+  stats.saturation_searches = saturation_searches_;
+  stats.saturation_probes = saturation_probes_;
   return stats;
 }
 

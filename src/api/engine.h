@@ -13,9 +13,9 @@
 //     once per system and shared;
 //   * CompiledModel instances memoize per (system, workload, options) key —
 //     scenarios that sweep the rate dial against one model compile it once,
-//     and the model's saturation bisection (the dominant cost of model-only
-//     scenarios) is cached alongside it, so a batch of scenarios sharing a
-//     model runs the search exactly once;
+//     and the model's saturation search (about one model evaluation) is
+//     cached alongside it, so a batch of scenarios sharing a model runs the
+//     search exactly once;
 //   * each batch worker thread owns a SimScratch, so steady-state simulation
 //     stays allocation-free across the scenarios it evaluates.
 //
@@ -125,6 +125,10 @@ class Engine {
     /// System entries dropped by Options::system_entries (the shared
     /// Topology and any lazily-built simulator go with it).
     std::size_t system_evictions = 0;
+    /// Saturation searches run (a memoized lambda* runs none) and the model
+    /// evaluations they spent (CompiledModel::SaturationRate's `probes`).
+    std::size_t saturation_searches = 0;
+    std::size_t saturation_probes = 0;
   };
   CacheStats Stats() const;
 
@@ -181,7 +185,9 @@ class Engine {
   /// forever); an evicted family compiles cold on its next miss.
   LruMap<std::shared_ptr<const CompiledModel>> rebind_sources_{
       kRebindSources};
-  std::size_t model_rebinds_ = 0;  ///< guarded by mu_
+  std::size_t model_rebinds_ = 0;        ///< guarded by mu_
+  std::size_t saturation_searches_ = 0;  ///< guarded by mu_
+  std::size_t saturation_probes_ = 0;    ///< guarded by mu_
 };
 
 }  // namespace coc

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/ini.h"
 #include "common/json.h"
@@ -209,6 +210,9 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
     throw std::invalid_argument("scenario file has no [scenario ...] sections");
   }
   std::vector<Scenario> scenarios;
+  // A section's keys in line order, so the first bad key is the one named.
+  std::vector<std::pair<int, const std::pair<const std::string, std::string>*>>
+      by_line;
   for (const IniSection& section : sections) {
     if (section.kind != "scenario") {
       IniFail(section.line, "unknown section kind '" + section.kind +
@@ -218,13 +222,18 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
     s.name = section.name.empty()
                  ? "scenario" + std::to_string(scenarios.size() + 1)
                  : section.name;
-    for (const auto& [key, value] : section.values) {
+    by_line.clear();
+    for (const auto& entry : section.values) {
+      by_line.emplace_back(section.KeyLine(entry.first), &entry);
+    }
+    std::sort(by_line.begin(), by_line.end());
+    for (const auto& [line, entry] : by_line) {
       try {
-        s.Set(key, value);
+        s.Set(entry->first, entry->second);
       } catch (const std::invalid_argument& e) {
         const std::string what = e.what();
         if (what.rfind("config line", 0) == 0) throw;
-        IniFail(section.KeyLine(key), what);
+        IniFail(line, what);
       }
     }
     try {

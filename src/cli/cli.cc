@@ -85,11 +85,10 @@ sweep's x-axis into that workload dial (LO:HI:STEP, inclusive): each dial
 value is evaluated over the --max-rate/--points rate grid plus its saturation
 rate, compiled incrementally (the first point cold, later points rebinding
 the previous structure — bit-identical to cold per-point compiles). Each
-point runs the saturation search, except that later burstiness points reuse
-the first point's rate (probes 0): the arrival process moves no utilization.
-Dial sweeps are model-only (simulation flags are ignored) and render as
-text or csv; --dial-cluster I picks the cluster the rate-scale dial moves
-(default 0).
+point runs the saturation search; the probes column counts its model
+evaluations. Dial sweeps are model-only (simulation flags are ignored) and
+render as text or csv; --dial-cluster I picks the cluster the rate-scale
+dial moves (default 0).
 
 <scenarios-file> holds [scenario NAME] sections (see src/api/scenario.h and
 examples/batch_scenarios.cfg); the batch is evaluated in parallel over

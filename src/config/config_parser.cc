@@ -97,7 +97,6 @@ Experiment ParseExperiment(const std::string& text) {
 
   const Section* system = nullptr;
   std::map<std::string, NetworkCharacteristics> networks;
-  std::map<std::string, int> network_lines;
   std::vector<const Section*> cluster_sections;
   for (const auto& s : sections) {
     if (s.kind == "system") {
@@ -112,7 +111,6 @@ Experiment ParseExperiment(const std::string& text) {
                                  ToDouble(s, "switch_latency")};
       net.Validate();
       networks.emplace(s.name, net);
-      network_lines.emplace(s.name, s.line);
     } else {
       cluster_sections.push_back(&s);
     }

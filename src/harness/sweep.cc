@@ -151,28 +151,17 @@ std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
     const Workload workload =
         ApplyWorkloadDial(spec.base, spec.dial, spec.values[k],
                           spec.rate_scale_cluster, sys.num_clusters());
-    // The arrival SCV enters only the G/G/1 waits, never a tracked
-    // utilization or the saturated flag, so a move of the arrival process
-    // alone leaves lambda* where it was (tests/arrival_process_test.cc).
-    bool same_saturation = false;
     if (!model) {
       model.emplace(sys, workload, spec.model_opts);
     } else {
-      Workload prev = model->workload();
-      prev.arrival = workload.arrival;
-      same_saturation = prev == workload;
       model = model->Rebind(workload);
     }
     WorkloadGridPoint p;
     p.dial_value = spec.values[k];
     p.rebind = model->rebind_stats();
     p.results = model->EvaluateMany(spec.rates);
-    if (same_saturation) {
-      p.saturation_rate = points.back().saturation_rate;
-    } else {
-      p.saturation_rate = model->SaturationRate(1.0, 1e-3, &spec.deadline,
-                                                &p.saturation_probes);
-    }
+    p.saturation_rate = model->SaturationRate(1.0, 1e-3, &spec.deadline,
+                                              &p.saturation_probes);
     points.push_back(std::move(p));
   }
   return points;

@@ -75,8 +75,7 @@ struct WorkloadGridPoint {
   double dial_value = 0;
   std::vector<ModelResult> results;  ///< one per WorkloadGridSpec::rates
   double saturation_rate = 0;
-  /// Model evaluations the saturation search spent at this point; 0 when
-  /// the point reused the previous point's rate (an arrival-only move).
+  /// Model evaluations the saturation search spent at this point.
   int saturation_probes = 0;
   CompiledModel::RebindStats rebind;  ///< structure reuse at this point
 };
@@ -99,12 +98,9 @@ struct WorkloadGridSpec {
 };
 
 /// Runs the dial sweep. The first point compiles cold; every later point
-/// rebinds the previous point's compiled structure (CompiledModel::Rebind).
-/// Each point runs the cold saturation search, except that a point whose
-/// workload differs from the previous one only in its arrival process
-/// reuses that point's saturation rate: the arrival SCV moves no tracked
-/// utilization and never the saturated flag, so lambda* stays put. Results
-/// are bit-identical to compiling and searching each point cold (pinned by
+/// rebinds the previous point's compiled structure (CompiledModel::Rebind)
+/// and runs its own saturation search. Results are bit-identical to
+/// compiling and searching each point cold (pinned by
 /// tests/harness_test.cc).
 std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
                                                const WorkloadGridSpec& spec);

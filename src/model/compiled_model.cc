@@ -14,9 +14,11 @@
 #include "model/compiled_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -538,19 +540,17 @@ IntraResult CompiledModel::EvaluateIntraClass(const IntraClass& k,
   return out;
 }
 
+double CompiledModel::LambdaI2(const PairClass& k, double lambda_g) const {
+  return opts_.lambda_i2 == ModelOptions::LambdaI2::kHarmonic
+             ? lambda_g * k.ni * k.nj * k.u_sum / k.n_sum
+             : lambda_g * k.sum_loads / 2.0;
+}
+
 InterPairResult CompiledModel::EvaluatePairClass(const PairClass& k,
                                                  double lambda_g,
                                                  std::vector<double>& t0) const {
   const double lambda_ecn = lambda_g * k.sum_loads;
-  double lambda_i2 = 0;
-  switch (opts_.lambda_i2) {
-    case ModelOptions::LambdaI2::kPairMean:
-      lambda_i2 = lambda_g * k.sum_loads / 2.0;
-      break;
-    case ModelOptions::LambdaI2::kHarmonic:
-      lambda_i2 = lambda_g * k.ni * k.nj * k.u_sum / k.n_sum;
-      break;
-  }
+  const double lambda_i2 = LambdaI2(k, lambda_g);
   const double eta_e_src = lambda_ecn * k.acc_mean_i / k.eta_src_div;
   const double eta_e_dst = opts_.ecn_eta == ModelOptions::EcnEta::kPerSide
                                ? lambda_ecn * k.acc_mean_j / k.eta_dst_div
@@ -775,17 +775,38 @@ BottleneckReport CompiledModel::Bottleneck(double lambda_g,
   return report;
 }
 
-SaturationProbe CompiledModel::ProbeSaturation(double lambda_g,
-                                               Scratch& scratch,
-                                               ModelResult& r,
-                                               const Deadline* deadline) const {
-  EvaluateInto(lambda_g, scratch, r, deadline);
-  double rho = HotEjectOverlay(lambda_g).rho;
-  for (const auto& cl : r.clusters) {
-    rho = std::max({rho, cl.intra.source_rho, cl.inter.max_condis_rho,
-                    cl.inter.max_source_rho});
+double CompiledModel::SaturatedFrom() const {
+  // A C/D wait reaches the verdict through a cluster that blends inter
+  // traffic (U > 0) and, under hot-spot, weighs a destination (w_sum > 0);
+  // the hot-node waits reach every cluster's blend.
+  const auto sides = static_cast<std::size_t>(num_sides_);
+  std::vector<char> counted(sides, 0);
+  for (std::size_t i = 0; i < sid_.size(); ++i) {
+    if (u_[i] > 0 && (!skewed_ || hot_norm_[i] > 0)) {
+      counted[static_cast<std::size_t>(sid_[i])] = 1;
+    }
   }
-  return SaturationProbe{r.saturated, rho};
+  // Each rho is the product MG1Wait tests against 1 and is monotone in
+  // lambda_g, so bisecting the ordered bit patterns finds the first double.
+  const auto saturated = [&](std::uint64_t bits) {
+    const double x = std::bit_cast<double>(bits);
+    for (std::size_t ab = 0; ab < pair_class_of_sides_.size(); ++ab) {
+      const int k = pair_class_of_sides_[ab];
+      if (k < 0 || !counted[ab / sides]) continue;
+      const PairClass& pc = pair_classes_[static_cast<std::size_t>(k)];
+      if (LambdaI2(pc, x) * pc.x_cd >= 1.0) return true;
+    }
+    return HotEjectOverlay(x).rho >= 1.0;
+  };
+  std::uint64_t lo = 0;  // lambda_g = 0 loads nothing
+  std::uint64_t hi =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
+  if (!saturated(hi)) return std::numeric_limits<double>::infinity();
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (saturated(mid) ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(hi);
 }
 
 double CompiledModel::SaturationRate(double upper_bound, double rel_tol,
@@ -802,9 +823,16 @@ double CompiledModel::SaturationRate(double upper_bound, double rel_tol,
                       std::to_string(count) + " probes completed");
     }
     ++count;
-    return ProbeSaturation(lambda_g, scratch, r, deadline);
+    EvaluateInto(lambda_g, scratch, r, deadline);
+    double rho = HotEjectOverlay(lambda_g).rho;  // the max tracked rho
+    for (const auto& cl : r.clusters) {
+      rho = std::max({rho, cl.intra.source_rho, cl.inter.max_condis_rho,
+                      cl.inter.max_source_rho});
+    }
+    return SaturationProbe{r.saturated, rho};
   };
-  const double rate = SaturationSearch(probe, upper_bound, rel_tol);
+  const double rate =
+      SaturationSearch(probe, upper_bound, rel_tol, SaturatedFrom());
   if (probes != nullptr) *probes = count;
   return rate;
 }

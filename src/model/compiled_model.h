@@ -119,6 +119,13 @@ class CompiledModel {
                         const Deadline* deadline = nullptr,
                         int* probes = nullptr) const;
 
+  /// The smallest lambda_g at which a queue linear in lambda_g that reaches
+  /// the verdict has rho >= 1: a C/D queue some cluster with U > 0 counts,
+  /// or a hot-node ejection link. Evaluate(r).saturated holds for every
+  /// r >= it (SaturationSearch's saturated-side certificate); +infinity
+  /// when no such queue carries load. A 64-step bisection, O(K^2 + C) each.
+  double SaturatedFrom() const;
+
   /// Incrementally compiles a model for an adjacent workload on the same
   /// system and options. Bit-identical to
   /// CompiledModel(system(), next, options()): every reused class was
@@ -235,18 +242,14 @@ class CompiledModel {
   PairClass BuildPairClass(int i, int j, const std::vector<double>& loads);
   std::shared_ptr<const PairCombos> GetPairCombos(int i, int j);
   HotEject HotEjectOverlay(double lambda_g) const;
+  /// Eq. 23's ICN2 rate of a pair class: its C/D queue's arrival rate.
+  double LambdaI2(const PairClass& k, double lambda_g) const;
   IntraResult EvaluateIntraClass(const IntraClass& k, double lambda_g) const;
   InterPairResult EvaluatePairClass(const PairClass& k, double lambda_g,
                                     std::vector<double>& t0) const;
   InterResult AggregateInter(int i, const Scratch& scratch) const;
   void EvaluateInto(double lambda_g, Scratch& scratch, ModelResult& result,
                     const Deadline* deadline) const;
-  /// One saturation-search probe: evaluate at lambda_g and fold the tracked
-  /// utilizations to the max rho (the certificate SaturationSearch reasons
-  /// from).
-  SaturationProbe ProbeSaturation(double lambda_g, Scratch& scratch,
-                                  ModelResult& r,
-                                  const Deadline* deadline) const;
 
   SystemConfig sys_;
   Workload workload_;
@@ -254,9 +257,10 @@ class CompiledModel {
 
   // Global message-format moments and option booleans. The arrival SCV
   // enters only the per-rate G/G/1 waits (mg1.h GG1Wait), never the
-  // per-class constant tuples, a tracked utilization or the saturated flag:
-  // a burstiness dial step reuses the full structure under Rebind, and
-  // RunWorkloadGrid reuses its saturation rate.
+  // per-class constant tuples or a tracked utilization, so a burstiness dial
+  // step reuses the full structure under Rebind. ArrivalProcess keeps it
+  // finite: the search's finite-side certificate reads "every tracked
+  // rho < 1" as "every wait finite", which an infinite SCV would break.
   double m_flits_ = 0;
   double flit_var_ = 0;
   double arrival_scv_ = 1.0;

@@ -147,7 +147,9 @@ Json RequestHandler::StatsJson() const {
                             {"model_rebinds", e.model_rebinds},
                             {"rebind_evictions", e.rebind_evictions},
                             {"model_evictions", e.model_evictions},
-                            {"system_evictions", e.system_evictions}}));
+                            {"system_evictions", e.system_evictions},
+                            {"saturation_searches", e.saturation_searches},
+                            {"saturation_probes", e.saturation_probes}}));
   j.Set("server",
         counters({{"requests", requests_.load()},
                   {"protocol_errors", protocol_errors_.load()},

@@ -44,6 +44,12 @@ ArrivalProcess ArrivalProcess::Mmpp(double burstiness,
   p.kind_ = Kind::kMmpp;
   p.burstiness_ = burstiness;
   p.mean_burst_length_ = mean_burst_length;
+  if (!std::isfinite(p.ArrivalScv())) {
+    throw std::invalid_argument("mmpp:" + JsonNumber(burstiness) + "," +
+                                JsonNumber(mean_burst_length) +
+                                " has no finite interarrival SCV (the ratio "
+                                "or burst length is too large)");
+  }
   return p;
 }
 
@@ -150,6 +156,11 @@ ArrivalProcess ArrivalProcess::TraceReplay(const std::string& path) {
     }
   } else {
     data->wrap_period = data->records.back().time + 1.0;
+  }
+  if (!std::isfinite(data->arrival_scv) || !std::isfinite(data->wrap_period)) {
+    throw ScenarioError("trace file " + path +
+                        ": the gaps between timestamps overflow the "
+                        "interarrival SCV or the wrap period");
   }
 
   ArrivalProcess p;

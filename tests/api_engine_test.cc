@@ -495,6 +495,21 @@ TEST(Engine, RepeatedEvaluateReusesCachesAndAgrees) {
   EXPECT_EQ(engine.Stats().models, 1u);
 }
 
+TEST(Engine, StatsCountSaturationSearchesAndTheirProbes) {
+  // On preset:1120 the C/D queue binds, so the search evaluates the model
+  // once, at CompiledModel::SaturatedFrom(). A re-evaluation answers from
+  // the lambda* memo and counts neither a search nor a probe.
+  const Scenario s = ParseScenario(
+      "[scenario sat]\nsystem = preset:1120\nanalyses = saturation\n");
+  Engine engine;
+  ASSERT_TRUE(engine.Evaluate(s).status.ok());
+  EXPECT_EQ(engine.Stats().saturation_searches, 1u);
+  EXPECT_EQ(engine.Stats().saturation_probes, 1u);
+  ASSERT_TRUE(engine.Evaluate(s).status.ok());
+  EXPECT_EQ(engine.Stats().saturation_searches, 1u);
+  EXPECT_EQ(engine.Stats().saturation_probes, 1u);
+}
+
 TEST(Engine, CanonicalWorkloadKeySharesExplicitAllOneRateScale) {
   // An explicit all-1.0 rate_scale table describes the same traffic as an
   // empty one; the memoization key must canonicalize the two onto one cache

@@ -233,6 +233,19 @@ TEST(Scenario, SemanticErrorsNameTheOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("config line 4"), std::string::npos)
         << e.what();
   }
+  // With two bad keys, the first by line is named, not the first by name.
+  try {
+    ParseScenarios(
+        "[scenario x]\n"
+        "system = preset:tiny\n"
+        "sim.seed = soon\n"  // line 3
+        "rate = fast\n");    // line 4
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 3: 'sim.seed'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Scenario, ParseMultipleSectionsAndAutoNames) {

@@ -68,6 +68,16 @@ TEST(ArrivalProcess, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(ArrivalProcess::Parse("mmpp:x,8"), std::invalid_argument);
   EXPECT_THROW(ArrivalProcess::Parse("mmpp:4,y"), std::invalid_argument);
   EXPECT_THROW(ArrivalProcess::Parse("mmpp:0.5,8"), std::invalid_argument);
+  // Finite parameters whose closed-form SCV overflows: an infinite SCV
+  // would make every loaded wait infinite at any rate.
+  try {
+    ArrivalProcess::Parse("mmpp:1e300,1e300");
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no finite interarrival SCV"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(ArrivalProcess::Mmpp(2.0, 0.0), std::invalid_argument);
   EXPECT_THROW(ArrivalProcess::Mmpp(2.0, -1.0), std::invalid_argument);
 }
@@ -198,8 +208,8 @@ std::vector<double> TrackedRhos(const CompiledModel& model, double rate) {
 
 TEST(ArrivalProcess, ScvMovesNoRhoSaturatedFlagOrSaturationRate) {
   // The arrival SCV scales only the G/G/1 waits. No tracked utilization,
-  // saturated flag or saturation rate may depend on it: RunWorkloadGrid
-  // reuses lambda* across arrival-only dial moves on this premise.
+  // saturated flag or saturation rate may depend on it: the burstiness dial
+  // rebinds the full structure on this premise, and README states it.
   const std::string trace = WriteTempTrace(
       "scv_premise.trace", "0.0 0 1 4\n0.5 1 0 4\n1.0 0 1 4\n400.0 1 0 4\n");
   const MessageFormat fmt{32, 256};
@@ -346,6 +356,10 @@ TEST(ArrivalProcess, TraceProblemsRaiseTypedLineNumberedErrors) {
       // One integer rule for the whole record: '+4' fails like '+3' as src.
       {"plusflit.trace", "0 0 1 +4\n", "'+4' is not a valid flit count"},
       {"empty.trace", "# only a comment\n", "no records"},
+      // Finite timestamps whose gap moments overflow: SCV and wrap period
+      // would be infinite.
+      {"overflow.trace", "0 0 1 4\n0 0 2 4\n1.7e308 1 0 4\n",
+       "overflow the interarrival SCV or the wrap period"},
   };
   for (const auto& c : kBad) {
     SCOPED_TRACE(c.name);

@@ -1025,6 +1025,25 @@ TEST(Cli, ArrivalFlagErrorsFollowTheExitCodeTaxonomy) {
   EXPECT_NE(oob.err.find("line 2"), std::string::npos) << oob.err;
   EXPECT_NE(oob.err.find("node id 9999"), std::string::npos) << oob.err;
   std::remove(range.c_str());
+  // Arrival processes whose interarrival SCV is not finite: a trace whose
+  // gap moments overflow is a scenario error, an mmpp whose closed form
+  // overflows a bad spec; both exit 1 instead of calling every rate
+  // saturated.
+  const std::string overflow = WriteTempFile(
+      "coc_cli_test_overflow.trace", "0 0 1 4\n0 0 2 4\n1.7e308 1 0 4\n");
+  const auto huge_gap = RunCommand({"model", "preset:tiny", "--rate", "1e-4",
+                                    "--arrival", "trace:" + overflow});
+  EXPECT_EQ(huge_gap.code, 1);
+  EXPECT_NE(huge_gap.err.find("overflow the interarrival SCV"),
+            std::string::npos)
+      << huge_gap.err;
+  std::remove(overflow.c_str());
+  const auto huge_mmpp = RunCommand({"model", "preset:tiny", "--rate", "1e-4",
+                                     "--arrival", "mmpp:1e300,1e300"});
+  EXPECT_EQ(huge_mmpp.code, 1);
+  EXPECT_NE(huge_mmpp.err.find("no finite interarrival SCV"),
+            std::string::npos)
+      << huge_mmpp.err;
 }
 
 TEST(Cli, SweepBurstinessDialEmitsGridTable) {

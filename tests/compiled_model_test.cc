@@ -8,14 +8,18 @@
 // equal clusters: two long runs, kinds interleaved so every run is one
 // cluster, the hot node in the middle, first and last cluster of a run, and
 // a rate scale on one cluster inside a run. Also pins the bracket-expansion
-// fix for upper bounds below the true saturation point, and the deadline
-// checks inside compile and evaluation.
+// fix for upper bounds below the true saturation point, that the search's
+// saturated-side certificate (SaturatedFrom) changes no bit on seeded
+// draws, and the deadline checks inside compile and evaluation.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/config_parser.h"
@@ -23,6 +27,8 @@
 #include "model/compiled_model.h"
 #include "oracle/latency_model.h"
 #include "system/presets.h"
+#include "topology/topology_spec.h"
+#include "workload/arrival_process.h"
 #include "workload/workload.h"
 
 namespace coc {
@@ -270,6 +276,152 @@ TEST(SaturationSearch, ExpandsBracketWhenFiniteAtUpperBound) {
       1e-1, 1e-3);
   EXPECT_TRUE(std::isinf(never));
   EXPECT_GT(probes, 0);
+}
+
+// --- the saturated-side certificate ----------------------------------------
+
+/// The plain search, rebuilt from public calls: Evaluate's verdict at each
+/// probed midpoint, with the max of Bottleneck's four rhos (the verdict and
+/// the max SaturationRate's probe folds) for the finite-side certificate,
+/// and no saturated-side certificate.
+double PlainSaturationRate(const CompiledModel& model, double upper_bound) {
+  return SaturationSearch(
+      [&](double x) {
+        const BottleneckReport b = model.Bottleneck(x);
+        return SaturationProbe{
+            model.Evaluate(x).saturated,
+            std::max({b.hot_eject_rho, b.condis_rho, b.inter_source_rho,
+                      b.intra_source_rho})};
+      },
+      upper_bound, 1e-3);
+}
+
+/// One seeded workload: uniform, cluster-local (both ends of [0, 1]
+/// included), hot-spot (fraction up to 1, the hot node in the first, a
+/// middle or the last cluster) or permutation, optionally with a zero rate
+/// scale on one cluster, bimodal lengths and an MMPP arrival process.
+Workload DrawWorkload(std::mt19937& rng, const SystemConfig& sys,
+                      std::string& trace) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const int c = sys.num_clusters();
+  Workload w;
+  switch (rng() % 4) {
+    case 0:
+      trace += " uniform";
+      break;
+    case 1: {
+      const double pick[] = {0.0, 1.0, unit(rng)};
+      const double locality = pick[rng() % 3];
+      w = Workload::ClusterLocal(locality);
+      trace += " local " + Hex(locality);
+      break;
+    }
+    case 2: {
+      const double pick[] = {unit(rng), 0.999, std::nextafter(1.0, 0.0)};
+      const double f = pick[rng() % 3];
+      const int where[] = {0, c / 2, c - 1};
+      const int h = where[rng() % 3];
+      const std::int64_t node =
+          sys.ClusterBase(h) +
+          static_cast<std::int64_t>(rng() % static_cast<unsigned>(
+                                                sys.NodesInCluster(h)));
+      w = Workload::Hotspot(f, node);
+      trace += " hotspot " + Hex(f) + " node " + std::to_string(node);
+      break;
+    }
+    default:
+      w = Workload::Permutation();
+      trace += " permutation";
+  }
+  if (c > 1 && rng() % 3 == 0) {
+    std::vector<double> scales;
+    for (int i = 0; i < c; ++i) scales.push_back(0.5 + unit(rng));
+    const int zero = static_cast<int>(rng() % static_cast<unsigned>(c));
+    scales[static_cast<std::size_t>(zero)] = 0.0;
+    w.WithRateScale(std::move(scales));
+    trace += " scale 0 at " + std::to_string(zero);
+  }
+  if (rng() % 3 == 0) {
+    w.WithMessageLength(MessageLength::Bimodal(4, 64, 0.05 + 0.9 * unit(rng)));
+    trace += " bimodal";
+  }
+  if (rng() % 3 == 0) {
+    const double ratio = 1.0 + 7.0 * unit(rng);
+    w.WithArrival(ArrivalProcess::Mmpp(ratio, 1.0 + 31.0 * unit(rng)));
+    trace += " " + w.arrival.ToString();
+  }
+  return w;
+}
+
+ModelOptions DrawOptions(std::mt19937& rng) {
+  ModelOptions o;
+  o.lambda_i2 = rng() % 2 ? ModelOptions::LambdaI2::kHarmonic
+                          : ModelOptions::LambdaI2::kPairMean;
+  o.ecn_eta = rng() % 2 ? ModelOptions::EcnEta::kSourceSideOnly
+                        : ModelOptions::EcnEta::kPerSide;
+  o.condis_service = rng() % 2 ? ModelOptions::CondisService::kSupplyLimited
+                               : ModelOptions::CondisService::kIcn2Rate;
+  const ModelOptions::RelaxingFactor relax[] = {
+      ModelOptions::RelaxingFactor::kInverseCapacity,
+      ModelOptions::RelaxingFactor::kAsPrinted,
+      ModelOptions::RelaxingFactor::kOff};
+  o.relaxing_factor = relax[rng() % 3];
+  o.source_queue_rate = rng() % 2
+                            ? ModelOptions::SourceQueueRate::kNetworkTotal
+                            : ModelOptions::SourceQueueRate::kPerNode;
+  o.include_last_stage_wait = rng() % 2 == 0;
+  return o;
+}
+
+TEST(SaturationSearch, SaturatedSideCertificateChangesNoBit) {
+  // SaturationRate classifies every midpoint at or above SaturatedFrom()
+  // without evaluating it and seeds the finite side with one probe there.
+  // Over seeded draws of system, ICN2 override, model options and workload
+  // it must (a) return the plain search's bits from both upper bounds, and
+  // (b) SaturatedFrom() must really be saturated, as must every rate above.
+  std::vector<std::pair<std::string, SystemConfig>> systems;
+  for (const char* name : {"1120", "544", "small", "tiny", "mixed",
+                           "dragonfly"}) {
+    systems.emplace_back(name, MakeNamedSystem(name));
+  }
+  for (std::size_t base = 0; base < 2; ++base) {
+    for (const char* icn2 : {"crossbar", "tree:3", "mesh:4x8", "torus:4x8"}) {
+      systems.emplace_back(
+          systems[base].first + " icn2 " + icn2,
+          systems[base].second.WithIcn2Topology(ParseTopologySpec(icn2)));
+    }
+  }
+  std::mt19937 rng(20261018);
+  int searches = 0;
+  int one_probe = 0;
+  int certified = 0;
+  constexpr int kDraws = 96;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const auto& [name, sys] = systems[rng() % systems.size()];
+    std::string trace = "draw " + std::to_string(draw) + ": " + name;
+    const Workload workload = DrawWorkload(rng, sys, trace);
+    const ModelOptions opts = DrawOptions(rng);
+    SCOPED_TRACE(trace);
+    const CompiledModel model(sys, workload, opts);
+    for (const double upper : {1.0, 1e-1}) {
+      int probes = 0;
+      EXPECT_BIT_EQ(model.SaturationRate(upper, 1e-3, nullptr, &probes),
+                    PlainSaturationRate(model, upper));
+      ++searches;
+      one_probe += probes == 1 ? 1 : 0;
+    }
+    const double from = model.SaturatedFrom();
+    if (!std::isfinite(from)) continue;
+    ++certified;
+    for (const double scale : {1.0, 1.0 + 1e-12, 2.0, 1e3}) {
+      EXPECT_TRUE(model.Evaluate(from * scale).saturated)
+          << "SaturatedFrom() = " << Hex(from) << " x " << scale;
+    }
+  }
+  // Not vacuous: most draws have a linear queue to certify with, and most
+  // searches then evaluate the model once.
+  EXPECT_GT(certified, kDraws * 3 / 4);
+  EXPECT_GT(one_probe, searches / 2);
 }
 
 // --- incremental workload rebinding ----------------------------------------

@@ -208,8 +208,8 @@ TEST(Harness, BurstinessGridBitIdenticalToPerPointColdCompiles) {
   // The burstiness dial walks the arrival process from Poisson (ratio 1)
   // into deep bursts. Arrival moves are the cheapest rebind (evaluate-time
   // SCV only), so every point past the first must reuse the full compiled
-  // structure and the first point's saturation rate — and still match a
-  // cold compile and cold search bit for bit.
+  // structure, search lambda* with one probe like the first point, and
+  // still match a cold compile and cold search bit for bit.
   const auto sys = MakeSmallSystem(MessageFormat{16, 64});
   WorkloadGridSpec spec;
   spec.dial = WorkloadDial::kBurstiness;
@@ -229,10 +229,10 @@ TEST(Harness, BurstinessGridBitIdenticalToPerPointColdCompiles) {
     }
     EXPECT_EQ(grid[k].saturation_rate, cold.SaturationRate(1.0))
         << "value " << spec.values[k];
+    EXPECT_EQ(grid[k].saturation_probes, 1) << "value " << spec.values[k];
     if (k > 0) {
       EXPECT_EQ(grid[k].rebind.intra_rebuilt, 0) << "value " << spec.values[k];
       EXPECT_EQ(grid[k].rebind.pair_rebuilt, 0) << "value " << spec.values[k];
-      EXPECT_EQ(grid[k].saturation_probes, 0) << "value " << spec.values[k];
     }
   }
   // Burstiness degrades the saturation point monotonically: more variance
@@ -257,9 +257,10 @@ TEST(Harness, DialSweepSaturationProbeCountsArePinned) {
   // Exact per-point saturation probes of the four dial sweeps on the
   // Table 1 organizations, as `coc_cli sweep preset:P --max-rate 4e-4
   // --points 2 --sweep-<dial> LO:HI:STEP` prints them. The search is
-  // deterministic, so these counts guard it: a search that skips the rho
-  // certificate, or a grid that stops reusing lambda* across arrival-only
-  // moves, changes them. Burstiness points after the first reuse lambda*.
+  // deterministic, so these counts guard it: the C/D queue binds at every
+  // point, so one probe at SaturatedFrom() certifies the finite side and
+  // no midpoint needs another. A search that drops either certificate
+  // changes them.
   const struct {
     int preset;
     WorkloadDial dial;
@@ -267,19 +268,19 @@ TEST(Harness, DialSweepSaturationProbeCountsArePinned) {
     std::vector<int> probes;
   } cases[] = {
       {1120, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
-       {16, 15, 18, 17, 15, 17, 14, 13}},
-      {1120, WorkloadDial::kBurstiness, 1, 8, 1, {16, 0, 0, 0, 0, 0, 0, 0}},
+       {1, 1, 1, 1, 1, 1, 1, 1}},
+      {1120, WorkloadDial::kBurstiness, 1, 8, 1, {1, 1, 1, 1, 1, 1, 1, 1}},
       {1120, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
-       {19, 17, 18, 19, 17, 18, 18, 16}},
+       {1, 1, 1, 1, 1, 1, 1, 1}},
       {1120, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
-       {16, 16, 16, 16, 16, 16, 16, 16, 16}},
+       {1, 1, 1, 1, 1, 1, 1, 1, 1}},
       {544, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
-       {15, 14, 17, 16, 14, 16, 13, 12}},
-      {544, WorkloadDial::kBurstiness, 1, 8, 1, {19, 0, 0, 0, 0, 0, 0, 0}},
+       {1, 1, 1, 1, 1, 1, 1, 1}},
+      {544, WorkloadDial::kBurstiness, 1, 8, 1, {1, 1, 1, 1, 1, 1, 1, 1}},
       {544, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
-       {17, 17, 15, 16, 17, 15, 16, 15}},
+       {1, 1, 1, 1, 1, 1, 1, 1}},
       {544, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
-       {19, 19, 19, 19, 19, 19, 19, 19, 19}},
+       {1, 1, 1, 1, 1, 1, 1, 1, 1}},
   };
   const MessageFormat fmt{32, 256};
   const SystemConfig sys1120 = MakeSystem1120(fmt);

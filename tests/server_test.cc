@@ -320,6 +320,24 @@ TEST(RequestHandler, RepeatedRequestIsACacheHitWithIdenticalBytes) {
   EXPECT_EQ(stats.Find("server")->Find("requests")->AsInt(), 2);
 }
 
+TEST(RequestHandler, StatsReportSaturationSearchesAndProbes) {
+  // The "engine" block counts the Engine's saturation searches and the
+  // model evaluations they spent; a cache hit runs neither.
+  RequestHandler handler(Engine::Options{}, 8, FaultInjector{});
+  const std::string line = EvaluateLine(
+      "[scenario sat]\nsystem = preset:1120\nanalyses = saturation\n");
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_TRUE(Json::Parse(handler.HandleLine(line))
+                    .Find("status")->Find("ok")->AsBool());
+    const Json stats = Json::Parse(handler.HandleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(stats.Find("schema_version")->AsInt(), 2);
+    const Json* engine = stats.Find("engine");
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->Find("saturation_searches")->AsInt(), 1);
+    EXPECT_EQ(engine->Find("saturation_probes")->AsInt(), 1);
+  }
+}
+
 TEST(RequestHandler, ResponsesMatchOfflineEvaluateBatchByteForByte) {
   RequestHandler handler(Engine::Options{}, 8, FaultInjector{});
   const Json served = Json::Parse(handler.HandleLine(BatchLine(kBatchScenarios)));
