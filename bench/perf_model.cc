@@ -1,15 +1,18 @@
 // google-benchmark microbenchmarks of the analytical model itself: a design
 // tool is only useful if a full-system evaluation is cheap, so we track the
 // cost of one Evaluate() on both Table 1 organizations, the cost of the
-// saturation search (the oracle's plain search and the compiled one), and
-// the compiled sweep path (CompiledModel + EvaluateMany) against the
-// pointwise reference loop it replaced.
+// saturation search (the oracle's plain search and the compiled one), the
+// compiled sweep path (CompiledModel + EvaluateMany) against the pointwise
+// reference loop it replaced, and the render of an evaluated Report to the
+// bytes a served miss caches.
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "api/engine.h"
 #include "harness/sweep.h"
 #include "model/compiled_model.h"
 #include "oracle/latency_model.h"
@@ -216,6 +219,39 @@ void BM_WorkloadDialSweepCold(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_WorkloadDialSweepCold);
+
+// The render layer: one evaluated Report written to its compact bytes
+// (Report::ToJsonText), what a served miss stores in the result cache. The
+// `bytes` counter is the report's size.
+void ReportRender(benchmark::State& state, const char* scenario) {
+  Engine engine;
+  const Report report = engine.Evaluate(ParseScenario(scenario));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = report.ToJsonText();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+
+// A dial_walk-shaped miss: 32 clusters of model rows, plus the bottleneck
+// and saturation blocks.
+void BM_ReportRender1120(benchmark::State& state) {
+  ReportRender(state,
+               "[scenario render]\nsystem = preset:1120\n"
+               "analyses = model,bottleneck,saturation\nrate = 1e-4\n");
+}
+BENCHMARK(BM_ReportRender1120);
+
+// A model-only 16-point sweep, dial_walk's other miss shape.
+void BM_ReportRenderSweep(benchmark::State& state) {
+  ReportRender(state,
+               "[scenario render]\nsystem = preset:1120\nanalyses = sweep\n"
+               "sweep.max_rate = 4e-4\nsweep.points = 16\nsweep.sim = false\n");
+}
+BENCHMARK(BM_ReportRenderSweep);
 
 }  // namespace
 }  // namespace coc

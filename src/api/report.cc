@@ -8,149 +8,119 @@
 namespace coc {
 namespace {
 
-// Non-finite doubles go through JsonSetNumber: null plus an explicit
+// Non-finite doubles go through JsonWriter::Number: null plus an explicit
 // "<key>_nonfinite" sentinel, so a saturated +inf is distinguishable from a
 // missing measurement (schema v2; v1 emitted a bare null).
 
-Json ModelToJson(const ModelAnalysisResult& a) {
-  Json j = Json::Object();
-  JsonSetNumber(j, "rate", a.rate);
-  j.Set("saturated", a.result.saturated);
-  JsonSetNumber(j, "mean_latency_us", a.result.mean_latency);
-  JsonSetNumber(j, "saturation_rate", a.saturation_rate);
-  if (!a.note.empty()) j.Set("note", a.note);
-  Json clusters = Json::Array();
+void WriteModel(JsonWriter& w, const ModelAnalysisResult& a) {
+  w.Key("model").BeginObject().Number("rate", a.rate);
+  w.Key("saturated").Bool(a.result.saturated);
+  w.Number("mean_latency_us", a.result.mean_latency);
+  w.Number("saturation_rate", a.saturation_rate);
+  if (!a.note.empty()) w.Key("note").String(a.note);
+  w.Key("clusters").BeginArray();
   for (const ClusterLatency& cl : a.result.clusters) {
-    Json c = Json::Object();
-    JsonSetNumber(c, "u", cl.u);
-    JsonSetNumber(c, "l_in", cl.intra.l_in);
-    JsonSetNumber(c, "w_in", cl.intra.w_in);
-    JsonSetNumber(c, "l_out", cl.inter.l_out);
-    JsonSetNumber(c, "w_d", cl.inter.w_d);
-    JsonSetNumber(c, "blended", cl.blended);
-    clusters.Push(std::move(c));
+    w.BeginObject().Number("u", cl.u).Number("l_in", cl.intra.l_in);
+    w.Number("w_in", cl.intra.w_in).Number("l_out", cl.inter.l_out);
+    w.Number("w_d", cl.inter.w_d).Number("blended", cl.blended).EndObject();
   }
-  j.Set("clusters", std::move(clusters));
-  return j;
+  w.EndArray().EndObject();
 }
 
-Json BottleneckToJson(const BottleneckAnalysisResult& a) {
-  Json j = Json::Object();
-  JsonSetNumber(j, "rate", a.rate);
-  JsonSetNumber(j, "condis_rho", a.report.condis_rho);
-  JsonSetNumber(j, "inter_source_rho", a.report.inter_source_rho);
-  JsonSetNumber(j, "intra_source_rho", a.report.intra_source_rho);
-  if (a.destination_skewed) {
-    JsonSetNumber(j, "hot_eject_rho", a.report.hot_eject_rho);
-  }
-  j.Set("binding", a.report.binding);
-  JsonSetNumber(j, "saturation_rate", a.saturation_rate);
-  if (!a.note.empty()) j.Set("note", a.note);
-  return j;
+void WriteBottleneck(JsonWriter& w, const BottleneckAnalysisResult& a) {
+  w.Key("bottleneck").BeginObject().Number("rate", a.rate);
+  w.Number("condis_rho", a.report.condis_rho);
+  w.Number("inter_source_rho", a.report.inter_source_rho);
+  w.Number("intra_source_rho", a.report.intra_source_rho);
+  if (a.destination_skewed) w.Number("hot_eject_rho", a.report.hot_eject_rho);
+  w.Key("binding").String(a.report.binding);
+  w.Number("saturation_rate", a.saturation_rate);
+  if (!a.note.empty()) w.Key("note").String(a.note);
+  w.EndObject();
 }
 
-Json SweepPointToJson(const SweepPoint& p) {
-  Json j = Json::Object();
-  JsonSetNumber(j, "lambda_g", p.lambda_g);
-  JsonSetNumber(j, "model_latency_us", p.model_latency);
-  j.Set("model_saturated", p.model_saturated);
-  if (p.sim_latency) {
-    JsonSetNumber(j, "sim_latency_us", *p.sim_latency);
-    JsonSetNumber(j, "sim_ci95", p.sim_ci95);
-    JsonSetNumber(j, "sim_intra_us", p.sim_intra);
-    JsonSetNumber(j, "sim_inter_us", p.sim_inter);
-    JsonSetNumber(j, "sim_icn2_max_util", p.sim_icn2_max_util);
+void WriteSweep(JsonWriter& w, const SweepAnalysisResult& a) {
+  w.Key("sweep").BeginObject().Key("points").BeginArray();
+  for (const SweepPoint& p : a.points) {
+    w.BeginObject().Number("lambda_g", p.lambda_g);
+    w.Number("model_latency_us", p.model_latency);
+    w.Key("model_saturated").Bool(p.model_saturated);
+    if (p.sim_latency) {
+      w.Number("sim_latency_us", *p.sim_latency);
+      w.Number("sim_ci95", p.sim_ci95).Number("sim_intra_us", p.sim_intra);
+      w.Number("sim_inter_us", p.sim_inter);
+      w.Number("sim_icn2_max_util", p.sim_icn2_max_util);
+    }
+    w.EndObject();
   }
-  return j;
+  w.EndArray().EndObject();
 }
 
-Json SimToJson(const SimAnalysisResult& a) {
-  Json j = Json::Object();
-  JsonSetNumber(j, "rate", a.rate);
-  j.Set("seed", a.seed);
-  j.Set("delivered", a.delivered);
-  JsonSetNumber(j, "duration_us", a.duration);
-  Json latency = Json::Object();
-  JsonSetNumber(latency, "mean", a.mean);
-  JsonSetNumber(latency, "ci95", a.ci95);
-  JsonSetNumber(latency, "min", a.min);
-  JsonSetNumber(latency, "max", a.max);
-  j.Set("latency_us", std::move(latency));
-  Json intra = Json::Object();
-  JsonSetNumber(intra, "mean_us", a.intra_mean);
-  intra.Set("messages", a.intra_count);
-  j.Set("intra", std::move(intra));
-  Json inter = Json::Object();
-  JsonSetNumber(inter, "mean_us", a.inter_mean);
-  inter.Set("messages", a.inter_count);
-  j.Set("inter", std::move(inter));
-  Json util = Json::Object();
-  const auto net = [](double mean, double max) {
-    Json n = Json::Object();
-    JsonSetNumber(n, "mean", mean);
-    JsonSetNumber(n, "max", max);
-    return n;
+void WriteSim(JsonWriter& w, const SimAnalysisResult& a) {
+  w.Key("sim").BeginObject().Number("rate", a.rate);
+  w.Key("seed").Uint(a.seed).Key("delivered").Int(a.delivered);
+  w.Number("duration_us", a.duration);
+  w.Key("latency_us").BeginObject().Number("mean", a.mean);
+  w.Number("ci95", a.ci95).Number("min", a.min).Number("max", a.max);
+  w.EndObject();
+  w.Key("intra").BeginObject().Number("mean_us", a.intra_mean);
+  w.Key("messages").Int(a.intra_count).EndObject();
+  w.Key("inter").BeginObject().Number("mean_us", a.inter_mean);
+  w.Key("messages").Int(a.inter_count).EndObject();
+  const auto net = [&w](const char* name, double mean, double max) {
+    w.Key(name).BeginObject().Number("mean", mean).Number("max", max);
+    w.EndObject();
   };
-  util.Set("icn1", net(a.icn1_mean, a.icn1_max));
-  util.Set("ecn1", net(a.ecn1_mean, a.ecn1_max));
-  util.Set("icn2", net(a.icn2_mean, a.icn2_max));
-  j.Set("utilization", std::move(util));
-  return j;
+  w.Key("utilization").BeginObject();
+  net("icn1", a.icn1_mean, a.icn1_max);
+  net("ecn1", a.ecn1_mean, a.ecn1_max);
+  net("icn2", a.icn2_mean, a.icn2_max);
+  w.EndObject().EndObject();
 }
 
-Json StatusToJson(const ReportStatus& s) {
-  Json j = Json::Object();
-  j.Set("code", StatusCodeName(s.code));
-  j.Set("ok", s.ok());
-  if (!s.message.empty()) j.Set("message", s.message);
-  return j;
+void WriteReport(JsonWriter& w, const Report& r) {
+  w.BeginObject().Key("schema_version").Int(kReportSchemaVersion);
+  w.Key("scenario").String(r.scenario);
+  w.Key("status").BeginObject();
+  w.Key("code").String(StatusCodeName(r.status.code));
+  w.Key("ok").Bool(r.status.ok());
+  if (!r.status.message.empty()) w.Key("message").String(r.status.message);
+  w.EndObject();
+  w.Key("system").BeginObject().Key("spec").String(r.system_spec);
+  w.Key("clusters").Int(r.clusters).Key("nodes").Int(r.nodes);
+  w.Key("m").Int(r.m).Key("icn2_topology").String(r.icn2_topology);
+  w.Key("icn2_exact_fit").Bool(r.icn2_exact_fit);
+  w.Key("message_flits").Int(r.message_flits);
+  w.Number("flit_bytes", r.flit_bytes).EndObject();
+  w.Key("workload").String(r.workload);
+  if (r.model) WriteModel(w, *r.model);
+  if (r.bottleneck) WriteBottleneck(w, *r.bottleneck);
+  if (r.saturation_rate) {
+    w.Key("saturation").BeginObject().Number("rate", *r.saturation_rate);
+    w.EndObject();
+  }
+  if (r.sweep) WriteSweep(w, *r.sweep);
+  if (r.sim) WriteSim(w, *r.sim);
+  w.EndObject();
 }
 
 }  // namespace
 
-Json Report::ToJson() const {
-  Json j = Json::Object();
-  j.Set("schema_version", kReportSchemaVersion);
-  j.Set("scenario", scenario);
-  j.Set("status", StatusToJson(status));
-  Json system = Json::Object();
-  system.Set("spec", system_spec);
-  system.Set("clusters", clusters);
-  system.Set("nodes", nodes);
-  system.Set("m", m);
-  system.Set("icn2_topology", icn2_topology);
-  system.Set("icn2_exact_fit", icn2_exact_fit);
-  system.Set("message_flits", message_flits);
-  JsonSetNumber(system, "flit_bytes", flit_bytes);
-  j.Set("system", std::move(system));
-  j.Set("workload", workload);
-  if (model) j.Set("model", ModelToJson(*model));
-  if (bottleneck) j.Set("bottleneck", BottleneckToJson(*bottleneck));
-  if (saturation_rate) {
-    Json s = Json::Object();
-    JsonSetNumber(s, "rate", *saturation_rate);
-    j.Set("saturation", std::move(s));
-  }
-  if (sweep) {
-    Json s = Json::Object();
-    Json points = Json::Array();
-    for (const SweepPoint& p : sweep->points) {
-      points.Push(SweepPointToJson(p));
-    }
-    s.Set("points", std::move(points));
-    j.Set("sweep", std::move(s));
-  }
-  if (sim) j.Set("sim", SimToJson(*sim));
-  return j;
+std::string Report::ToJsonText() const {
+  JsonWriter w;
+  WriteReport(w, *this);
+  return w.Take();
 }
 
+Json Report::ToJson() const { return Json::Parse(ToJsonText()); }
+
 Json BatchToJson(const std::vector<Report>& reports) {
-  Json j = Json::Object();
-  j.Set("schema_version", kReportSchemaVersion);
-  Json arr = Json::Array();
-  for (const Report& r : reports) arr.Push(r.ToJson());
-  j.Set("reports", std::move(arr));
-  return j;
+  JsonWriter w;
+  w.BeginObject().Key("schema_version").Int(kReportSchemaVersion);
+  w.Key("reports").BeginArray();
+  for (const Report& r : reports) WriteReport(w, r);
+  w.EndArray().EndObject();
+  return Json::Parse(w.text());
 }
 
 std::string ModelCsv(const ModelAnalysisResult& a) {

@@ -101,9 +101,12 @@ struct Report {
   std::optional<SweepAnalysisResult> sweep;
   std::optional<SimAnalysisResult> sim;
 
-  /// The versioned JSON tree ("schema_version" first, then summary, then one
-  /// key per present analysis, in the canonical model/bottleneck/saturation/
-  /// sweep/sim order regardless of request order).
+  /// The versioned compact JSON, written with no tree ("schema_version"
+  /// first, then summary, then one key per present analysis, in the
+  /// canonical model/bottleneck/saturation/sweep/sim order).
+  std::string ToJsonText() const;
+  /// Json::Parse(ToJsonText()): its Dump() is those bytes. It costs a parse
+  /// on top of the render, so the server caches ToJsonText() instead.
   Json ToJson() const;
 };
 

@@ -1,6 +1,5 @@
 #include "api/scenario.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -210,9 +209,6 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
     throw std::invalid_argument("scenario file has no [scenario ...] sections");
   }
   std::vector<Scenario> scenarios;
-  // A section's keys in line order, so the first bad key is the one named.
-  std::vector<std::pair<int, const std::pair<const std::string, std::string>*>>
-      by_line;
   for (const IniSection& section : sections) {
     if (section.kind != "scenario") {
       IniFail(section.line, "unknown section kind '" + section.kind +
@@ -222,12 +218,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text) {
     s.name = section.name.empty()
                  ? "scenario" + std::to_string(scenarios.size() + 1)
                  : section.name;
-    by_line.clear();
-    for (const auto& entry : section.values) {
-      by_line.emplace_back(section.KeyLine(entry.first), &entry);
-    }
-    std::sort(by_line.begin(), by_line.end());
-    for (const auto& [line, entry] : by_line) {
+    for (const auto& [line, entry] : section.ByLine()) {
       try {
         s.Set(entry->first, entry->second);
       } catch (const std::invalid_argument& e) {

@@ -11,6 +11,17 @@ void IniFail(int line, const std::string& what) {
                               what);
 }
 
+std::vector<std::pair<int, const IniSection::Entry*>> IniSection::ByLine()
+    const {
+  std::vector<std::pair<int, const Entry*>> out;
+  out.reserve(values.size());
+  for (const Entry& entry : values) {
+    out.emplace_back(KeyLine(entry.first), &entry);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::string IniTrim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
   if (b == std::string::npos) return "";

@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -26,6 +27,8 @@
 namespace coc {
 
 struct IniSection {
+  using Entry = std::pair<const std::string, std::string>;
+
   std::string kind;  ///< first word of the header, e.g. "system"
   std::string name;  ///< remainder of the header; empty if none
   std::map<std::string, std::string> values;
@@ -39,6 +42,11 @@ struct IniSection {
     const auto it = key_lines.find(key);
     return it == key_lines.end() ? line : it->second;
   }
+
+  /// Each entry of `values` with its line, in line order: a consumer that
+  /// stops at its first bad key names the first in the file, not the
+  /// alphabetically first.
+  std::vector<std::pair<int, const Entry*>> ByLine() const;
 };
 
 /// Throws std::invalid_argument with the standard "config line N: what"

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 
 namespace coc {
@@ -20,19 +19,6 @@ Json& Json::Set(std::string key, Json value) {
     }
   }
   object_.emplace_back(std::move(key), std::move(value));
-  return *this;
-}
-
-Json& Json::Remove(const std::string& key) {
-  if (kind_ != Kind::kObject) {
-    throw std::invalid_argument("Json::Remove on a non-object value");
-  }
-  for (auto it = object_.begin(); it != object_.end(); ++it) {
-    if (it->first == key) {
-      object_.erase(it);
-      break;
-    }
-  }
   return *this;
 }
 
@@ -95,7 +81,8 @@ const Json* Json::Find(const std::string& key) const {
 
 namespace {
 
-// Dump appends its spellings in place: no temporary per key, string or double.
+// The writer appends its spellings in place: no temporary per key, string or
+// double.
 void AppendNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
@@ -105,7 +92,13 @@ void AppendNumber(std::string& out, double v) {
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
+template <typename Integer>
+void AppendInteger(std::string& out, Integer v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void AppendEscaped(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -137,104 +130,104 @@ std::string JsonNumber(double v) {
   return out;
 }
 
-Json& JsonSetNumber(Json& obj, const std::string& key, double v) {
-  if (std::isfinite(v)) {
-    obj.Set(key, v);
-    obj.Remove(key + "_nonfinite");  // retire a stale sentinel on overwrite
-    return obj;
-  }
-  obj.Set(key, Json());
-  obj.Set(key + "_nonfinite", v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
-  return obj;
+std::string& JsonWriter::Next() {
+  const At at = std::exchange(at_, At::kNext);
+  if (at == At::kValue) return out_;
+  if (at == At::kNext) out_ += ',';
+  if (depth_ > 0) Newline();
+  return out_;
 }
 
-double JsonGetNumber(const Json& obj, const std::string& key) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    throw std::invalid_argument("Json: missing number field '" + key + "'");
-  }
-  if (!v->is_null()) return v->AsDouble();
-  const Json* sentinel = obj.Find(key + "_nonfinite");
-  if (sentinel == nullptr) {
-    throw std::invalid_argument("Json: null number field '" + key +
-                                "' without a '" + key +
-                                "_nonfinite' sentinel");
-  }
-  const std::string& s = sentinel->AsString();
-  if (s == "inf") return std::numeric_limits<double>::infinity();
-  if (s == "-inf") return -std::numeric_limits<double>::infinity();
-  if (s == "nan") return std::numeric_limits<double>::quiet_NaN();
-  throw std::invalid_argument("Json: unknown non-finite sentinel '" + s +
-                              "' for field '" + key + "'");
+void JsonWriter::Newline() {
+  if (indent_ <= 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_ * depth_), ' ');
 }
 
-void Json::DumpTo(std::string& out, int indent, int depth) const {
-  const auto newline = [&](int d) {
-    if (indent <= 0) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * d), ' ');
-  };
+JsonWriter& JsonWriter::Open(char bracket) {
+  Next() += bracket;
+  ++depth_;
+  at_ = At::kFirst;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  --depth_;
+  if (std::exchange(at_, At::kNext) != At::kFirst) Newline();  // not empty
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  AppendEscaped(Next(), key);
+  out_ += indent_ > 0 ? ": " : ":";
+  at_ = At::kValue;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Null() {
+  Next() += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  AppendEscaped(Next(), s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool b) {
+  Next() += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(std::int64_t v) {
+  AppendInteger(Next(), v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Uint(std::uint64_t v) {
+  AppendInteger(Next(), v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Double(double v) {
+  AppendNumber(Next(), v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(std::string_view key, double v) {
+  Key(key).Double(v);
+  if (std::isfinite(v)) return *this;
+  return Key(std::string(key) + "_nonfinite")
+      .String(v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
+}
+
+void Json::WriteTo(JsonWriter& w) const {
   switch (kind_) {
-    case Kind::kNull:
-      out += "null";
+    case Kind::kNull: w.Null(); return;
+    case Kind::kBool: w.Bool(bool_); return;
+    case Kind::kInt:
+      is_uint_ ? w.Uint(static_cast<std::uint64_t>(int_)) : w.Int(int_);
       return;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
+    case Kind::kDouble: w.Double(double_); return;
+    case Kind::kString: w.String(string_); return;
+    case Kind::kArray:
+      w.BeginArray();
+      for (const Json& v : array_) v.WriteTo(w);
+      w.EndArray();
       return;
-    case Kind::kInt: {
-      char buf[24];
-      const auto res =
-          is_uint_ ? std::to_chars(buf, buf + sizeof buf,
-                                   static_cast<std::uint64_t>(int_))
-                   : std::to_chars(buf, buf + sizeof buf, int_);
-      out.append(buf, res.ptr);
+    case Kind::kObject:
+      w.BeginObject();
+      for (const auto& [k, v] : object_) v.WriteTo(w.Key(k));
+      w.EndObject();
       return;
-    }
-    case Kind::kDouble:
-      AppendNumber(out, double_);
-      return;
-    case Kind::kString:
-      AppendEscaped(out, string_);
-      return;
-    case Kind::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i != 0) out += ',';
-        newline(depth + 1);
-        array_[i].DumpTo(out, indent, depth + 1);
-      }
-      newline(depth);
-      out += ']';
-      return;
-    }
-    case Kind::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i != 0) out += ',';
-        newline(depth + 1);
-        AppendEscaped(out, object_[i].first);
-        out += indent > 0 ? ": " : ":";
-        object_[i].second.DumpTo(out, indent, depth + 1);
-      }
-      newline(depth);
-      out += '}';
-      return;
-    }
   }
 }
 
 std::string Json::Dump(int indent) const {
-  std::string out;
-  DumpTo(out, indent, 0);
-  return out;
+  JsonWriter w(indent);
+  WriteTo(w);
+  return w.Take();
 }
 
 namespace {
@@ -422,7 +415,10 @@ class Parser {
       std::int64_t v = 0;
       const auto res =
           std::from_chars(text_.data() + start, text_.data() + pos_, v);
-      if (res.ec == std::errc() && res.ptr == text_.data() + pos_) {
+      // "-0" is how std::to_chars spells the double -0.0; as an integer it
+      // would dump back as "0".
+      if (res.ec == std::errc() && res.ptr == text_.data() + pos_ &&
+          (v != 0 || text_[start] != '-')) {
         return Json(v);
       }
       if (text_[start] != '-') {

@@ -1,15 +1,15 @@
-// The tree's one JSON representation: an insertion-ordered value type with a
-// deterministic emitter and a small strict parser.
+// The tree's one JSON representation: an insertion-ordered value type, a
+// small strict parser and JsonWriter, the one emitter (Json::Dump uses it).
 //
 // Determinism is the point — Engine reports are golden-snapshotted and the
 // batch path promises bit-identical output for any thread count — so the
 // emitter guarantees:
-//   * object keys serialize in insertion order (callers control key order);
+//   * object keys serialize in the order they are written;
 //   * doubles print via std::to_chars shortest round-trip form (no locale,
 //     no printf precision drift);
 //   * integers keep full 64-bit precision (seeds, message counts).
-// Non-finite doubles have no JSON spelling; they serialize as null (callers
-// carry an explicit flag, e.g. "saturated", when the distinction matters).
+// Non-finite doubles have no JSON spelling; they serialize as null
+// (JsonWriter::Number adds an explicit sentinel where that matters).
 //
 // The parser accepts standard JSON (objects, arrays, strings with escapes,
 // numbers, true/false/null) nested at most 256 levels deep, and throws
@@ -20,12 +20,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace coc {
+
+class JsonWriter;
 
 class Json {
  public:
@@ -71,8 +74,6 @@ class Json {
   /// Object insertion (keeps insertion order; duplicate keys overwrite in
   /// place, preserving the original position). Returns *this for chaining.
   Json& Set(std::string key, Json value);
-  /// Object key removal; absent keys are a no-op. Returns *this.
-  Json& Remove(const std::string& key);
   /// Array append.
   Json& Push(Json value);
 
@@ -101,7 +102,7 @@ class Json {
   friend bool operator==(const Json&, const Json&) = default;
 
  private:
-  void DumpTo(std::string& out, int indent, int depth) const;
+  void WriteTo(JsonWriter& w) const;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
@@ -113,22 +114,52 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
+/// JSON appended straight to a string, with no tree: Json::Dump's emitter
+/// and the report schema's one renderer. The caller keeps the document well
+/// formed (Key only inside an object, each Begin matched by its End, keys
+/// distinct within an object); the writer places commas, newlines and
+/// indentation. Json::Parse of a compact document dumps back to its bytes.
+class JsonWriter {
+ public:
+  /// indent = 0 writes the compact one-line form; indent > 0 pretty-prints
+  /// with that many spaces per level.
+  explicit JsonWriter(int indent = 0) : indent_(indent) {}
+
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  JsonWriter& Key(std::string_view key);  ///< the next call is its value
+  JsonWriter& Null();
+  JsonWriter& String(std::string_view s);
+  JsonWriter& Bool(bool b);
+  JsonWriter& Int(std::int64_t v);
+  JsonWriter& Uint(std::uint64_t v);
+  JsonWriter& Double(double v);  ///< null when not finite
+  /// Key(key).Double(v), and for a non-finite v "<key>_nonfinite": "inf",
+  /// "-inf" or "nan", so the value is not an ambiguous null on the wire.
+  JsonWriter& Number(std::string_view key, double v);
+
+  const std::string& text() const { return out_; }
+  std::string Take() { return std::move(out_); }
+
+ private:
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+  std::string& Next();  ///< writes the separator before an element
+  void Newline();
+
+  std::string out_;
+  int indent_ = 0;
+  int depth_ = 0;  ///< containers open
+  /// The next element: first in its container, after a sibling, or a value.
+  enum class At : std::uint8_t { kFirst, kNext, kValue } at_ = At::kFirst;
+};
+
 /// Deterministic number spelling used by the emitter (exposed for callers
 /// that need the same spelling outside a Json tree, e.g. CSV cells that must
 /// match a JSON golden).
 std::string JsonNumber(double v);        ///< shortest round-trip; null-safe
-
-/// Non-finite-safe object field: a finite `v` sets `key` normally; a
-/// non-finite one sets `key` to null plus an explicit string sentinel at
-/// `key + "_nonfinite"` ("inf", "-inf" or "nan"), so the value survives the
-/// wire losslessly instead of collapsing to an ambiguous null. Returns `obj`
-/// for chaining.
-Json& JsonSetNumber(Json& obj, const std::string& key, double v);
-
-/// Inverse of JsonSetNumber: reads `key`, reconstructing inf/-inf/nan from
-/// the sibling sentinel when `key` is null. Throws std::invalid_argument on
-/// a missing field, a null without its sentinel, or an unknown sentinel.
-double JsonGetNumber(const Json& obj, const std::string& key);
 
 // --- newline-delimited protocol helpers (the evaluation server's framing) --
 

@@ -66,12 +66,15 @@ std::string Table::ToCsv() const {
 std::string FormatDouble(double v, int precision) {
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   if (std::isnan(v)) return "nan";
+  const bool sci = std::fabs(v) >= 1e15;
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+  std::snprintf(buf, sizeof buf, sci ? "%.*e" : "%.*f", precision, v);
   std::string s(buf);
-  if (s.find('.') != std::string::npos) {
-    s.erase(s.find_last_not_of('0') + 1);
-    if (!s.empty() && s.back() == '.') s.pop_back();
+  const std::size_t end = sci ? s.find('e') : s.size();  // the mantissa's
+  if (s.find('.') < end) {
+    std::size_t cut = s.find_last_not_of('0', end - 1) + 1;
+    if (s[cut - 1] == '.') --cut;
+    s.erase(cut, end - cut);
   }
   return s;
 }

@@ -32,7 +32,9 @@ class Table {
 };
 
 /// Formats a double with the given precision, trimming trailing zeros
-/// ("3.140000" -> "3.14", "5.000000" -> "5").
+/// ("3.140000" -> "3.14", "5.000000" -> "5"). From 1e15 in magnitude on it
+/// prints "%.*e", its mantissa trimmed alike (3.4845746e62 -> "3.48e+62" at
+/// precision 2), not every integer digit.
 std::string FormatDouble(double v, int precision = 6);
 
 /// Formats a double in scientific notation with the given precision

@@ -47,7 +47,8 @@ std::vector<Section> Tokenize(const std::string& text) {
       Fail(s.line, "[network ...] needs a name");
     }
     const std::vector<std::string_view>& keys = kind->second;
-    for (const auto& [key, value] : s.values) {
+    for (const auto& [line, entry] : s.ByLine()) {
+      const std::string& key = entry->first;
       if (std::none_of(keys.begin(), keys.end(), [&key](std::string_view k) {
             return IniKeyMatches(k, key);
           })) {
@@ -55,8 +56,7 @@ std::vector<Section> Tokenize(const std::string& text) {
         if (s.kind == "system") WorkloadOverlay::KeyNames(names);
         const std::string header =
             s.kind + (s.name.empty() ? "" : " ") + s.name;
-        Fail(s.KeyLine(key),
-             UnknownIniKey("key", key, " in [" + header + "]", names));
+        Fail(line, UnknownIniKey("key", key, " in [" + header + "]", names));
       }
     }
   }
@@ -206,10 +206,10 @@ Experiment ParseExperiment(const std::string& text) {
   }
 
   WorkloadOverlay overlay;
-  for (const auto& [key, value] : system->values) {
-    if (key.rfind("workload.", 0) != 0) continue;
-    AtKeyLine(*system, key, [&overlay](const std::string& k,
-                                       const std::string& v) {
+  for (const auto& [line, entry] : system->ByLine()) {
+    if (entry->first.rfind("workload.", 0) != 0) continue;
+    AtKeyLine(*system, entry->first, [&overlay](const std::string& k,
+                                                const std::string& v) {
       overlay.Set(k, v);
     });
   }

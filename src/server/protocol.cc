@@ -110,7 +110,7 @@ std::string RequestHandler::Evaluate(const Json& request, bool envelope) {
           const std::vector<Report> reports =
               engine_.EvaluateBatch({scenario}, opts);
           ResultCache::Computed computed;
-          computed.report = reports.front().ToJson().Dump();
+          computed.report = reports.front().ToJsonText();
           computed.cacheable = reports.front().status.ok();
           return computed;
         });

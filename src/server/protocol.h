@@ -29,11 +29,11 @@
 //
 // Results are bit-identical to offline batch runs for any worker count:
 // every scenario evaluates through Engine::EvaluateBatch and is rendered on
-// its miss, compact (Report::ToJson().Dump()), into the result cache.
-// Responses are spliced from those bytes: each report is reopened at its
-// closing '}' for its "cache" field, and the "server" block closes the
-// response — byte for byte the dump of the report tree with those keys
-// added.
+// its miss, compact and with no tree (Report::ToJsonText(), the bytes of
+// Report::ToJson().Dump()), into the result cache. Responses are spliced
+// from those bytes: each report is reopened at its closing '}' for its
+// "cache" field, and the "server" block closes the response — byte for byte
+// the dump of the report tree with those keys added.
 #pragma once
 
 #include <atomic>

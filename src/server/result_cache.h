@@ -3,7 +3,7 @@
 // Canonicalization is what makes content addressing sound — two textually
 // different scenario sections that parse to the same semantics serialize to
 // the same bytes, so they share one cache entry. The server stores each
-// report's compact Dump as a Json string, so hits and inserts copy bytes,
+// report's compact text as a Json string, so hits and inserts copy bytes,
 // not a tree, and a hit is byte-identical to its miss.
 //
 // One rule, the one Engine::GetSystem and Engine::GetModel follow: a hit

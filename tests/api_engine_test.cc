@@ -1,7 +1,10 @@
 // Engine facade tests: the golden JSON snapshot (schema-versioned, stable
 // key order — any byte change here is a schema change and must bump
-// kReportSchemaVersion or be additive), batch determinism across thread
-// counts, and the cross-call caches the facade exists for.
+// kReportSchemaVersion or be additive), the pinned compact report bytes,
+// batch determinism across thread counts, and the cross-call caches the
+// facade exists for.
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -339,6 +342,278 @@ constexpr const char* kGoldenJsonV1 = R"json({
   ]
 }
 )json";
+
+// The compact bytes of one hand-built report per optional block, captured
+// from the tree renderer that the streaming writer replaced. Every value
+// that a spelling can go wrong on appears: -0, a denormal, 2^53 + 1, a
+// seed above INT64_MAX, non-finite sentinels in the model, sweep and sim
+// blocks, and a status message that needs escaping.
+/// A report with every summary field set; each pinned case adds its block.
+Report PinnedBase(const std::string& name) {
+  Report r;
+  r.scenario = name;
+  r.system_spec = "preset:1120";
+  r.clusters = 32;
+  r.nodes = 1120;
+  r.m = 8;
+  r.icn2_topology = "tree:3";
+  r.icn2_exact_fit = false;
+  r.message_flits = 32;
+  r.flit_bytes = 256;
+  r.workload = "uniform, poisson arrivals";
+  return r;
+}
+
+ClusterLatency PinnedCluster(double u, double l_in, double w_in, double l_out,
+                             double w_d, double blended) {
+  ClusterLatency c;
+  c.u = u;
+  c.intra.l_in = l_in;
+  c.intra.w_in = w_in;
+  c.inter.l_out = l_out;
+  c.inter.w_d = w_d;
+  c.blended = blended;
+  return c;
+}
+
+SimAnalysisResult PinnedSim() {
+  SimAnalysisResult s;
+  s.rate = 1e-4;
+  s.seed = 18446744073709551615ull;  // above INT64_MAX
+  s.delivered = 9000;
+  s.duration = 812345.125;
+  s.mean = 33.25;
+  s.ci95 = 0.0625;
+  s.min = -0.0;
+  s.max = 1e300;
+  s.intra_mean = 20.5;
+  s.intra_count = 4000;
+  s.inter_mean = 41.75;
+  s.inter_count = 5000;
+  s.icn1_mean = 0.1;
+  s.icn1_max = 0.2;
+  s.ecn1_mean = 4.9406564584124654e-324;  // the smallest denormal
+  s.ecn1_max = 0.3;
+  s.icn2_mean = 1.0 / 3.0;
+  s.icn2_max = 9007199254740993.0;  // 2^53 + 1 rounds to 2^53
+  return s;
+}
+
+/// One report per optional block, and one with non-finite values in the
+/// model, sweep and sim blocks.
+std::vector<Report> PinnedReports() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Report> reports;
+
+  Report model = PinnedBase("model");
+  model.model.emplace();
+  model.model->rate = 1e-4;
+  model.model->result.mean_latency = 33.19123456789;
+  model.model->saturation_rate = 5.1700000000000003e-4;
+  model.model->note = "permutation traffic: \"approximate\"";
+  model.model->result.clusters = {
+      PinnedCluster(0.9375, 20.25, 0.5, 41.5, 1.25, 33.0),
+      PinnedCluster(0.5, 1e21, 1e-7, 123456789.0, -0.0, 2.0)};
+  reports.push_back(model);
+
+  Report bottleneck = PinnedBase("bottleneck");
+  bottleneck.bottleneck.emplace();
+  bottleneck.bottleneck->rate = 4e-4;
+  bottleneck.bottleneck->report.condis_rho = 0.7727;
+  bottleneck.bottleneck->report.inter_source_rho = 0.25;
+  bottleneck.bottleneck->report.intra_source_rho = 0.125;
+  bottleneck.bottleneck->report.hot_eject_rho = 0.9;
+  bottleneck.bottleneck->report.binding = "hot-node ejection link";
+  bottleneck.bottleneck->destination_skewed = true;
+  bottleneck.bottleneck->saturation_rate = 4.4e-4;
+  bottleneck.bottleneck->note = "hot-spot traffic";
+  reports.push_back(bottleneck);
+
+  Report saturation = PinnedBase("saturation");
+  saturation.saturation_rate = 5.17e-4;
+  reports.push_back(saturation);
+
+  Report sweep = PinnedBase("sweep");
+  sweep.sweep.emplace();
+  for (int i = 1; i <= 2; ++i) {
+    SweepPoint p;
+    p.lambda_g = 1e-4 * i;
+    p.model_latency = 30.5 * i;
+    sweep.sweep->points.push_back(p);
+  }
+  reports.push_back(sweep);
+
+  Report sweep_sim = PinnedBase("sweep_sim");
+  sweep_sim.sweep.emplace();
+  SweepPoint p;
+  p.lambda_g = 2e-4;
+  p.model_latency = 36.75;
+  p.sim_latency = 37.5;
+  p.sim_ci95 = 0.5;
+  p.sim_intra = 21.0;
+  p.sim_inter = 44.0;
+  p.sim_icn2_max_util = 0.625;
+  sweep_sim.sweep->points.push_back(p);
+  reports.push_back(sweep_sim);
+
+  Report sim = PinnedBase("sim");
+  sim.sim = PinnedSim();
+  reports.push_back(sim);
+
+  Report failed = PinnedBase("failed \"one\"");
+  failed.status.code = StatusCode::kScenarioError;
+  failed.status.message =
+      "config line 3: 'rate' is not a number: \"fa\\st\"\n\tnext\x01 \xc2\xb5s";
+  reports.push_back(failed);
+
+  Report nonfinite = PinnedBase("nonfinite");
+  nonfinite.flit_bytes = nan;
+  nonfinite.status.code = StatusCode::kModelError;
+  nonfinite.status.message = "saturated";
+  nonfinite.model.emplace();
+  nonfinite.model->rate = 1e-3;
+  nonfinite.model->result.saturated = true;
+  nonfinite.model->result.mean_latency = inf;
+  nonfinite.model->saturation_rate = nan;
+  nonfinite.model->result.clusters = {
+      PinnedCluster(0.5, inf, inf, -inf, nan, inf)};
+  nonfinite.sweep.emplace();
+  SweepPoint q;
+  q.lambda_g = 1e-3;
+  q.model_latency = inf;
+  q.model_saturated = true;
+  q.sim_latency = nan;
+  q.sim_ci95 = inf;
+  q.sim_intra = -inf;
+  q.sim_inter = 1.5;
+  q.sim_icn2_max_util = nan;
+  nonfinite.sweep->points.push_back(q);
+  nonfinite.sim = PinnedSim();
+  nonfinite.sim->mean = inf;
+  nonfinite.sim->ci95 = nan;
+  nonfinite.sim->max = -inf;
+  nonfinite.sim->icn2_max = nan;
+  reports.push_back(nonfinite);
+  return reports;
+}
+
+constexpr const char* kPinnedCompact[] = {
+    // model
+    "{\"schema_version\":3,\"scenario\":\"model\",\"status\":{\"code\":\"ok\","
+    "\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"model\":{\"rate\":1e-04,\"saturated\":false,"
+    "\"mean_latency_us\":33.19123456789,\"saturation_rate\":0.000517,"
+    "\"note\":\"permutation traffic: \\\"approximate\\\"\","
+    "\"clusters\":[{\"u\":0.9375,\"l_in\":20.25,\"w_in\":0.5,"
+    "\"l_out\":41.5,\"w_d\":1.25,\"blended\":33},{\"u\":0.5,"
+    "\"l_in\":1e+21,\"w_in\":1e-07,\"l_out\":123456789,"
+    "\"w_d\":-0,\"blended\":2}]}}",
+    // bottleneck
+    "{\"schema_version\":3,\"scenario\":\"bottleneck\","
+    "\"status\":{\"code\":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"bottleneck\":{\"rate\":4e-04,\"condis_rho\":0.7727,"
+    "\"inter_source_rho\":0.25,\"intra_source_rho\":0.125,"
+    "\"hot_eject_rho\":0.9,\"binding\":\"hot-node ejection link\","
+    "\"saturation_rate\":0.00044,\"note\":\"hot-spot traffic\"}}",
+    // saturation
+    "{\"schema_version\":3,\"scenario\":\"saturation\","
+    "\"status\":{\"code\":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"saturation\":{\"rate\":0.000517}}",
+    // sweep
+    "{\"schema_version\":3,\"scenario\":\"sweep\",\"status\":{\"code\":\"ok\","
+    "\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"sweep\":{\"points\":[{\"lambda_g\":1e-04,\"model_latency_us\":30.5,"
+    "\"model_saturated\":false},{\"lambda_g\":2e-04,"
+    "\"model_latency_us\":61,\"model_saturated\":false}]}}",
+    // sweep_sim
+    "{\"schema_version\":3,\"scenario\":\"sweep_sim\","
+    "\"status\":{\"code\":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"sweep\":{\"points\":[{\"lambda_g\":2e-04,\"model_latency_us\":36.75,"
+    "\"model_saturated\":false,\"sim_latency_us\":37.5,"
+    "\"sim_ci95\":0.5,\"sim_intra_us\":21,\"sim_inter_us\":44,"
+    "\"sim_icn2_max_util\":0.625}]}}",
+    // sim
+    "{\"schema_version\":3,\"scenario\":\"sim\",\"status\":{\"code\":\"ok\","
+    "\"ok\":true},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\","
+    "\"sim\":{\"rate\":1e-04,\"seed\":18446744073709551615,"
+    "\"delivered\":9000,\"duration_us\":812345.125,"
+    "\"latency_us\":{\"mean\":33.25,\"ci95\":0.0625,"
+    "\"min\":-0,\"max\":1e+300},\"intra\":{\"mean_us\":20.5,"
+    "\"messages\":4000},\"inter\":{\"mean_us\":41.75,"
+    "\"messages\":5000},\"utilization\":{\"icn1\":{\"mean\":0.1,"
+    "\"max\":0.2},\"ecn1\":{\"mean\":5e-324,\"max\":0.3},"
+    "\"icn2\":{\"mean\":0.3333333333333333,\"max\":9007199254740992}}}}",
+    // failed "one"
+    "{\"schema_version\":3,\"scenario\":\"failed \\\"one\\\"\","
+    "\"status\":{\"code\":\"scenario_error\",\"ok\":false,"
+    "\"message\":\"config line 3: 'rate' is not a number: \\\"fa\\\\st\\\"\\n\\tnext\\u0001 \xc2\xb5s\"},"
+    "\"system\":{\"spec\":\"preset:1120\",\"clusters\":32,"
+    "\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":256},\"workload\":\"uniform, poisson arrivals\"}",
+    // nonfinite
+    "{\"schema_version\":3,\"scenario\":\"nonfinite\","
+    "\"status\":{\"code\":\"model_error\",\"ok\":false,"
+    "\"message\":\"saturated\"},\"system\":{\"spec\":\"preset:1120\","
+    "\"clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\","
+    "\"icn2_exact_fit\":false,\"message_flits\":32,"
+    "\"flit_bytes\":null,\"flit_bytes_nonfinite\":\"nan\"},"
+    "\"workload\":\"uniform, poisson arrivals\",\"model\":{\"rate\":0.001,"
+    "\"saturated\":true,\"mean_latency_us\":null,\"mean_latency_us_nonfinite\":\"inf\","
+    "\"saturation_rate\":null,\"saturation_rate_nonfinite\":\"nan\","
+    "\"clusters\":[{\"u\":0.5,\"l_in\":null,\"l_in_nonfinite\":\"inf\","
+    "\"w_in\":null,\"w_in_nonfinite\":\"inf\",\"l_out\":null,"
+    "\"l_out_nonfinite\":\"-inf\",\"w_d\":null,\"w_d_nonfinite\":\"nan\","
+    "\"blended\":null,\"blended_nonfinite\":\"inf\"}]},"
+    "\"sweep\":{\"points\":[{\"lambda_g\":0.001,\"model_latency_us\":null,"
+    "\"model_latency_us_nonfinite\":\"inf\",\"model_saturated\":true,"
+    "\"sim_latency_us\":null,\"sim_latency_us_nonfinite\":\"nan\","
+    "\"sim_ci95\":null,\"sim_ci95_nonfinite\":\"inf\","
+    "\"sim_intra_us\":null,\"sim_intra_us_nonfinite\":\"-inf\","
+    "\"sim_inter_us\":1.5,\"sim_icn2_max_util\":null,"
+    "\"sim_icn2_max_util_nonfinite\":\"nan\"}]},\"sim\":{\"rate\":1e-04,"
+    "\"seed\":18446744073709551615,\"delivered\":9000,"
+    "\"duration_us\":812345.125,\"latency_us\":{\"mean\":null,"
+    "\"mean_nonfinite\":\"inf\",\"ci95\":null,\"ci95_nonfinite\":\"nan\","
+    "\"min\":-0,\"max\":null,\"max_nonfinite\":\"-inf\"},"
+    "\"intra\":{\"mean_us\":20.5,\"messages\":4000},"
+    "\"inter\":{\"mean_us\":41.75,\"messages\":5000},"
+    "\"utilization\":{\"icn1\":{\"mean\":0.1,\"max\":0.2},"
+    "\"ecn1\":{\"mean\":5e-324,\"max\":0.3},\"icn2\":{\"mean\":0.3333333333333333,"
+    "\"max\":null,\"max_nonfinite\":\"nan\"}}}}",
+};
+
+TEST(Report, CompactBytesArePinned) {
+  const std::vector<Report> reports = PinnedReports();
+  ASSERT_EQ(reports.size(), std::size(kPinnedCompact));
+  std::string batch = "{\"schema_version\":3,\"reports\":[";
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].ToJsonText(), kPinnedCompact[i]) << i;
+    EXPECT_EQ(reports[i].ToJson().Dump(), kPinnedCompact[i]) << i;
+    if (i != 0) batch += ',';
+    batch += kPinnedCompact[i];
+  }
+  EXPECT_EQ(BatchToJson(reports).Dump(), batch + "]}");
+}
 
 TEST(Engine, GoldenJsonSnapshot) {
   Engine engine;

@@ -988,6 +988,48 @@ TEST(Cli, ArrivalTraceReplayRunsEndToEnd) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ConfigNamesTheFirstBadKeyByLine) {
+  // Two bad keys whose alphabetical order is the reverse of their line
+  // order: the error names the first in the file.
+  const auto with = [](const std::string& first, const std::string& second) {
+    std::string t = kValidConfig;
+    t.insert(t.find("icn2 = fast"), first + "\n");
+    t.insert(t.find("message_flits"), second + "\n");
+    return t;
+  };
+  const std::string path =
+      WriteTempFile("coc_cli_test_key_order.conf",
+                    with("zzz_first = 1", "aaa_second = 2"));
+  const auto r = RunCommand({"info", path});
+  std::remove(path.c_str());
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("config line 5: unknown key 'zzz_first'"),
+            std::string::npos)
+      << r.err;
+  // The same for two bad workload.* values.
+  try {
+    ParseSystemConfig(
+        with("workload.pattern = bogus", "workload.locality = 2"));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 5:"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, HugeLatenciesPrintInScientificNotation) {
+  // An extreme but finite MMPP: every latency is ~1e149 us. Fixed notation
+  // printed all its digits, cut at the format buffer to a wrong number.
+  const auto r = RunCommand({"model", "preset:tiny", "--rate", "1e-4",
+                             "--arrival", "mmpp:1e150,1e150"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("mean latency: 3.48e+149 us\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("6.5e+147  4.48e+149  3.63e+149  3.48e+149\n"),
+            std::string::npos)
+      << r.out;
+}
+
 TEST(Cli, ArrivalFlagErrorsFollowTheExitCodeTaxonomy) {
   // A bogus spec is flag misuse: exit 1 (invalid_argument from the parse).
   const auto bogus = RunCommand({"model", "preset:tiny:16:64", "--rate",

@@ -251,6 +251,17 @@ TEST(FormatDouble, TrimsTrailingZeros) {
   EXPECT_EQ(FormatDouble(std::numeric_limits<double>::infinity()), "inf");
 }
 
+TEST(FormatDouble, HugeValuesPrintInScientificNotation) {
+  // Below 1e15 fixed notation, as always; from there on "%.*e", trimmed.
+  EXPECT_EQ(FormatDouble(999999999999999.0, 2), "999999999999999");
+  EXPECT_EQ(FormatDouble(-123456789012345.5, 1), "-123456789012345.5");
+  EXPECT_EQ(FormatDouble(1e15, 2), "1e+15");
+  EXPECT_EQ(FormatDouble(-2.5e20, 1), "-2.5e+20");
+  EXPECT_EQ(FormatDouble(3.4845746023838204e62, 2), "3.48e+62");
+  EXPECT_EQ(FormatDouble(1.7976931348623157e308), "1.797693e+308");
+  EXPECT_EQ(FormatDouble(1e150, 0), "1e+150");
+}
+
 TEST(AsciiPlot, RendersFinitePointsOnly) {
   PlotSeries s{"model", '*',
                {{0, 1}, {1, 2}, {2, std::numeric_limits<double>::infinity()}}};

@@ -232,21 +232,47 @@ std::string BatchLine(const std::string& scenarios_text, int deadline_ms = 0) {
   return JsonLine(request);
 }
 
-/// Strips the server-appended fields, rebuilding the envelope in offline
-/// key order, so responses compare byte-for-byte against BatchToJson.
-std::string CanonicalBatchDump(const Json& response) {
-  Json envelope = Json::Object();
-  envelope.Set("schema_version", *response.Find("schema_version"));
-  Json array = Json::Array();
-  const Json* reports = response.Find("reports");
-  for (std::size_t i = 0; i < reports->Size(); ++i) {
-    Json report = reports->At(i);
-    report.Remove("cache");
-    report.Remove("server");
-    array.Push(std::move(report));
+/// `line` (newline included) without its trailing ,"server":{...} timing
+/// block, the one wall-clock field of a response, removed by string edit.
+std::string WithoutServerBlock(std::string line) {
+  const std::string block = ",\"server\":{\"elapsed_ms\":";
+  const auto at = line.rfind(block);
+  EXPECT_TRUE(at != std::string::npos && line.size() >= 3 &&
+              line.compare(line.size() - 3, 3, "}}\n") == 0)
+      << line;
+  if (at == std::string::npos) return line;
+  // The block holds one number; the response's own '}' and '\n' stay.
+  EXPECT_GE(Json::Parse(line.substr(at + block.size(),
+                                    line.size() - 3 - at - block.size()))
+                .AsDouble(),
+            0.0);
+  line.erase(at, line.size() - 2 - at);
+  return line;
+}
+
+/// The served line as the offline compact Dump would spell it: the server
+/// block and every ,"cache":"..." marker removed by string edit, with each
+/// marker's value appended to `markers` in order.
+std::string WithoutServedFields(const std::string& line,
+                                std::vector<std::string>& markers) {
+  std::string out = WithoutServerBlock(line);
+  out.pop_back();  // '\n'
+  const std::string marker = ",\"cache\":\"";
+  for (auto at = out.find(marker); at != std::string::npos;
+       at = out.find(marker, at)) {
+    const auto end = out.find('"', at + marker.size());
+    markers.push_back(out.substr(at + marker.size(),
+                                 end - at - marker.size()));
+    out.erase(at, end + 1 - at);
   }
-  envelope.Set("reports", std::move(array));
-  return envelope.Dump(2);
+  return out;
+}
+
+/// Strips the server-appended fields from the response's compact dump, so
+/// responses compare byte-for-byte against BatchToJson.
+std::string CanonicalBatchDump(const Json& response) {
+  std::vector<std::string> markers;
+  return Json::Parse(WithoutServedFields(JsonLine(response), markers)).Dump(2);
 }
 
 TEST(RequestHandler, MalformedLinesAnswerStructurallyAndKeepServing) {
@@ -345,42 +371,6 @@ TEST(RequestHandler, ResponsesMatchOfflineEvaluateBatchByteForByte) {
   const std::vector<Report> reports =
       offline.EvaluateBatch(ParseScenarios(kBatchScenarios), {});
   EXPECT_EQ(CanonicalBatchDump(served), BatchToJson(reports).Dump(2));
-}
-
-/// `line` (newline included) without its trailing ,"server":{...} timing
-/// block, the one wall-clock field of a response, removed by string edit.
-std::string WithoutServerBlock(std::string line) {
-  const std::string block = ",\"server\":{\"elapsed_ms\":";
-  const auto at = line.rfind(block);
-  EXPECT_TRUE(at != std::string::npos && line.size() >= 3 &&
-              line.compare(line.size() - 3, 3, "}}\n") == 0)
-      << line;
-  if (at == std::string::npos) return line;
-  // The block holds one number; the response's own '}' and '\n' stay.
-  EXPECT_GE(Json::Parse(line.substr(at + block.size(),
-                                    line.size() - 3 - at - block.size()))
-                .AsDouble(),
-            0.0);
-  line.erase(at, line.size() - 2 - at);
-  return line;
-}
-
-/// The served line as the offline compact Dump would spell it: the server
-/// block and every ,"cache":"..." marker removed by string edit, with each
-/// marker's value appended to `markers` in order.
-std::string WithoutServedFields(const std::string& line,
-                                std::vector<std::string>& markers) {
-  std::string out = WithoutServerBlock(line);
-  out.pop_back();  // '\n'
-  const std::string marker = ",\"cache\":\"";
-  for (auto at = out.find(marker); at != std::string::npos;
-       at = out.find(marker, at)) {
-    const auto end = out.find('"', at + marker.size());
-    markers.push_back(out.substr(at + marker.size(),
-                                 end - at - marker.size()));
-    out.erase(at, end + 1 - at);
-  }
-  return out;
 }
 
 TEST(RequestHandler, ServedBytesAreTheOfflineCompactDumpPlusSplicedFields) {
@@ -610,22 +600,14 @@ TEST(RequestHandler, ServerFaultSiteFailsOneRequestAndIsolatesNeighbors) {
   EXPECT_NE(fault.Find("status")->Find("message")->AsString().find(
                 "injected server fault (site server, request 1)"),
             std::string::npos);
-  // Strip the timing block (wall-clock) before comparing the neighbors.
-  const auto strip = [](const std::string& line) {
-    Json doc = Json::Parse(line);
-    doc.Remove("server");
-    return doc.Dump(2);
-  };
-  EXPECT_EQ(strip(first), strip(baseline));
+  // Strip the timing block (wall-clock) and the cache markers before
+  // comparing the neighbors.
+  std::vector<std::string> markers;
+  const std::string want = WithoutServedFields(baseline, markers);
+  EXPECT_EQ(WithoutServedFields(first, markers), want);
   // Request 2 re-serves request 0's cached result: same bytes, cache hit.
-  Json third_doc = Json::Parse(third);
-  EXPECT_EQ(third_doc.Find("cache")->AsString(), "hit");
-  third_doc.Remove("server");
-  third_doc.Remove("cache");
-  Json baseline_doc = Json::Parse(baseline);
-  baseline_doc.Remove("server");
-  baseline_doc.Remove("cache");
-  EXPECT_EQ(third_doc.Dump(2), baseline_doc.Dump(2));
+  EXPECT_EQ(WithoutServedFields(third, markers), want);
+  EXPECT_EQ(markers, std::vector<std::string>({"miss", "miss", "hit"}));
 }
 
 // ---------------------------------------------------------------------------
