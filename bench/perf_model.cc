@@ -17,6 +17,7 @@
 #include "model/compiled_model.h"
 #include "oracle/latency_model.h"
 #include "system/presets.h"
+#include "topology/topology_spec.h"
 
 namespace coc {
 namespace {
@@ -91,6 +92,19 @@ void BM_CompiledModelBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompiledModelBuild);
+
+// The same cold compile with the 32 clusters on a 128-slot tree:3 ICN2, so
+// the model reads the census of the occupied slots. Every compile comes
+// from one SystemConfig, which counts that census once for all of them.
+void BM_CompiledModelBuildSparseIcn2(benchmark::State& state) {
+  const auto sys = MakeSystem1120(MessageFormat{32, 256})
+                       .WithIcn2Topology(ParseTopologySpec("tree:3"));
+  for (auto _ : state) {
+    CompiledModel model(sys);
+    benchmark::DoNotOptimize(&model);
+  }
+}
+BENCHMARK(BM_CompiledModelBuildSparseIcn2);
 
 // The sweep pair: one full rate grid per iteration on the N=1120
 // organization, compiled (build + EvaluateMany) vs the pointwise loop over

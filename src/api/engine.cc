@@ -3,6 +3,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/json.h"
@@ -134,7 +135,7 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   }
   // A miss with a compiled sibling on the same (system, options) family
   // rebinds from it — bit-identical to a cold compile, but the dedup
-  // tables, combo arrays, and ICN2 census carry over.
+  // tables and combo arrays carry over (the ICN2 census is the system's).
   std::shared_ptr<const CompiledModel> model;
   if (sibling) {
     model = std::make_shared<const CompiledModel>(
@@ -230,23 +231,33 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
   std::shared_ptr<ModelEntry> mentry;
   std::shared_ptr<const CompiledModel> model;
   double saturation_rate = 0;
-  if (scenario.Has(Analysis::kModel) || scenario.Has(Analysis::kBottleneck) ||
-      scenario.Has(Analysis::kSaturation)) {
+  const bool wants_saturation = scenario.Has(Analysis::kModel) ||
+                                scenario.Has(Analysis::kBottleneck) ||
+                                scenario.Has(Analysis::kSaturation);
+  if (wants_saturation || scenario.Has(Analysis::kSweep)) {
     deadline.Check("model compilation");
     mentry = GetModel(SystemKey(scenario), *entry, workload, scenario.model,
                       model_deadline);
     model = mentry->model;
-    // One bisection serves every analysis that reports the saturation point,
+  }
+  if (wants_saturation) {
+    // One search serves every analysis that reports the saturation point,
     // and the result is cached on the model entry, so scenarios sharing a
     // model (batch sweeps over the rate dial) run the search exactly once.
     saturation_rate = GetSaturationRate(mentry, model_deadline);
   }
 
+  // One evaluation at the scenario's rate serves the model block and the
+  // bottleneck, which is derived before a model fault poisons that block.
+  std::optional<BottleneckReport> bottleneck;
   if (scenario.Has(Analysis::kModel)) {
     deadline.Check("model evaluation");
     ModelAnalysisResult a;
     a.rate = scenario.rate;
     a.result = model->Evaluate(scenario.rate, model_deadline);
+    if (scenario.Has(Analysis::kBottleneck)) {
+      bottleneck = model->Bottleneck(a.result, scenario.rate);
+    }
     if (opts.faults.Armed(FaultInjector::Site::kModel, scenario_index)) {
       // Poison this result copy only — the shared CompiledModel is
       // untouched, so other scenarios on the same model are unaffected.
@@ -267,7 +278,8 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
     deadline.Check("bottleneck analysis");
     BottleneckAnalysisResult a;
     a.rate = scenario.rate;
-    a.report = model->Bottleneck(scenario.rate, model_deadline);
+    a.report = bottleneck ? std::move(*bottleneck)
+                          : model->Bottleneck(scenario.rate, model_deadline);
     a.destination_skewed = workload.DestinationSkewed();
     a.saturation_rate = saturation_rate;
     if (note != nullptr) a.note = note;
@@ -289,7 +301,7 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
     spec.sim_abort_latency = scenario.sim_abort_latency;
     spec.deadline = deadline;
     SweepAnalysisResult a;
-    a.points = RunSweepParallel(sys, spec, sweep_threads);
+    a.points = RunSweepParallel(*model, spec, sweep_threads);
     report.sweep = std::move(a);
   }
   if (scenario.Has(Analysis::kSim)) {

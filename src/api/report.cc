@@ -1,6 +1,8 @@
 #include "api/report.h"
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/table.h"
@@ -19,10 +21,24 @@ void WriteModel(JsonWriter& w, const ModelAnalysisResult& a) {
   w.Number("saturation_rate", a.saturation_rate);
   if (!a.note.empty()) w.Key("note").String(a.note);
   w.Key("clusters").BeginArray();
+  // A run of equal clusters evaluates to bit-equal rows (compiled_model.h),
+  // and a row whose doubles are bit-equal to the last one's prints its
+  // bytes, so those are copied instead of formatted again.
+  std::array<double, 6> last{};
+  std::size_t begin = 0, end = 0;  // the last formatted row in w.text()
   for (const ClusterLatency& cl : a.result.clusters) {
-    w.BeginObject().Number("u", cl.u).Number("l_in", cl.intra.l_in);
-    w.Number("w_in", cl.intra.w_in).Number("l_out", cl.inter.l_out);
-    w.Number("w_d", cl.inter.w_d).Number("blended", cl.blended).EndObject();
+    const std::array<double, 6> row{cl.u,          cl.intra.l_in,
+                                    cl.intra.w_in, cl.inter.l_out,
+                                    cl.inter.w_d,  cl.blended};
+    if (end != 0 && std::memcmp(&row, &last, sizeof row) == 0) {
+      w.Repeat(begin, end);
+      continue;
+    }
+    last = row;
+    begin = w.BeginObject().text().size() - 1;  // at its '{'
+    w.Number("u", row[0]).Number("l_in", row[1]).Number("w_in", row[2]);
+    w.Number("l_out", row[3]).Number("w_d", row[4]).Number("blended", row[5]);
+    end = w.EndObject().text().size();
   }
   w.EndArray().EndObject();
 }

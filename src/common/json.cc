@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 namespace coc {
@@ -202,6 +204,12 @@ JsonWriter& JsonWriter::Number(std::string_view key, double v) {
       .String(v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
 }
 
+JsonWriter& JsonWriter::Repeat(std::size_t begin, std::size_t end) {
+  // This overload copies out of out_ safely when append reallocates it.
+  Next().append(out_, begin, end - begin);
+  return *this;
+}
+
 void Json::WriteTo(JsonWriter& w) const {
   switch (kind_) {
     case Kind::kNull: w.Null(); return;
@@ -232,7 +240,49 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
-class Parser {
+/// Folds repeated keys as Json::Set does: each keeps its first position and
+/// takes its last value. Ordering the positions by key costs O(n log n) for
+/// n keys where Set's scans cost O(n^2); a short object with no repeat (every
+/// request) is checked pairwise and left as it is.
+void FoldRepeatedKeys(std::vector<std::pair<std::string, Json>>& members) {
+  const std::size_t n = members.size();
+  bool repeat = n > 16;
+  for (std::size_t i = 1; i < n && !repeat; ++i) {
+    for (std::size_t j = 0; j < i && !repeat; ++j) {
+      repeat = members[i].first == members[j].first;
+    }
+  }
+  if (!repeat) return;
+  // A stable sort lists each key's positions in ascending order after the
+  // first, which takes every later value in turn, so the last one stays.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return members[a].first < members[b].first;
+                   });
+  std::vector<char> later(n, 0);  // the key is at an earlier position too
+  for (std::size_t r = 1, first = order[0]; r < n; ++r) {
+    const std::size_t i = order[r];
+    if (members[i].first != members[first].first) {
+      first = i;
+    } else {
+      members[first].second = std::move(members[i].second);
+      later[i] = 1;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (later[i]) continue;
+    if (kept != i) members[kept] = std::move(members[i]);
+    ++kept;
+  }
+  members.resize(kept);
+}
+
+}  // namespace
+
+class Json::Parser {
  public:
   /// Deepest array/object nesting accepted: far above the deepest document
   /// the tree writes (a batch report nests 6 levels), far below the depth
@@ -317,12 +367,14 @@ class Parser {
       if (Peek() != '"') Fail("expected object key string");
       std::string key = StringValue();
       Expect(':');
-      obj.Set(std::move(key), Value());
+      obj.object_.emplace_back(std::move(key), Value());
       const char c = Peek();
       ++pos_;
-      if (c == '}') return obj;
+      if (c == '}') break;
       if (c != ',') Fail("expected ',' or '}' in object");
     }
+    FoldRepeatedKeys(obj.object_);
+    return obj;
   }
 
   Json ArrayValue() {
@@ -348,6 +400,10 @@ class Parser {
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
+        if (static_cast<unsigned char>(c) < 0x20) {
+          --pos_;
+          Fail("raw control character in string");
+        }
         out += c;
         continue;
       }
@@ -393,25 +449,42 @@ class Parser {
     Fail("unterminated string");
   }
 
+  /// Skips one or more digits; fails naming `what` when there is none.
+  void Digits(const char* what) {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    if (pos_ == from) Fail(what);
+  }
+
+  /// Consumes the next byte if it is one of `chars`.
+  bool Skip(std::string_view chars) {
+    if (pos_ >= text_.size() || chars.find(text_[pos_]) == chars.npos) {
+      return false;
+    }
+    ++pos_;
+    return true;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
   Json NumberValue() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool is_int = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_int = false;
-        ++pos_;
-      } else {
-        break;
-      }
+    Skip("-");
+    const std::size_t int_start = pos_;
+    Digits("bad number");
+    if (text_[int_start] == '0' && pos_ > int_start + 1) {
+      pos_ = int_start + 1;
+      Fail("leading zero in number");
     }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      Fail("bad number");
+    const bool fraction = Skip(".");
+    if (fraction) Digits("expected a digit after '.'");
+    const bool exponent = Skip("eE");
+    if (exponent) {
+      Skip("+-");
+      Digits("expected a digit in the exponent");
     }
-    if (is_int) {
+    if (!fraction && !exponent) {
       std::int64_t v = 0;
       const auto res =
           std::from_chars(text_.data() + start, text_.data() + pos_, v);
@@ -445,8 +518,6 @@ class Parser {
   std::size_t pos_ = 0;
   int depth_ = 0;  ///< arrays/objects open at pos_
 };
-
-}  // namespace
 
 Json Json::Parse(const std::string& text) { return Parser(text).Run(); }
 

@@ -11,9 +11,12 @@
 // Non-finite doubles have no JSON spelling; they serialize as null
 // (JsonWriter::Number adds an explicit sentinel where that matters).
 //
-// The parser accepts standard JSON (objects, arrays, strings with escapes,
+// The parser accepts RFC 8259 JSON (objects, arrays, strings with escapes,
 // numbers, true/false/null) nested at most 256 levels deep, and throws
-// std::invalid_argument with a byte offset on malformed or deeper input.
+// std::invalid_argument with a byte offset on malformed or deeper input,
+// including the number spellings the RFC forbids (01, 1., .5, 1.e3) and raw
+// control characters inside strings. It is O(n log n) in an object's key
+// count: a repeated key keeps its first position and takes its last value.
 // The server parses request lines with it, perf_report reads
 // google-benchmark artifacts, and tests validate emitted reports.
 #pragma once
@@ -102,6 +105,7 @@ class Json {
   friend bool operator==(const Json&, const Json&) = default;
 
  private:
+  class Parser;  ///< fills object_ directly (json.cc)
   void WriteTo(JsonWriter& w) const;
 
   Kind kind_ = Kind::kNull;
@@ -139,6 +143,10 @@ class JsonWriter {
   /// Key(key).Double(v), and for a non-finite v "<key>_nonfinite": "inf",
   /// "-inf" or "nan", so the value is not an ambiguous null on the wire.
   JsonWriter& Number(std::string_view key, double v);
+  /// Appends text()[begin, end) again as the next element: the bytes of one
+  /// complete element this writer wrote at the current depth, from its first
+  /// byte (so their indentation is right here too).
+  JsonWriter& Repeat(std::size_t begin, std::size_t end);
 
   const std::string& text() const { return out_; }
   std::string Take() { return std::move(out_); }

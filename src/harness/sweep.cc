@@ -27,11 +27,20 @@ std::vector<double> LinearRates(double max, int count) {
 
 std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
                                          const SweepSpec& spec, int threads) {
-  // One compiled structure for the whole grid.
-  const CompiledModel model(sys, spec.workload, spec.model_opts);
-  const std::vector<ModelResult> model_results = model.EvaluateMany(spec.rates);
+  // The first point's probe runs before the compile it would wait on.
+  spec.deadline.Check("sweep", "0 of " + std::to_string(spec.rates.size()) +
+                                   " points completed");
+  return RunSweepParallel(
+      CompiledModel(sys, spec.workload, spec.model_opts, &spec.deadline), spec,
+      threads);
+}
+
+std::vector<SweepPoint> RunSweepParallel(const CompiledModel& model,
+                                         const SweepSpec& spec, int threads) {
+  std::vector<ModelResult> model_results;
+  model.EvaluateMany(spec.rates, model_results, &spec.deadline);
   std::optional<CocSystemSim> sim;
-  if (spec.run_sim) sim.emplace(sys);
+  if (spec.run_sim) sim.emplace(model.system());
 
   std::vector<SweepPoint> points(spec.rates.size());
   for (std::size_t i = 0; i < spec.rates.size(); ++i) {

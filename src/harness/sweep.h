@@ -41,8 +41,9 @@ struct SweepSpec {
   /// are skipped (the run is saturated and each further point costs the
   /// same wall time for no information). 0 disables the cut-off.
   double sim_abort_latency = 0;
-  /// Cooperative deadline, probed before every sweep point (and inside each
-  /// simulated point via sim_base.deadline when the caller shares one). A
+  /// Cooperative deadline, probed before every point's model evaluation and
+  /// simulation, inside the compile and each evaluation, and inside each
+  /// simulated point via sim_base.deadline when the caller shares one. A
   /// trip throws DeadlineExceeded with the completed-point count.
   Deadline deadline;
 };
@@ -50,12 +51,18 @@ struct SweepSpec {
 /// Evenly spaced rate grid (count points over (0, max], excluding 0).
 std::vector<double> LinearRates(double max, int count);
 
-/// Runs the sweep; points come back in rate order. Simulation points are
-/// independent (CocSystemSim::Run is const and self-contained), so they are
-/// distributed over `threads` workers (<= 1: the calling thread) with
-/// bit-identical results for any count. Past the sim_abort_latency cut-off
-/// later points report no simulation; with several workers such a point may
-/// already have run (its result is dropped), so the cut-off saves less time.
+/// Runs the sweep on `model`, compiled for spec.workload and
+/// spec.model_opts (the Engine passes its memoized model); points come back
+/// in rate order. Simulation points are independent (CocSystemSim::Run is
+/// const and self-contained), so they are distributed over `threads` workers
+/// (<= 1: the calling thread) with bit-identical results for any count. Past
+/// the sim_abort_latency cut-off later points report no simulation; with
+/// several workers such a point may already have run (its result is
+/// dropped), so the cut-off saves less time.
+std::vector<SweepPoint> RunSweepParallel(const CompiledModel& model,
+                                         const SweepSpec& spec,
+                                         int threads = 1);
+/// The same sweep on a model compiled here, under spec.deadline.
 std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
                                          const SweepSpec& spec,
                                          int threads = 1);

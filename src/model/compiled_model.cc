@@ -29,27 +29,6 @@
 
 namespace coc {
 
-LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys) {
-  const Topology& topo = sys.icn2_topology();
-  if (sys.icn2_exact_fit()) {
-    return topo.Links();
-  }
-  const auto c = static_cast<std::int64_t>(sys.num_clusters());
-  std::vector<double> weights(
-      static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
-  std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
-  for (std::int64_t src = 0; src < c; ++src) {
-    for (std::int64_t dst = 0; dst < c; ++dst) {
-      if (src == dst) continue;
-      route.clear();
-      topo.RouteInto(src, dst, /*entropy=*/0, route);
-      weights[route.size()] += 1.0;
-    }
-  }
-  if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
-  return LinkDistribution(weights);
-}
-
 namespace {
 
 // Class keys are raw byte strings: exact double bit patterns plus topology
@@ -68,6 +47,37 @@ void AppendPtr(std::string& key, const void* p) {
 
 bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The first double x in [0, DBL_MAX] at which `saturated` holds, which must
+/// be monotone in x and false at 0; +infinity when there is none. It gallops
+/// away from `guess` over the ordered bit patterns until it crosses that
+/// double, then bisects: exact for any guess, and a handful of calls for one
+/// within a few ulps, where a bisection of the full range takes 64.
+template <typename Pred>
+double FirstSaturated(const Pred& saturated, double guess) {
+  using Bits = std::uint64_t;
+  const Bits top = std::bit_cast<Bits>(std::numeric_limits<double>::max());
+  const auto at = [&](Bits b) { return saturated(std::bit_cast<double>(b)); };
+  if (!at(top)) return std::numeric_limits<double>::infinity();
+  Bits lo = 0;  // !at(lo) and at(hi) throughout
+  Bits hi = top;
+  if (guess > 0 && guess < std::numeric_limits<double>::max()) {
+    const Bits g = std::bit_cast<Bits>(guess);
+    const bool down = at(g);
+    (down ? hi : lo) = g;
+    for (Bits step = 1; step < (down ? g : top - g); step *= 2) {
+      const Bits x = down ? g - step : g + step;
+      const bool x_saturated = at(x);
+      (x_saturated ? hi : lo) = x;
+      if (x_saturated != down) break;  // crossed the first saturated double
+    }
+  }
+  while (hi - lo > 1) {
+    const Bits mid = lo + (hi - lo) / 2;
+    (at(mid) ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(hi);
 }
 
 /// One deadline probe; the progress note is formatted only once a probe
@@ -180,17 +190,12 @@ void CompiledModel::CompileFrom(const CompiledModel* prev,
       opts_.source_queue_rate == ModelOptions::SourceQueueRate::kPerNode;
   skewed_ = workload_.DestinationSkewed();
 
-  // Workload-invariant shared structure: the ICN2 census and the (r, v,
-  // d_l) combo tables transfer outright; per-class reuse additionally needs
-  // the message-length moments to match bit for bit, since every x_*
-  // constant scales with them.
-  if (prev != nullptr) {
-    icn2_links_ = prev->icn2_links_;
-    combo_cache_ = prev->combo_cache_;
-  } else {
-    icn2_links_ = std::make_shared<const LinkDistribution>(
-        MakeIcn2LinkDistribution(sys_));
-  }
+  // The ICN2 census is the system's (counted once for every copy of it); the
+  // workload-invariant (r, v, d_l) combo tables transfer outright, and
+  // per-class reuse additionally needs the message-length moments to match
+  // bit for bit, since every x_* constant scales with them.
+  sys_.icn2_links(deadline);
+  if (prev != nullptr) combo_cache_ = prev->combo_cache_;
   const bool reuse_classes = prev != nullptr &&
                              BitsEqual(m_flits_, prev->m_flits_) &&
                              BitsEqual(flit_var_, prev->flit_var_);
@@ -369,7 +374,7 @@ CompiledModel::PairClass CompiledModel::BuildPairClass(
   const Topology& ecn1_j = sys_.ecn1_topology(j);
   const LinkDistribution& access_i = ecn1_i.AccessLinks();
   const LinkDistribution& access_j = ecn1_j.AccessLinks();
-  const LinkDistribution& icn2_links = *icn2_links_;
+  const LinkDistribution& icn2_links = sys_.icn2_links();
 
   PairClass k;
   k.sum_loads = loads[static_cast<std::size_t>(i)] +
@@ -453,7 +458,7 @@ std::shared_ptr<const CompiledModel::PairCombos> CompiledModel::GetPairCombos(
   // drain is rate-invariant and folds entirely into the compile step.
   const LinkDistribution& access_i = ecn1_i.AccessLinks();
   const LinkDistribution& access_j = ecn1_j.AccessLinks();
-  const LinkDistribution& icn2_links = *icn2_links_;
+  const LinkDistribution& icn2_links = sys_.icn2_links();
   const int r_max = access_i.max_links();
   const int v_max = access_j.max_links();
   const int d_max = icn2_links.max_links();
@@ -732,11 +737,17 @@ ModelResult CompiledModel::Evaluate(double lambda_g,
 }
 
 void CompiledModel::EvaluateMany(std::span<const double> rates,
-                                 std::vector<ModelResult>& out) const {
+                                 std::vector<ModelResult>& out,
+                                 const Deadline* deadline) const {
   out.resize(rates.size());
   Scratch scratch;
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    EvaluateInto(rates[i], scratch, out[i], nullptr);
+    if (deadline != nullptr && deadline->Expired()) {
+      deadline->Check("sweep", std::to_string(i) + " of " +
+                                   std::to_string(rates.size()) +
+                                   " points completed");
+    }
+    EvaluateInto(rates[i], scratch, out[i], deadline);
   }
 }
 
@@ -749,7 +760,11 @@ std::vector<ModelResult> CompiledModel::EvaluateMany(
 
 BottleneckReport CompiledModel::Bottleneck(double lambda_g,
                                            const Deadline* deadline) const {
-  const ModelResult r = Evaluate(lambda_g, deadline);
+  return Bottleneck(Evaluate(lambda_g, deadline), lambda_g);
+}
+
+BottleneckReport CompiledModel::Bottleneck(const ModelResult& r,
+                                           double lambda_g) const {
   BottleneckReport report;
   for (const auto& cl : r.clusters) {
     report.condis_rho = std::max(report.condis_rho, cl.inter.max_condis_rho);
@@ -776,9 +791,16 @@ BottleneckReport CompiledModel::Bottleneck(double lambda_g,
 }
 
 double CompiledModel::SaturatedFrom() const {
+  // The first double at which one of these queues has rho >= 1 is the least
+  // of each queue's own first such double, as each rho is monotone in
+  // lambda_g. Each is near 1 / rho(1), since rho is linear up to rounding.
+  const auto first = [](const auto& rho) {
+    return FirstSaturated([&](double x) { return rho(x) >= 1.0; },
+                          1.0 / rho(1.0));
+  };
+  double from = first([this](double x) { return HotEjectOverlay(x).rho; });
   // A C/D wait reaches the verdict through a cluster that blends inter
-  // traffic (U > 0) and, under hot-spot, weighs a destination (w_sum > 0);
-  // the hot-node waits reach every cluster's blend.
+  // traffic (U > 0) and, under hot-spot, weighs a destination (w_sum > 0).
   const auto sides = static_cast<std::size_t>(num_sides_);
   std::vector<char> counted(sides, 0);
   for (std::size_t i = 0; i < sid_.size(); ++i) {
@@ -786,27 +808,18 @@ double CompiledModel::SaturatedFrom() const {
       counted[static_cast<std::size_t>(sid_[i])] = 1;
     }
   }
-  // Each rho is the product MG1Wait tests against 1 and is monotone in
-  // lambda_g, so bisecting the ordered bit patterns finds the first double.
-  const auto saturated = [&](std::uint64_t bits) {
-    const double x = std::bit_cast<double>(bits);
-    for (std::size_t ab = 0; ab < pair_class_of_sides_.size(); ++ab) {
-      const int k = pair_class_of_sides_[ab];
-      if (k < 0 || !counted[ab / sides]) continue;
-      const PairClass& pc = pair_classes_[static_cast<std::size_t>(k)];
-      if (LambdaI2(pc, x) * pc.x_cd >= 1.0) return true;
+  std::vector<char> searched(pair_classes_.size(), 0);
+  for (std::size_t ab = 0; ab < pair_class_of_sides_.size(); ++ab) {
+    const int k = pair_class_of_sides_[ab];
+    if (k < 0 || !counted[ab / sides] ||
+        std::exchange(searched[static_cast<std::size_t>(k)], 1)) {
+      continue;
     }
-    return HotEjectOverlay(x).rho >= 1.0;
-  };
-  std::uint64_t lo = 0;  // lambda_g = 0 loads nothing
-  std::uint64_t hi =
-      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
-  if (!saturated(hi)) return std::numeric_limits<double>::infinity();
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    (saturated(mid) ? hi : lo) = mid;
+    const PairClass& pc = pair_classes_[static_cast<std::size_t>(k)];
+    from = std::min(
+        from, first([&](double x) { return LambdaI2(pc, x) * pc.x_cd; }));
   }
-  return std::bit_cast<double>(hi);
+  return from;
 }
 
 double CompiledModel::SaturationRate(double upper_bound, double rel_tol,

@@ -67,23 +67,18 @@
 
 namespace coc {
 
-/// ICN2 journey distribution: the topology's closed form when the
-/// concentrators fill its node slots exactly; otherwise the exact journey
-/// census of the occupied slots (averaged over sources), which degenerates
-/// to the closed form at full occupancy. Shared with the tests' LatencyModel
-/// oracle so both paths see one census.
-LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys);
-
 /// Immutable compiled model for one (system, workload, options) triple.
 /// Construction costs roughly one LatencyModel::Evaluate; each evaluation
 /// afterwards touches only the flattened class arrays. All methods are
 /// const and thread-safe.
 ///
 /// The optional `deadline` is probed once per class and per run of the
-/// hot-spot sums while compiling, and once per run while evaluating; a trip
-/// throws DeadlineExceeded naming "model compilation" or "model
-/// evaluation". Interleaved kinds make every run one cluster and an
-/// evaluation C^2, so these probes are what bound such a request.
+/// hot-spot sums while compiling, once per ICN2 census row when the system
+/// has not counted its census yet (SystemConfig::icn2_links), and once per
+/// run while evaluating; a trip throws DeadlineExceeded naming "model
+/// compilation", "ICN2 census" or "model evaluation". Interleaved kinds make
+/// every run one cluster and an evaluation C^2, so these probes are what
+/// bound such a request.
 class CompiledModel {
  public:
   explicit CompiledModel(const SystemConfig& sys, ModelOptions opts = {},
@@ -102,14 +97,18 @@ class CompiledModel {
 
   /// Batch entry point: evaluates a whole sweep grid in one pass, reusing
   /// the per-rate scratch across points. out[k] is bit-identical to
-  /// Evaluate(rates[k]).
+  /// Evaluate(rates[k]). `deadline` (optional) is probed before each point,
+  /// with the completed-point count as partial progress, and inside each.
   void EvaluateMany(std::span<const double> rates,
-                    std::vector<ModelResult>& out) const;
+                    std::vector<ModelResult>& out,
+                    const Deadline* deadline = nullptr) const;
   std::vector<ModelResult> EvaluateMany(std::span<const double> rates) const;
 
   /// Bit-identical to LatencyModel::Bottleneck.
   BottleneckReport Bottleneck(double lambda_g,
                               const Deadline* deadline = nullptr) const;
+  /// The same report from `r` = Evaluate(lambda_g), evaluated once already.
+  BottleneckReport Bottleneck(const ModelResult& r, double lambda_g) const;
 
   /// Bit-identical to LatencyModel::SaturationRate. `deadline` (optional)
   /// is probed once per model evaluation, with the probe count as partial
@@ -123,15 +122,19 @@ class CompiledModel {
   /// the verdict has rho >= 1: a C/D queue some cluster with U > 0 counts,
   /// or a hot-node ejection link. Evaluate(r).saturated holds for every
   /// r >= it (SaturationSearch's saturated-side certificate); +infinity
-  /// when no such queue carries load. A 64-step bisection, O(K^2 + C) each.
+  /// when no such queue carries load. Each such queue is searched on its
+  /// own, over a bracket of bit patterns around 1 / rho(1) that widens
+  /// geometrically: a few steps of O(1) per C/D class and O(C) for the
+  /// hot-node link, where one bisection of the whole range took 64 steps of
+  /// O(K^2 + C).
   double SaturatedFrom() const;
 
   /// Incrementally compiles a model for an adjacent workload on the same
   /// system and options. Bit-identical to
   /// CompiledModel(system(), next, options()): every reused class was
   /// matched by its full constant tuple, the shared (r, v, d_l) combo
-  /// tables and ICN2 census are workload-invariant, and the hot-spot masses
-  /// are recomputed in the reference order.
+  /// tables are workload-invariant, the ICN2 census is the system's, and the
+  /// hot-spot masses are recomputed in the reference order.
   CompiledModel Rebind(const Workload& next,
                        const Deadline* deadline = nullptr) const;
 
@@ -233,8 +236,7 @@ class CompiledModel {
   /// The one compile path. `prev` == nullptr is a cold compile; otherwise
   /// classes whose full constant tuple matches one of prev's are copied
   /// (when the message-length moments also match bit for bit), and the
-  /// workload-invariant shared structure (combo cache, ICN2 census) is
-  /// adopted outright.
+  /// workload-invariant combo cache is adopted outright.
   void CompileFrom(const CompiledModel* prev, const Deadline* deadline);
   /// Per-cluster Workload::EcnLoadFactor, bit for bit, with each hot-spot
   /// sum once per run of equal summands; also fills hot_mass_, hot_norm_.
@@ -296,8 +298,6 @@ class CompiledModel {
   /// topology instances and per-flit times; carried forward whole across
   /// rebinds (shared_ptr map, bounded by the system's distinct pair shapes).
   std::map<std::string, std::shared_ptr<const PairCombos>> combo_cache_;
-  /// ICN2 link census — workload-invariant, shared across rebinds.
-  std::shared_ptr<const LinkDistribution> icn2_links_;
   RebindStats rebind_stats_;
 };
 

@@ -22,6 +22,9 @@ constexpr int kTagClusterShift = 2;  // bits [2..) carry the source cluster
 constexpr std::int64_t kMaxChannels = std::int64_t{1} << 23;
 // Traffic and the engine arena are sized per message: ~8.7x the paper's 120k.
 constexpr std::int64_t kMaxMessages = std::int64_t{1} << 20;
+// The ICN2 route skeletons are one leg per ordered cluster pair: up to 1024
+// clusters, 32x the largest Table 1 organization.
+constexpr std::int64_t kMaxClusterPairs = std::int64_t{1} << 20;
 
 std::int64_t CheckedMessages(std::int64_t n) {
   if (n < 0 || n > kMaxMessages) {
@@ -36,6 +39,13 @@ std::int64_t CheckedMessages(std::int64_t n) {
 CocSystemSim::CocSystemSim(const SystemConfig& sys, Icn2SlotPolicy slot_policy)
     : sys_(sys) {
   const int c = sys_.num_clusters();
+  const std::int64_t pairs = std::int64_t{c} * (c - 1);
+  if (pairs > kMaxClusterPairs) {
+    throw std::invalid_argument("system too large to simulate: " +
+                                std::to_string(c) + " clusters, " +
+                                std::to_string(pairs) +
+                                " ordered cluster pairs (> 2^20)");
+  }
   // Bound the total before any per-channel state is allocated; this also
   // keeps the int32 global ids in range.
   std::int64_t total = sys_.icn2_topology().num_channels();

@@ -79,7 +79,8 @@ struct SimScratch {
 class CocSystemSim {
  public:
   /// Throws std::invalid_argument naming the count when the system has more
-  /// than 2^23 channels, before allocating any per-channel state.
+  /// than 2^23 channels or 2^20 ordered cluster pairs (the ICN2 legs it
+  /// precomputes), before allocating any per-channel or per-pair state.
   explicit CocSystemSim(const SystemConfig& sys,
                         Icn2SlotPolicy slot_policy = Icn2SlotPolicy::kClusterMajor);
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+
+#include "common/deadline.h"
 
 namespace coc {
 
@@ -35,13 +38,20 @@ void CheckIcn2Capacity(const Topology& icn2, std::int64_t clusters) {
   }
 }
 
+/// Counted outside the lock; the first count to finish is kept.
+struct SystemConfig::Icn2Census {
+  std::mutex mu;
+  std::unique_ptr<const LinkDistribution> links;  ///< guarded by mu
+};
+
 SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
                            NetworkCharacteristics icn2, MessageFormat message,
                            std::optional<TopologySpec> icn2_topo)
     : m_(m),
       clusters_(std::move(clusters)),
       icn2_(icn2),
-      message_(message) {
+      message_(message),
+      icn2_census_(std::make_shared<Icn2Census>()) {
   if (m_ < 4 || m_ % 2 != 0) {
     throw std::invalid_argument("switch arity m must be even and >= 4");
   }
@@ -113,6 +123,37 @@ int SystemConfig::ClusterOfNode(std::int64_t global_node) const {
   const auto it = std::upper_bound(cluster_bases_.begin(),
                                    cluster_bases_.end(), global_node);
   return static_cast<int>(it - cluster_bases_.begin()) - 1;
+}
+
+const LinkDistribution& SystemConfig::icn2_links(
+    const Deadline* deadline) const {
+  if (icn2_exact_fit_) return icn2_topo_->Links();
+  {
+    std::lock_guard<std::mutex> lock(icn2_census_->mu);
+    if (icn2_census_->links) return *icn2_census_->links;
+  }
+  const Topology& topo = *icn2_topo_;
+  const auto c = static_cast<std::int64_t>(clusters_.size());
+  std::vector<double> weights(
+      static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
+  std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
+  for (std::int64_t src = 0; src < c; ++src) {
+    if (deadline != nullptr && deadline->Expired()) {
+      deadline->Check("ICN2 census", std::to_string(src) + " of " +
+                                         std::to_string(c) + " source rows");
+    }
+    for (std::int64_t dst = 0; dst < c; ++dst) {
+      if (src == dst) continue;
+      route.clear();
+      topo.RouteInto(src, dst, /*entropy=*/0, route);
+      weights[route.size()] += 1.0;
+    }
+  }
+  if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
+  auto links = std::make_unique<const LinkDistribution>(weights);
+  std::lock_guard<std::mutex> lock(icn2_census_->mu);
+  if (!icn2_census_->links) icn2_census_->links = std::move(links);
+  return *icn2_census_->links;
 }
 
 SystemConfig SystemConfig::WithIcn2Topology(const TopologySpec& spec) const {

@@ -18,9 +18,12 @@
 #include <vector>
 
 #include "system/network_characteristics.h"
+#include "topology/link_distribution.h"
 #include "topology/topology_spec.h"
 
 namespace coc {
+
+class Deadline;
 
 /// Per-cluster description: tree depth, the characteristics of its two
 /// networks (paper assumption 5: networks may differ per cluster), and
@@ -108,6 +111,16 @@ class SystemConfig {
   /// the closed-form distribution.
   bool icn2_exact_fit() const { return icn2_exact_fit_; }
 
+  /// ICN2 journey distribution: the topology's closed form at an exact fit;
+  /// otherwise the exact journey census of the occupied slots (averaged over
+  /// sources), which degenerates to the closed form at full occupancy. The
+  /// census routes all C (C - 1) ordered slot pairs once, on first use, and
+  /// every copy of this SystemConfig reads that one count: the Engine's
+  /// system entry, each model compiled or rebound from it, each sweep.
+  /// `deadline` (optional) is probed once per source row; a trip throws
+  /// DeadlineExceeded naming "ICN2 census" and caches nothing.
+  const LinkDistribution& icn2_links(const Deadline* deadline = nullptr) const;
+
   /// U^(i), Eq. (2): probability a message from cluster i leaves the cluster
   /// (uniform destinations over the other N-1 nodes).
   double OutgoingProbability(int i) const;
@@ -138,6 +151,9 @@ class SystemConfig {
   std::int64_t total_nodes_ = 0;
   int icn2_depth_ = 0;
   bool icn2_exact_fit_ = false;
+  /// The ICN2 census cell every copy shares (system_config.cc).
+  struct Icn2Census;
+  std::shared_ptr<Icn2Census> icn2_census_;
 };
 
 }  // namespace coc

@@ -3,6 +3,7 @@
 // kReportSchemaVersion or be additive), the pinned compact report bytes,
 // batch determinism across thread counts, and the cross-call caches the
 // facade exists for.
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -13,6 +14,8 @@
 #include "api/scenario.h"
 #include "common/json.h"
 #include "gtest/gtest.h"
+#include "harness/sweep.h"
+#include "system/presets.h"
 
 namespace coc {
 namespace {
@@ -347,7 +350,8 @@ constexpr const char* kGoldenJsonV1 = R"json({
 // from the tree renderer that the streaming writer replaced. Every value
 // that a spelling can go wrong on appears: -0, a denormal, 2^53 + 1, a
 // seed above INT64_MAX, non-finite sentinels in the model, sweep and sim
-// blocks, and a status message that needs escaping.
+// blocks, and a status message that needs escaping. The three repeated-row
+// cases were captured from the renderer that formatted every row.
 /// A report with every summary field set; each pinned case adds its block.
 Report PinnedBase(const std::string& name) {
   Report r;
@@ -495,6 +499,45 @@ std::vector<Report> PinnedReports() {
   nonfinite.sim->max = -inf;
   nonfinite.sim->icn2_max = nan;
   reports.push_back(nonfinite);
+
+  // Repeated cluster rows, which the renderer copies instead of formatting
+  // again: a run of equal rows broken by one that differs only in u, a run
+  // of non-finite rows (the last two with a NaN of the other sign), and
+  // neighbours that differ only as 0/-0 or by one ulp.
+  Report equal_rows = PinnedBase("equal_rows");
+  equal_rows.model.emplace();
+  equal_rows.model->rate = 2e-4;
+  equal_rows.model->result.mean_latency = 35.5;
+  equal_rows.model->saturation_rate = 5.17e-4;
+  const ClusterLatency a = PinnedCluster(0.9375, 20.25, 0.5, 41.5, 1.25, 33.0);
+  const ClusterLatency b = PinnedCluster(0.5, 20.25, 0.5, 41.5, 1.25, 33.0);
+  equal_rows.model->result.clusters = {a, a, a, b, a, a};
+  reports.push_back(equal_rows);
+
+  Report nonfinite_rows = PinnedBase("nonfinite_rows");
+  nonfinite_rows.model.emplace();
+  nonfinite_rows.model->rate = 1e-3;
+  nonfinite_rows.model->result.saturated = true;
+  nonfinite_rows.model->result.mean_latency = inf;
+  nonfinite_rows.model->saturation_rate = 5.17e-4;
+  const ClusterLatency n = PinnedCluster(0.5, inf, nan, -inf, nan, inf);
+  const ClusterLatency n2 = PinnedCluster(0.5, inf, -nan, -inf, nan, inf);
+  nonfinite_rows.model->result.clusters = {n, n, n, n2, n2};
+  reports.push_back(nonfinite_rows);
+
+  Report ulp_rows = PinnedBase("ulp_rows");
+  ulp_rows.model.emplace();
+  ulp_rows.model->rate = 1e-4;
+  ulp_rows.model->result.mean_latency = 33.0;
+  ulp_rows.model->saturation_rate = 5.17e-4;
+  const ClusterLatency z = PinnedCluster(0.75, 1.0, 0.5, 2.0, 0.0, 1.5);
+  ClusterLatency minus_zero = z;
+  minus_zero.inter.w_d = -0.0;
+  ClusterLatency ulp_up = z;
+  ulp_up.intra.l_in = std::nextafter(1.0, 2.0);
+  ulp_rows.model->result.clusters = {z,      minus_zero, minus_zero, z,
+                                     ulp_up, ulp_up,     z};
+  reports.push_back(ulp_rows);
   return reports;
 }
 
@@ -599,7 +642,63 @@ constexpr const char* kPinnedCompact[] = {
     "\"inter\":{\"mean_us\":41.75,\"messages\":5000},"
     "\"utilization\":{\"icn1\":{\"mean\":0.1,\"max\":0.2},"
     "\"ecn1\":{\"mean\":5e-324,\"max\":0.3},\"icn2\":{\"mean\":0.3333333333333333,"
-    "\"max\":null,\"max_nonfinite\":\"nan\"}}}}",
+    "\"max\":null,\"max_nonfinite\":\"nan\"}}}}",    // equal_rows
+    "{\"schema_version\":3,\"scenario\":\"equal_rows\",\"status\":{\"co"
+    "de\":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\",\"cl"
+    "usters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\",\""
+    "icn2_exact_fit\":false,\"message_flits\":32,\"flit_bytes\":256},\""
+    "workload\":\"uniform, poisson arrivals\",\"model\":{\"rate\":2e-04"
+    ",\"saturated\":false,\"mean_latency_us\":35.5,\"saturation_rate\":"
+    "0.000517,\"clusters\":[{\"u\":0.9375,\"l_in\":20.25,\"w_in\":0.5,\""
+    "l_out\":41.5,\"w_d\":1.25,\"blended\":33},{\"u\":0.9375,\"l_in\":2"
+    "0.25,\"w_in\":0.5,\"l_out\":41.5,\"w_d\":1.25,\"blended\":33},{\"u\""
+    ":0.9375,\"l_in\":20.25,\"w_in\":0.5,\"l_out\":41.5,\"w_d\":1.25,\""
+    "blended\":33},{\"u\":0.5,\"l_in\":20.25,\"w_in\":0.5,\"l_out\":41."
+    "5,\"w_d\":1.25,\"blended\":33},{\"u\":0.9375,\"l_in\":20.25,\"w_in\""
+    ":0.5,\"l_out\":41.5,\"w_d\":1.25,\"blended\":33},{\"u\":0.9375,\"l"
+    "_in\":20.25,\"w_in\":0.5,\"l_out\":41.5,\"w_d\":1.25,\"blended\":3"
+    "3}]}}",
+    // nonfinite_rows
+    "{\"schema_version\":3,\"scenario\":\"nonfinite_rows\",\"status\":{\""
+    "code\":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\",\""
+    "clusters\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\",\""
+    "icn2_exact_fit\":false,\"message_flits\":32,\"flit_bytes\":256},\""
+    "workload\":\"uniform, poisson arrivals\",\"model\":{\"rate\":0.001"
+    ",\"saturated\":true,\"mean_latency_us\":null,\"mean_latency_us_non"
+    "finite\":\"inf\",\"saturation_rate\":0.000517,\"clusters\":[{\"u\""
+    ":0.5,\"l_in\":null,\"l_in_nonfinite\":\"inf\",\"w_in\":null,\"w_in"
+    "_nonfinite\":\"nan\",\"l_out\":null,\"l_out_nonfinite\":\"-inf\",\""
+    "w_d\":null,\"w_d_nonfinite\":\"nan\",\"blended\":null,\"blended_no"
+    "nfinite\":\"inf\"},{\"u\":0.5,\"l_in\":null,\"l_in_nonfinite\":\"i"
+    "nf\",\"w_in\":null,\"w_in_nonfinite\":\"nan\",\"l_out\":null,\"l_o"
+    "ut_nonfinite\":\"-inf\",\"w_d\":null,\"w_d_nonfinite\":\"nan\",\"b"
+    "lended\":null,\"blended_nonfinite\":\"inf\"},{\"u\":0.5,\"l_in\":n"
+    "ull,\"l_in_nonfinite\":\"inf\",\"w_in\":null,\"w_in_nonfinite\":\""
+    "nan\",\"l_out\":null,\"l_out_nonfinite\":\"-inf\",\"w_d\":null,\"w"
+    "_d_nonfinite\":\"nan\",\"blended\":null,\"blended_nonfinite\":\"in"
+    "f\"},{\"u\":0.5,\"l_in\":null,\"l_in_nonfinite\":\"inf\",\"w_in\":"
+    "null,\"w_in_nonfinite\":\"nan\",\"l_out\":null,\"l_out_nonfinite\""
+    ":\"-inf\",\"w_d\":null,\"w_d_nonfinite\":\"nan\",\"blended\":null,\""
+    "blended_nonfinite\":\"inf\"},{\"u\":0.5,\"l_in\":null,\"l_in_nonfi"
+    "nite\":\"inf\",\"w_in\":null,\"w_in_nonfinite\":\"nan\",\"l_out\":"
+    "null,\"l_out_nonfinite\":\"-inf\",\"w_d\":null,\"w_d_nonfinite\":\""
+    "nan\",\"blended\":null,\"blended_nonfinite\":\"inf\"}]}}",
+    // ulp_rows
+    "{\"schema_version\":3,\"scenario\":\"ulp_rows\",\"status\":{\"code\""
+    ":\"ok\",\"ok\":true},\"system\":{\"spec\":\"preset:1120\",\"cluste"
+    "rs\":32,\"nodes\":1120,\"m\":8,\"icn2_topology\":\"tree:3\",\"icn2"
+    "_exact_fit\":false,\"message_flits\":32,\"flit_bytes\":256},\"work"
+    "load\":\"uniform, poisson arrivals\",\"model\":{\"rate\":1e-04,\"s"
+    "aturated\":false,\"mean_latency_us\":33,\"saturation_rate\":0.0005"
+    "17,\"clusters\":[{\"u\":0.75,\"l_in\":1,\"w_in\":0.5,\"l_out\":2,\""
+    "w_d\":0,\"blended\":1.5},{\"u\":0.75,\"l_in\":1,\"w_in\":0.5,\"l_o"
+    "ut\":2,\"w_d\":-0,\"blended\":1.5},{\"u\":0.75,\"l_in\":1,\"w_in\""
+    ":0.5,\"l_out\":2,\"w_d\":-0,\"blended\":1.5},{\"u\":0.75,\"l_in\":"
+    "1,\"w_in\":0.5,\"l_out\":2,\"w_d\":0,\"blended\":1.5},{\"u\":0.75,\""
+    "l_in\":1.0000000000000002,\"w_in\":0.5,\"l_out\":2,\"w_d\":0,\"ble"
+    "nded\":1.5},{\"u\":0.75,\"l_in\":1.0000000000000002,\"w_in\":0.5,\""
+    "l_out\":2,\"w_d\":0,\"blended\":1.5},{\"u\":0.75,\"l_in\":1,\"w_in\""
+    ":0.5,\"l_out\":2,\"w_d\":0,\"blended\":1.5}]}}",
 };
 
 TEST(Report, CompactBytesArePinned) {
@@ -756,6 +855,51 @@ sim.messages = 200
   EXPECT_EQ(stats.systems, 2u);  // preset:tiny:16:64 and preset:tiny:8:32
   EXPECT_EQ(stats.sims, 1u);     // only s1 needed the simulator
   EXPECT_EQ(stats.models, 2u);   // m1/m2 share one model; m3 has its own
+}
+
+TEST(Engine, SweepsTakeTheirModelFromTheMemo) {
+  // A model,sweep scenario compiles one model for both analyses, and a
+  // sweep on an adjacent workload rebinds from it instead of compiling cold;
+  // its points are those of a sweep that compiles its own model.
+  const char* text = R"cfg(
+[scenario both]
+system = preset:1120
+analyses = model,sweep
+rate = 1e-4
+sweep.max_rate = 4e-4
+sweep.points = 4
+sweep.sim = false
+
+[scenario moved]
+system = preset:1120
+analyses = sweep
+sweep.max_rate = 4e-4
+sweep.points = 4
+sweep.sim = false
+workload.pattern = local
+workload.locality = 0.5
+)cfg";
+  const std::vector<Scenario> scenarios = ParseScenarios(text);
+  Engine engine;
+  const Report both = engine.Evaluate(scenarios[0]);
+  EXPECT_EQ(engine.Stats().models, 1u);
+  EXPECT_EQ(engine.Stats().model_rebinds, 0u);
+  const Report moved = engine.Evaluate(scenarios[1]);
+  EXPECT_EQ(engine.Stats().models, 2u);
+  EXPECT_EQ(engine.Stats().model_rebinds, 1u);
+  const SystemConfig sys = MakeSystem1120(MessageFormat{32, 256});
+  for (const Report* r : {&both, &moved}) {
+    ASSERT_TRUE(r->status.ok()) << r->status.message;
+    SweepSpec spec;
+    spec.rates = LinearRates(4e-4, 4);
+    spec.run_sim = false;
+    if (r == &moved) spec.workload = Workload::ClusterLocal(0.5);
+    const std::vector<SweepPoint> want = RunSweepParallel(sys, spec);
+    ASSERT_EQ(r->sweep->points.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r->sweep->points[i].model_latency, want[i].model_latency);
+    }
+  }
 }
 
 TEST(Engine, RepeatedEvaluateReusesCachesAndAgrees) {

@@ -775,6 +775,29 @@ std::string WriteTempFile(const std::string& name, const std::string& text) {
   return path;
 }
 
+TEST(Cli, SimOfMoreClusterPairsThanTheBoundExitsOneNamingIt) {
+  // 513 + 512 clusters: the model answers, a simulation would precompute
+  // 1,049,600 ICN2 legs and is refused first.
+  std::string text =
+      "[system]\nm = 8\nicn2 = a\nmessage_flits = 16\nflit_bytes = 64\n"
+      "[network a]\nbandwidth = 500\nnetwork_latency = 0.01\n"
+      "switch_latency = 0.02\n";
+  for (const char* count : {"513", "512"}) {
+    text += std::string("[clusters]\ncount = ") + count +
+            "\nn = 1\nicn1 = a\necn1 = a\n";
+  }
+  const std::string path = WriteTempFile("coc_cli_test_1025.cfg", text);
+  EXPECT_EQ(RunCommand({"model", path, "--rate", "1e-7"}).code, 0);
+  const auto sim =
+      RunCommand({"sim", path, "--rate", "1e-7", "--messages", "100"});
+  EXPECT_EQ(sim.code, 1);
+  EXPECT_NE(sim.err.find("1025 clusters, 1049600 ordered cluster pairs "
+                         "(> 2^20)"),
+            std::string::npos)
+      << sim.err;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, BatchEvaluatesScenarioFileDeterministically) {
   const std::string path =
       WriteTempFile("coc_cli_test_batch.cfg", kBatchScenarios);

@@ -12,6 +12,7 @@
 // saturated-side certificate (SaturatedFrom) changes no bit on seeded
 // draws, and the deadline checks inside compile and evaluation.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -296,6 +297,26 @@ double PlainSaturationRate(const CompiledModel& model, double upper_bound) {
       upper_bound, 1e-3);
 }
 
+/// SaturatedFrom() rebuilt from public calls: a full-range bisection over
+/// the bit patterns of [0, DBL_MAX] of "Bottleneck(x) has a linear queue,
+/// the C/D or the hot-node ejection link, at rho >= 1"; +infinity when
+/// DBL_MAX is not such a rate.
+double PlainSaturatedFrom(const CompiledModel& model) {
+  const auto saturated = [&](std::uint64_t bits) {
+    const BottleneckReport b = model.Bottleneck(std::bit_cast<double>(bits));
+    return b.condis_rho >= 1.0 || b.hot_eject_rho >= 1.0;
+  };
+  std::uint64_t lo = 0;
+  std::uint64_t hi =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
+  if (!saturated(hi)) return std::numeric_limits<double>::infinity();
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (saturated(mid) ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(hi);
+}
+
 /// One seeded workload: uniform, cluster-local (both ends of [0, 1]
 /// included), hot-spot (fraction up to 1, the hot node in the first, a
 /// middle or the last cluster) or permutation, optionally with a zero rate
@@ -377,8 +398,11 @@ TEST(SaturationSearch, SaturatedSideCertificateChangesNoBit) {
   // SaturationRate classifies every midpoint at or above SaturatedFrom()
   // without evaluating it and seeds the finite side with one probe there.
   // Over seeded draws of system, ICN2 override, model options and workload
-  // it must (a) return the plain search's bits from both upper bounds, and
-  // (b) SaturatedFrom() must really be saturated, as must every rate above.
+  // it must (a) return the plain search's bits from both upper bounds, (b)
+  // SaturatedFrom() must really be saturated, as must every rate above, and
+  // (c) SaturatedFrom(), which searches each linear queue near its own
+  // estimate, must be the double a full-range bisection over Bottleneck()
+  // finds (an uncounted C/D queue carries no load, so the two agree).
   std::vector<std::pair<std::string, SystemConfig>> systems;
   for (const char* name : {"1120", "544", "small", "tiny", "mixed",
                            "dragonfly"}) {
@@ -411,6 +435,7 @@ TEST(SaturationSearch, SaturatedSideCertificateChangesNoBit) {
       one_probe += probes == 1 ? 1 : 0;
     }
     const double from = model.SaturatedFrom();
+    EXPECT_BIT_EQ(from, PlainSaturatedFrom(model));
     if (!std::isfinite(from)) continue;
     ++certified;
     for (const double scale : {1.0, 1.0 + 1e-12, 2.0, 1e3}) {

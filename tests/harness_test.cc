@@ -159,6 +159,46 @@ TEST(Harness, SweepHonorsDeadlineForAnyThreadCount) {
   }
 }
 
+TEST(Harness, SweepBoundsItsCompileAndModelPointsByTheDeadline) {
+  // The sweep's model work probes its deadline too: the compile once per
+  // class, and the rate loop before each point and once per run inside it.
+  const auto sys = MakeTinySystem(MessageFormat{16, 64});
+  SweepSpec spec;
+  spec.rates = LinearRates(2e-4, 3);
+  spec.run_sim = false;
+  const auto trips = [&](auto&& run, std::int64_t checks) -> std::string {
+    spec.deadline = Deadline::TripAfterChecks(checks);
+    try {
+      run();
+    } catch (const DeadlineExceeded& e) {
+      return e.what();
+    }
+    return "no trip";
+  };
+  const auto compiled_here = [&] { RunSweepParallel(sys, spec); };
+  EXPECT_NE(trips(compiled_here, 1).find("during model compilation (0 "),
+            std::string::npos);
+  const CompiledModel model(sys, spec.workload, spec.model_opts);
+  const auto given = [&] { RunSweepParallel(model, spec); };
+  EXPECT_NE(trips(given, 0).find("during sweep (0 of 3 points completed)"),
+            std::string::npos);
+  EXPECT_NE(trips(given, 1).find("during model evaluation (0 clusters"),
+            std::string::npos);
+  // As many checks as the sweep makes: no trip, and the points are the
+  // undeadlined sweep's.
+  std::int64_t checks = 0;
+  while (trips(given, checks) != "no trip") ++checks;
+  EXPECT_GT(checks, 3);
+  spec.deadline = Deadline::TripAfterChecks(checks);
+  const auto pts = RunSweepParallel(model, spec);
+  spec.deadline = Deadline();
+  const auto want = RunSweepParallel(sys, spec);
+  ASSERT_EQ(pts.size(), want.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_EQ(pts[i].model_latency, want[i].model_latency) << i;
+  }
+}
+
 TEST(Harness, FormatsContainSeriesAndLabel) {
   const auto sys = MakeTinySystem(MessageFormat{16, 64});
   SweepSpec spec;

@@ -2,13 +2,16 @@
 // shortest round-trip numbers, non-finite -> null), the streaming writer,
 // the strict parser, and emit/parse round trips — the invariants the golden report snapshots and
 // the batch bit-identity guarantee stand on.
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "common/json.h"
 #include "gtest/gtest.h"
@@ -264,6 +267,107 @@ TEST(Json, SetOverwritesInPlaceKeepingPosition) {
   Json j = Json::Object();
   j.Set("first", 1).Set("second", 2).Set("first", 10);
   EXPECT_EQ(j.Dump(), "{\"first\":10,\"second\":2}");
+}
+
+TEST(Json, ParseKeepsARepeatedKeysFirstPositionAndLastValue) {
+  EXPECT_EQ(Json::Parse("{\"a\":1,\"b\":2,\"a\":3,\"c\":4,\"a\":5}").Dump(),
+            "{\"a\":5,\"b\":2,\"c\":4}");
+  // Short objects fold their keys pairwise, long ones by sorting; both must
+  // build what Set builds, member by member.
+  std::mt19937 rng(20261019);
+  for (const int members : {3, 16, 17, 200}) {
+    for (int draw = 0; draw < 20; ++draw) {
+      std::string text = "{";
+      Json want = Json::Object();
+      for (int i = 0; i < members; ++i) {
+        const std::string key =
+            "k" + std::to_string(rng() % static_cast<unsigned>(members));
+        if (i != 0) text += ',';
+        text += "\"" + key + "\":" + std::to_string(i);
+        want.Set(key, i);
+      }
+      text += '}';
+      ASSERT_EQ(Json::Parse(text).Dump(), want.Dump()) << text;
+    }
+  }
+}
+
+TEST(Json, ParseTimeIsNearLinearInAnObjectsKeyCount) {
+  // Eight times the keys must cost under twenty times the time (n log n
+  // predicts about nine); a parse that scans every earlier key per key took
+  // 13x for 4x. Each side is the best of five runs.
+  const auto object = [](int keys) {
+    std::string text = "{";
+    for (int i = 0; i < keys; ++i) {
+      if (i != 0) text += ',';
+      text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+    }
+    return text + "}";
+  };
+  const auto best_seconds = [](const std::string& text, std::size_t keys) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 5; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      const Json doc = Json::Parse(text);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_EQ(doc.Size(), keys);
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double small = best_seconds(object(2500), 2500);
+  const double large = best_seconds(object(20000), 20000);
+  EXPECT_LT(large, 20.0 * small) << small << " s vs " << large << " s";
+}
+
+TEST(Json, ParseRejectsWhatRfc8259ForbidsAtItsByte) {
+  // Number spellings the RFC's grammar has no production for, and raw
+  // control characters inside strings.
+  const std::pair<std::string, int> bad[] = {
+      {"01", 1},          {"-01", 2},          {"1.", 2},
+      {"1.e3", 2},        {".5", 0},           {"[1.5e]", 5},
+      {"-", 1},           {"[0, -]", 5},       {"\"a\tb\"", 2},
+      {"{\"k\x01\":1}", 3}, {"[\"x\n\"]", 3}};
+  for (const auto& [text, byte] : bad) {
+    try {
+      Json::Parse(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at byte " + std::to_string(byte) +
+                                           ":"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  for (const char* good : {"0", "-0", "0.5", "-0.5e-3", "1E+2", "10", "2e0",
+                           "\"tab\\tand\\u0001\""}) {
+    EXPECT_NO_THROW(Json::Parse(good)) << good;
+  }
+}
+
+TEST(JsonWriter, RepeatCopiesAnElementItWroteCompactAndIndented) {
+  // The copy must read out of the buffer it appends to, also when the
+  // append reallocates it (a long element, appended twice).
+  const auto row = [](JsonWriter& w) {
+    w.BeginObject().Number("u", 0.5).Key("tags").BeginArray();
+    w.String(std::string(1000, 'x')).EndArray().EndObject();
+  };
+  for (const int indent : {0, 2}) {
+    JsonWriter repeated(indent);
+    JsonWriter plain(indent);
+    for (JsonWriter* w : {&repeated, &plain}) {
+      w->BeginObject().Key("rows").BeginArray();
+    }
+    const std::size_t begin = repeated.BeginObject().text().size() - 1;
+    repeated.Number("u", 0.5).Key("tags").BeginArray();
+    repeated.String(std::string(1000, 'x')).EndArray().EndObject();
+    const std::size_t end = repeated.text().size();
+    repeated.Repeat(begin, end).Repeat(begin, end);
+    for (int i = 0; i < 3; ++i) row(plain);
+    for (JsonWriter* w : {&repeated, &plain}) w->EndArray().EndObject();
+    EXPECT_EQ(repeated.text(), plain.text()) << "indent " << indent;
+  }
 }
 
 }  // namespace

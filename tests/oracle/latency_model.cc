@@ -16,7 +16,7 @@ namespace coc {
 LatencyModel::LatencyModel(const SystemConfig& sys, ModelOptions opts)
     : sys_(sys),
       opts_(opts),
-      icn2_links_(MakeIcn2LinkDistribution(sys_)),
+      icn2_links_(sys_.icn2_links()),
       ecn_loads_(EcnLoadFactors(sys_, workload_)) {}
 
 LatencyModel::LatencyModel(const SystemConfig& sys, const Workload& workload,
@@ -24,7 +24,7 @@ LatencyModel::LatencyModel(const SystemConfig& sys, const Workload& workload,
     : sys_(sys),
       workload_(workload),
       opts_(opts),
-      icn2_links_(MakeIcn2LinkDistribution(sys_)) {
+      icn2_links_(sys_.icn2_links()) {
   workload_.Validate(sys_);
   ecn_loads_ = EcnLoadFactors(sys_, workload_);
 }

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "oracle/hop_distribution.h"
@@ -288,6 +291,23 @@ TEST(CocSystemSim, StoreForwardRejectsBoundedCondisBuffers) {
   cfg.condis_mode = CondisMode::kStoreForward;
   cfg.condis_buffer_flits = 4;
   EXPECT_THROW(sim.Run(cfg), std::invalid_argument);
+}
+
+TEST(CocSystemSim, RejectsMoreClusterPairsThanItPrecomputesRoutesFor) {
+  // One ICN2 leg per ordered cluster pair is precomputed, so 1025 clusters
+  // (1,049,600 pairs) are refused before any leg or channel is allocated;
+  // the model of the same system needs no such table.
+  const SystemConfig sys(8, std::vector<ClusterConfig>(1025, {1, Net1(), Net2()}),
+                         Net1(), MessageFormat{16, 64});
+  try {
+    CocSystemSim sim(sys);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "1025 clusters, 1049600 ordered cluster pairs (> 2^20)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CocSystemSim, SlotPoliciesProduceValidDistinctAssignments) {

@@ -1,11 +1,20 @@
 // Tests for the system configuration layer: Table 1/2 presets, derived sizes,
-// outgoing probability (Eq. 2), cluster/node mapping, validation.
+// outgoing probability (Eq. 2), cluster/node mapping, validation, and the
+// ICN2 census one system and its copies share (counted once, under a
+// deadline, safely from several threads).
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/deadline.h"
+#include "common/status.h"
 #include "gtest/gtest.h"
+#include "model/compiled_model.h"
 #include "system/network_characteristics.h"
 #include "system/presets.h"
 #include "system/system_config.h"
+#include "topology/topology_spec.h"
 
 namespace coc {
 namespace {
@@ -98,6 +107,101 @@ TEST(SystemConfig, PartialIcn2OccupancyDetected) {
   SystemConfig sys(4, clusters, Net1(), MessageFormat{});
   EXPECT_EQ(sys.icn2_depth(), 1);
   EXPECT_FALSE(sys.icn2_exact_fit());
+}
+
+/// preset:1120's 32 clusters on a 128-slot ICN2: the model reads the
+/// census of the occupied slots, not the tree's closed form.
+SystemConfig Sparse1120() {
+  return MakeSystem1120(MessageFormat{32, 256})
+      .WithIcn2Topology(ParseTopologySpec("tree:3"));
+}
+
+void ExpectSameLinks(const LinkDistribution& want,
+                     const LinkDistribution& got) {
+  ASSERT_EQ(want.max_links(), got.max_links());
+  EXPECT_EQ(want.MeanLinks(), got.MeanLinks());
+  for (int d = 0; d <= want.max_links(); ++d) {
+    EXPECT_EQ(want.P(d), got.P(d)) << "d = " << d;
+  }
+}
+
+void ExpectSameEvaluation(const CompiledModel& want, const CompiledModel& got) {
+  for (const double rate : {1e-5, 2e-4, 5e-4}) {
+    const ModelResult a = want.Evaluate(rate);
+    const ModelResult b = got.Evaluate(rate);
+    EXPECT_EQ(a.mean_latency, b.mean_latency) << rate;
+    EXPECT_EQ(a.saturated, b.saturated) << rate;
+  }
+  EXPECT_EQ(want.SaturationRate(1.0), got.SaturationRate(1.0));
+}
+
+TEST(SystemConfig, Icn2CensusIsCountedOnceForASystemAndItsCopies) {
+  const SystemConfig sys = Sparse1120();
+  ASSERT_FALSE(sys.icn2_exact_fit());
+  const SystemConfig copy = sys;
+  const CompiledModel a(sys);
+  const CompiledModel b(copy, Workload::ClusterLocal(0.5));
+  const CompiledModel rebound = b.Rebind(Workload::Uniform());
+  const LinkDistribution* census = &sys.icn2_links();
+  EXPECT_EQ(&copy.icn2_links(), census);
+  EXPECT_EQ(&a.system().icn2_links(), census);
+  EXPECT_EQ(&b.system().icn2_links(), census);
+  EXPECT_EQ(&rebound.system().icn2_links(), census);
+  // A system built again counts its own census, with the same weights.
+  const SystemConfig fresh = Sparse1120();
+  EXPECT_NE(&fresh.icn2_links(), census);
+  ExpectSameLinks(fresh.icn2_links(), *census);
+  // At an exact fit the distribution is the topology's closed form.
+  const SystemConfig fit = MakeSystem1120(MessageFormat{32, 256});
+  EXPECT_EQ(&fit.icn2_links(), &fit.icn2_topology().Links());
+}
+
+TEST(SystemConfig, Icn2CensusProbesTheDeadlinePerRowAndCachesNoTrip) {
+  // One probe per source row: with k checks allowed, the census trips at
+  // row k, and a tripped count leaves nothing behind. The compile that
+  // follows without a deadline must see a fresh system's census.
+  const SystemConfig sys = Sparse1120();
+  const int c = sys.num_clusters();
+  for (int k = 0; k < c; ++k) {
+    const Deadline deadline = Deadline::TripAfterChecks(k);
+    try {
+      CompiledModel(sys, ModelOptions{}, &deadline);
+      ADD_FAILURE() << "expected DeadlineExceeded at k = " << k;
+    } catch (const DeadlineExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "during ICN2 census (" + std::to_string(k) + " of " +
+                    std::to_string(c) + " source rows)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const SystemConfig fresh = Sparse1120();
+  ExpectSameLinks(fresh.icn2_links(), sys.icn2_links());
+  ExpectSameEvaluation(CompiledModel(fresh), CompiledModel(sys));
+}
+
+TEST(SystemConfig, Icn2CensusCanBeCountedFromFourThreadsAtOnce) {
+  // Four compiles race to count one system's census (ThreadSanitizer runs
+  // this suite); every model must read the one census kept.
+  const SystemConfig sys = Sparse1120();
+  std::vector<const LinkDistribution*> seen(4, nullptr);
+  std::vector<double> rate(4, 0.0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    workers.emplace_back([&, t] {
+      const CompiledModel model(sys, Workload::ClusterLocal(0.25 * t));
+      seen[t] = &model.system().icn2_links();
+      rate[t] = model.SaturationRate(1.0);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    EXPECT_EQ(seen[t], &sys.icn2_links()) << t;
+    EXPECT_EQ(rate[t], CompiledModel(Sparse1120(),
+                                     Workload::ClusterLocal(0.25 * t))
+                           .SaturationRate(1.0))
+        << t;
+  }
 }
 
 TEST(Presets, SmallAndTinyAreConsistent) {
