@@ -17,9 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -31,23 +29,10 @@ namespace coc {
 
 namespace {
 
-// Class keys are raw byte strings: exact double bit patterns plus topology
+// Class keys are fixed-width words: exact double bit patterns plus topology
 // instance pointers. Equal key => every per-rate output is bit-identical.
-void AppendBits(std::string& key, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  key.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
-}
-
-void AppendPtr(std::string& key, const void* p) {
-  const auto bits = reinterpret_cast<std::uintptr_t>(p);
-  key.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
-}
-
-bool BitsEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t Bits(const void* p) { return std::bit_cast<std::uintptr_t>(p); }
 
 /// The first double x in [0, DBL_MAX] at which `saturated` holds, which must
 /// be monotone in x and false at 0; +infinity when there is none. It gallops
@@ -90,6 +75,38 @@ void CheckDeadline(const Deadline* deadline, const char* stage,
 }
 
 }  // namespace
+
+template <std::size_t N>
+std::size_t CompiledModel::KeyIndex<N>::SlotOf(const Key<N>& k) const {
+  // Fibonacci hashing: a product's top bits depend on every bit of its
+  // factor, so each word is folded into the top, and the top picks the slot.
+  constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15u;
+  std::uint64_t h = 0;
+  for (const std::uint64_t w : k) h = (std::rotl(h, 32) ^ w) * kPhi;
+  for (std::size_t s = h >> (64 - std::countr_zero(slots.size()));;
+       s = (s + 1) & (slots.size() - 1)) {
+    if (slots[s] < 0 || keys[static_cast<std::size_t>(slots[s])] == k) return s;
+  }
+}
+
+template <std::size_t N>
+std::pair<int, bool> CompiledModel::KeyIndex<N>::Insert(const Key<N>& k,
+                                                        int hint) {
+  if (hint >= 0 && keys[static_cast<std::size_t>(hint)] == k) {
+    return {hint, false};
+  }
+  if (2 * keys.size() >= slots.size()) {  // at most half full
+    slots.assign(std::max<std::size_t>(8, 2 * slots.size()), -1);
+    for (std::size_t id = 0; id < keys.size(); ++id) {
+      slots[SlotOf(keys[id])] = static_cast<int>(id);
+    }
+  }
+  int& slot = slots[SlotOf(k)];
+  if (slot >= 0) return {slot, false};
+  slot = static_cast<int>(keys.size());
+  keys.push_back(k);
+  return {slot, true};
+}
 
 CompiledModel::CompiledModel(const SystemConfig& sys, ModelOptions opts,
                              const Deadline* deadline)
@@ -136,7 +153,7 @@ std::vector<double> CompiledModel::EcnLoads(const Deadline* deadline) {
       sys_.ClusterOfNode(workload_.hotspot_node));
   const double f = workload_.hotspot_fraction;
   const auto repeats = [](const std::vector<double>& v, std::size_t i) {
-    return i > 0 && BitsEqual(v[i], v[i - 1]);
+    return i > 0 && Bits(v[i]) == Bits(v[i - 1]);
   };
   hot_mass_.resize(c);
   hot_norm_.resize(c);
@@ -195,10 +212,10 @@ void CompiledModel::CompileFrom(const CompiledModel* prev,
   // per-class reuse additionally needs the message-length moments to match
   // bit for bit, since every x_* constant scales with them.
   sys_.icn2_links(deadline);
-  if (prev != nullptr) combo_cache_ = prev->combo_cache_;
+  if (prev != nullptr) combo_table_ = prev->combo_table_;
   const bool reuse_classes = prev != nullptr &&
-                             BitsEqual(m_flits_, prev->m_flits_) &&
-                             BitsEqual(flit_var_, prev->flit_var_);
+                             Bits(m_flits_) == Bits(prev->m_flits_) &&
+                             Bits(flit_var_) == Bits(prev->flit_var_);
   u_.resize(static_cast<std::size_t>(c));
   weight_.resize(static_cast<std::size_t>(c));
   intra_class_of_.resize(static_cast<std::size_t>(c));
@@ -225,116 +242,100 @@ void CompiledModel::CompileFrom(const CompiledModel* prev,
     const auto big_n = static_cast<double>(sys_.NodesInCluster(i));
     const double u_i = u_[static_cast<std::size_t>(i)];
     const double s_i = workload_.RateScale(i);
-
-    std::string key;
-    AppendPtr(key, &topo);
-    AppendBits(key, t_cn);
-    AppendBits(key, t_cs);
-    AppendBits(key, big_n);
-    AppendBits(key, u_i);
-    AppendBits(key, s_i);
-    const auto [it, inserted] = intra_keys_.emplace(
-        std::move(key), static_cast<int>(intra_classes_.size()));
-    if (inserted) {
-      CheckDeadline(deadline, "model compilation", intra_classes_.size(),
-                    "intra classes");
-      const auto hit =
-          reuse_classes ? prev->intra_keys_.find(it->first) : intra_keys_.end();
-      if (reuse_classes && hit != prev->intra_keys_.end()) {
-        // Equal key => every input of the class below is bit-identical, so
-        // the compiled constants are too.
-        intra_classes_.push_back(
-            prev->intra_classes_[static_cast<std::size_t>(hit->second)]);
-        ++rebind_stats_.intra_reused;
-      } else {
-        const LinkDistribution& links = topo.Links();
-        IntraClass k;
-        k.s = s_i;
-        k.big_n = big_n;
-        k.one_minus_u = 1.0 - u_i;
-        k.mean_links = links.MeanLinks();
-        k.eta_div = topo.ChannelsPerNode() * big_n;
-        k.x_cs = m_flits_ * t_cs;
-        k.x_cn = m_flits_ * t_cn;
-        k.chain_steps = std::max(0, links.max_links() - 2);
-        for (int d = 2; d <= links.max_links(); ++d) {
-          k.p.push_back(links.P(d));
-        }
-        double e_in = 0;
-        for (int d = 2; d <= links.max_links(); ++d) {
-          const double p = links.P(d);
-          if (p == 0.0) continue;
-          e_in += p * (static_cast<double>(d - 2) * t_cs + 2.0 * t_cn);
-        }
-        k.e_in = e_in;
-        intra_classes_.push_back(std::move(k));
-        ++rebind_stats_.intra_rebuilt;
-      }
+    const Key<6> key = {Bits(&topo), Bits(t_cn), Bits(t_cs),
+                        Bits(big_n), Bits(u_i), Bits(s_i)};
+    const auto [id, inserted] = intra_keys_.Insert(
+        key, i > 0 ? intra_class_of_[static_cast<std::size_t>(i - 1)] : -1);
+    intra_class_of_[static_cast<std::size_t>(i)] = id;
+    if (!inserted) continue;
+    CheckDeadline(deadline, "model compilation", intra_classes_.size(),
+                  "intra classes");
+    const int hit = reuse_classes ? prev->intra_keys_.Find(key) : -1;
+    if (hit >= 0) {
+      // Equal key => every input of the class below is bit-identical, so
+      // the compiled constants are too.
+      intra_classes_.push_back(
+          prev->intra_classes_[static_cast<std::size_t>(hit)]);
+      ++rebind_stats_.intra_reused;
+      continue;
     }
-    intra_class_of_[static_cast<std::size_t>(i)] = it->second;
+    const LinkDistribution& links = topo.Links();
+    IntraClass k;
+    k.s = s_i;
+    k.big_n = big_n;
+    k.one_minus_u = 1.0 - u_i;
+    k.mean_links = links.MeanLinks();
+    k.eta_div = topo.ChannelsPerNode() * big_n;
+    k.x_cs = m_flits_ * t_cs;
+    k.x_cn = m_flits_ * t_cn;
+    k.chain_steps = std::max(0, links.max_links() - 2);
+    for (int d = 2; d <= links.max_links(); ++d) {
+      k.p.push_back(links.P(d));
+    }
+    double e_in = 0;
+    for (int d = 2; d <= links.max_links(); ++d) {
+      const double p = links.P(d);
+      if (p == 0.0) continue;
+      e_in += p * (static_cast<double>(d - 2) * t_cs + 2.0 * t_cn);
+    }
+    k.e_in = e_in;
+    intra_classes_.push_back(std::move(k));
+    ++rebind_stats_.intra_rebuilt;
   }
 
   // --- ordered-pair classes (Eqs. 20-39 constants) -----------------------
-  // A pair class is fully determined by its two per-cluster "side"
-  // signatures (topology instance, per-flit times, beta, census, U, rate
-  // scale, ECN load), so the pair key is sideSig(i) + sideSig(j). The C
-  // signatures (fixed width) dedupe to K side ids, and each of the K x K
-  // shapes some ordered pair i != j takes is interned from one such pair.
+  // A pair class is fully determined by its two per-cluster "side" keys
+  // (topology instance, per-flit times, beta, census, U, rate scale, ECN
+  // load). The C side keys dedupe to K side ids, and each of the K x K
+  // shapes some ordered pair i != j takes is built from one such pair, or
+  // copied from the class prev keeps for the same two side keys.
   sid_.resize(static_cast<std::size_t>(c));
-  std::map<std::string, int> side_ids;
-  std::vector<const std::string*> side_sig;  // side id -> its signature
-  std::vector<int> first, second;  // side id -> its first two clusters
-  std::string sig;
+  std::vector<std::array<int, 2>> members;  // side id -> its first two clusters
   for (int i = 0; i < c; ++i) {
     const ClusterConfig& ci = sys_.cluster(i);
-    sig.clear();
-    AppendPtr(sig, &sys_.ecn1_topology(i));
-    AppendBits(sig, ci.ecn1.TCs(msg.flit_bytes));
-    AppendBits(sig, ci.ecn1.TCn(msg.flit_bytes));
-    AppendBits(sig, ci.ecn1.beta());
-    AppendBits(sig, static_cast<double>(sys_.NodesInCluster(i)));
-    AppendBits(sig, u_[static_cast<std::size_t>(i)]);
-    AppendBits(sig, workload_.RateScale(i));
-    AppendBits(sig, loads[static_cast<std::size_t>(i)]);
-    const auto [it, fresh] =
-        side_ids.emplace(sig, static_cast<int>(side_sig.size()));
-    if (fresh) {
-      side_sig.push_back(&it->first);
-      first.push_back(i);
-      second.push_back(-1);
-    } else if (second[static_cast<std::size_t>(it->second)] < 0) {
-      second[static_cast<std::size_t>(it->second)] = i;
-    }
-    sid_[static_cast<std::size_t>(i)] = it->second;
+    const Key<8> key = {Bits(&sys_.ecn1_topology(i)),
+                        Bits(ci.ecn1.TCs(msg.flit_bytes)),
+                        Bits(ci.ecn1.TCn(msg.flit_bytes)),
+                        Bits(ci.ecn1.beta()),
+                        Bits(static_cast<double>(sys_.NodesInCluster(i))),
+                        Bits(u_[static_cast<std::size_t>(i)]),
+                        Bits(workload_.RateScale(i)),
+                        Bits(loads[static_cast<std::size_t>(i)])};
+    const auto [id, fresh] = side_keys_.Insert(
+        key, i > 0 ? sid_[static_cast<std::size_t>(i - 1)] : -1);
+    if (fresh) members.push_back({i, -1});
+    std::array<int, 2>& m = members[static_cast<std::size_t>(id)];
+    if (m[1] < 0 && m[0] != i) m[1] = i;
+    sid_[static_cast<std::size_t>(i)] = id;
   }
-  num_sides_ = static_cast<int>(side_sig.size());
-  pair_class_of_sides_.assign(
-      static_cast<std::size_t>(num_sides_) * static_cast<std::size_t>(num_sides_),
-      -1);
-  for (int a = 0; a < num_sides_; ++a) {
-    for (int b = 0; b < num_sides_; ++b) {
-      const int i = first[static_cast<std::size_t>(a)];
-      const int j = a == b ? second[static_cast<std::size_t>(a)]
-                           : first[static_cast<std::size_t>(b)];
+  const std::size_t sides = members.size();
+  num_sides_ = static_cast<int>(sides);
+  pair_class_of_sides_.assign(sides * sides, -1);
+  std::shared_ptr<ComboTable> grown;
+  for (std::size_t a = 0; a < sides; ++a) {
+    const int pa =
+        reuse_classes ? prev->side_keys_.Find(side_keys_.keys[a]) : -1;
+    for (std::size_t b = 0; b < sides; ++b) {
+      const int i = members[a][0];
+      const int j = members[b][a == b ? 1 : 0];
       if (j < 0) continue;  // one cluster of shape a: no (a, a) pair
       CheckDeadline(deadline, "model compilation", pair_classes_.size(),
                     "pair classes");
-      const int slot = static_cast<int>(pair_classes_.size());
-      std::string key = *side_sig[static_cast<std::size_t>(a)];
-      key += *side_sig[static_cast<std::size_t>(b)];
-      const auto hit =
-          reuse_classes ? prev->pair_keys_.find(key) : pair_keys_.end();
-      if (reuse_classes && hit != prev->pair_keys_.end()) {
+      const int pb = pa >= 0 ? prev->side_keys_.Find(side_keys_.keys[b]) : -1;
+      const int hit =
+          pb >= 0 ? prev->pair_class_of_sides_[static_cast<std::size_t>(
+                        pa * prev->num_sides_ + pb)]
+                  : -1;
+      pair_class_of_sides_[a * sides + b] =
+          static_cast<int>(pair_classes_.size());
+      if (hit >= 0) {
         pair_classes_.push_back(
-            prev->pair_classes_[static_cast<std::size_t>(hit->second)]);
+            prev->pair_classes_[static_cast<std::size_t>(hit)]);
         ++rebind_stats_.pair_reused;
       } else {
-        pair_classes_.push_back(BuildPairClass(i, j, loads));
+        pair_classes_.push_back(BuildPairClass(i, j, loads, grown));
         ++rebind_stats_.pair_rebuilt;
       }
-      pair_keys_.emplace(std::move(key), slot);
-      pair_class_of_sides_[static_cast<std::size_t>(a * num_sides_ + b)] =
-          slot;
     }
   }
   for (const PairClass& k : pair_classes_) {
@@ -361,7 +362,8 @@ void CompiledModel::CompileFrom(const CompiledModel* prev,
 }
 
 CompiledModel::PairClass CompiledModel::BuildPairClass(
-    int i, int j, const std::vector<double>& loads) {
+    int i, int j, const std::vector<double>& loads,
+    std::shared_ptr<ComboTable>& grown) {
   const ClusterConfig& ci = sys_.cluster(i);
   const ClusterConfig& cj = sys_.cluster(j);
   const MessageFormat& msg = sys_.message();
@@ -420,61 +422,41 @@ CompiledModel::PairClass CompiledModel::BuildPairClass(
   k.v_max = access_j.max_links();
   k.d_max = icn2_links.max_links();
 
-  k.combos = GetPairCombos(i, j);
-  k.e_ex = k.combos->e_ex;
-  return k;
-}
-
-std::shared_ptr<const CompiledModel::PairCombos> CompiledModel::GetPairCombos(
-    int i, int j) {
-  const MessageFormat& msg = sys_.message();
-  const Topology& ecn1_i = sys_.ecn1_topology(i);
-  const Topology& ecn1_j = sys_.ecn1_topology(j);
-  const double t_cs_ei = sys_.cluster(i).ecn1.TCs(msg.flit_bytes);
-  const double t_cn_ei = sys_.cluster(i).ecn1.TCn(msg.flit_bytes);
-  const double t_cs_ej = sys_.cluster(j).ecn1.TCs(msg.flit_bytes);
-  const double t_cn_ej = sys_.cluster(j).ecn1.TCn(msg.flit_bytes);
-  const double t_cs_i2 = sys_.icn2().TCs(msg.flit_bytes);
-
   // The combos depend only on the two ECN1 access censuses, the ICN2
   // census, and the per-flit times — the key covers every input of the loop
-  // below, so cache hits (including hits carried over from a rebind source)
-  // are bit-identical to a rebuild.
-  std::string key;
-  AppendPtr(key, &ecn1_i);
-  AppendPtr(key, &ecn1_j);
-  AppendBits(key, t_cs_ei);
-  AppendBits(key, t_cn_ei);
-  AppendBits(key, t_cs_ej);
-  AppendBits(key, t_cn_ej);
-  AppendBits(key, t_cs_i2);
-  const auto [it, inserted] = combo_cache_.emplace(std::move(key), nullptr);
-  if (!inserted) {
+  // below, so table hits (including hits in the rebind source's table) are
+  // bit-identical to a rebuild.
+  const Key<7> key = {Bits(&ecn1_i), Bits(&ecn1_j), Bits(t_cs_ei),
+                      Bits(t_cn_ei), Bits(t_cs_ej), Bits(t_cn_ej),
+                      Bits(t_cs_i2)};
+  const int hit = combo_table_ ? combo_table_->index.Find(key) : -1;
+  if (hit >= 0) {
     ++rebind_stats_.combos_shared;
-    return it->second;
+    k.combos = combo_table_->combos[static_cast<std::size_t>(hit)];
+    k.e_ex = k.combos->e_ex;
+    return k;
+  }
+  if (!grown) {  // the first miss copies the shared table, once
+    grown = combo_table_ ? std::make_shared<ComboTable>(*combo_table_)
+                         : std::make_shared<ComboTable>();
+    combo_table_ = grown;
   }
 
   // Non-zero (r, v, d_l) combinations, reference loop order; Eq. 34's tail
   // drain is rate-invariant and folds entirely into the compile step.
-  const LinkDistribution& access_i = ecn1_i.AccessLinks();
-  const LinkDistribution& access_j = ecn1_j.AccessLinks();
-  const LinkDistribution& icn2_links = sys_.icn2_links();
-  const int r_max = access_i.max_links();
-  const int v_max = access_j.max_links();
-  const int d_max = icn2_links.max_links();
   auto combos = std::make_shared<PairCombos>();
   double e_ex = 0;
-  for (int r = 1; r <= r_max; ++r) {
+  for (int r = 1; r <= k.r_max; ++r) {
     const double p_r = access_i.P(r);
     if (p_r == 0.0) continue;
-    for (int v = 1; v <= v_max; ++v) {
+    for (int v = 1; v <= k.v_max; ++v) {
       const double p_v = access_j.P(v);
       if (p_v == 0.0) continue;
-      for (int dl = 2; dl <= d_max; ++dl) {
+      for (int dl = 2; dl <= k.d_max; ++dl) {
         const double p_l = icn2_links.P(dl);
         if (p_l == 0.0) continue;
         const double p = p_r * p_v * p_l;
-        combos->idx.push_back(((r - 1) * v_max + (v - 1)) * (d_max - 1) +
+        combos->idx.push_back(((r - 1) * k.v_max + (v - 1)) * (k.d_max - 1) +
                               (dl - 2));
         combos->p.push_back(p);
         e_ex += p * ((r - 1) * t_cs_ei + static_cast<double>(dl) * t_cs_i2 +
@@ -483,8 +465,11 @@ std::shared_ptr<const CompiledModel::PairCombos> CompiledModel::GetPairCombos(
     }
   }
   combos->e_ex = e_ex;
-  it->second = std::move(combos);
-  return it->second;
+  k.e_ex = e_ex;
+  grown->index.Insert(key);
+  grown->combos.push_back(combos);
+  k.combos = std::move(combos);
+  return k;
 }
 
 CompiledModel::HotEject CompiledModel::HotEjectOverlay(double lambda_g) const {

@@ -51,10 +51,11 @@
 // reuse rules only ever substitute values of identical subexpressions).
 #pragma once
 
-#include <map>
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -221,6 +222,32 @@ class CompiledModel {
     double rho = 0;
   };
 
+  /// A class key: the bit patterns of a class's inputs, topology instance
+  /// pointers included. Equal keys => bit-identical classes.
+  template <std::size_t N>
+  using Key = std::array<std::uint64_t, N>;
+
+  /// Distinct keys in first-seen order (id -> key) and an open-addressing
+  /// index over them: a lookup hashes, it never scans the keys.
+  template <std::size_t N>
+  struct KeyIndex {
+    std::vector<Key<N>> keys;
+    std::vector<int> slots;  ///< power-of-two table of ids, -1 when empty
+    int Find(const Key<N>& k) const {  ///< k's id, or -1
+      return slots.empty() ? -1 : slots[SlotOf(k)];
+    }
+    /// k's id and whether it was added; tries id `hint` (a run's) first.
+    std::pair<int, bool> Insert(const Key<N>& k, int hint = -1);
+    std::size_t SlotOf(const Key<N>& k) const;  ///< k's slot, or the empty one
+  };
+
+  /// Combo tables by ECN1 topology instances and per-flit times: immutable
+  /// once compiled, shared by a model and its rebinds.
+  struct ComboTable {
+    KeyIndex<7> index;
+    std::vector<std::shared_ptr<const PairCombos>> combos;  ///< by index id
+  };
+
   /// Reusable per-rate scratch (the batch path allocates it once).
   struct Scratch {
     std::vector<double> t0;  ///< suffix-shared T_0 table of one pair class
@@ -241,8 +268,10 @@ class CompiledModel {
   /// Per-cluster Workload::EcnLoadFactor, bit for bit, with each hot-spot
   /// sum once per run of equal summands; also fills hot_mass_, hot_norm_.
   std::vector<double> EcnLoads(const Deadline* deadline);
-  PairClass BuildPairClass(int i, int j, const std::vector<double>& loads);
-  std::shared_ptr<const PairCombos> GetPairCombos(int i, int j);
+  /// The class of pair (i, j), its combos from combo_table_ or built into
+  /// `grown`, the compile's own table, made at its first miss.
+  PairClass BuildPairClass(int i, int j, const std::vector<double>& loads,
+                           std::shared_ptr<ComboTable>& grown);
   HotEject HotEjectOverlay(double lambda_g) const;
   /// Eq. 23's ICN2 rate of a pair class: its C/D queue's arrival rate.
   double LambdaI2(const PairClass& k, double lambda_g) const;
@@ -288,16 +317,13 @@ class CompiledModel {
   std::size_t max_t0_size_ = 0;
 
   // Dedup tables, retained so Rebind can match the next workload's constant
-  // tuples against this model's classes. Keys are the raw byte strings of
-  // compiled_model.cc's AppendBits/AppendPtr encoding; one entry per
-  // *distinct* class, so the footprint is bounded by the class counts, not
-  // the pair count.
-  std::map<std::string, int> intra_keys_;
-  std::map<std::string, int> pair_keys_;
-  /// Workload-invariant (r, v, d_l) combo tables keyed by the pair's ECN1
-  /// topology instances and per-flit times; carried forward whole across
-  /// rebinds (shared_ptr map, bounded by the system's distinct pair shapes).
-  std::map<std::string, std::shared_ptr<const PairCombos>> combo_cache_;
+  // tuples against this model's classes: flat keys per intra class and per
+  // side shape (a pair class is pair_class_of_sides_ of its two sides).
+  KeyIndex<6> intra_keys_;
+  KeyIndex<8> side_keys_;
+  /// Workload-invariant (r, v, d_l) combo tables, shared with every model
+  /// rebound from this one (null until a compile needs one).
+  std::shared_ptr<const ComboTable> combo_table_;
   RebindStats rebind_stats_;
 };
 

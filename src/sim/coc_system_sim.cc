@@ -25,6 +25,9 @@ constexpr std::int64_t kMaxMessages = std::int64_t{1} << 20;
 // The ICN2 route skeletons are one leg per ordered cluster pair: up to 1024
 // clusters, 32x the largest Table 1 organization.
 constexpr std::int64_t kMaxClusterPairs = std::int64_t{1} << 20;
+// The engine steps once per flit per path link: ~35x the paper's 120k
+// messages on preset:1120, where 2^20 messages of 2^20 flits take days.
+constexpr std::int64_t kMaxFlitHops = std::int64_t{1} << 30;
 
 std::int64_t CheckedMessages(std::int64_t n) {
   if (n < 0 || n > kMaxMessages) {
@@ -243,6 +246,7 @@ SimResult CocSystemSim::Run(const SimConfig& cfg, SimScratch& scratch) const {
   // Independent stream for routing entropy so traffic draws stay identical
   // across ascent policies (paired-comparison friendly).
   Rng route_rng(cfg.seed ^ 0xc0ffee5eedULL);
+  std::int64_t flit_hops = 0;
   for (std::int64_t idx = 0; idx < total; ++idx) {
     const TrafficEvent& ev = scratch.traffic[static_cast<std::size_t>(idx)];
     const int ci = sys_.ClusterOfNode(ev.src);
@@ -250,6 +254,13 @@ SimResult CocSystemSim::Run(const SimConfig& cfg, SimScratch& scratch) const {
     const std::uint64_t entropy =
         cfg.ascent == SimConfig::AscentPolicy::kRandomized ? route_rng() : 0;
     BuildRoutedPathInto(ev.src, ev.dst, entropy, routed);
+    flit_hops += std::int64_t{ev.flits} * std::ssize(routed.path);
+    if (flit_hops > kMaxFlitHops) {
+      throw std::invalid_argument(
+          "cannot simulate " + std::to_string(total) + " messages: the first " +
+          std::to_string(idx + 1) + " make " + std::to_string(flit_hops) +
+          " flit transmissions (> 2^30)");
+    }
     scratch.depth.assign(routed.path.size(), 1);
     scratch.store_forward.clear();
     std::uint64_t tag = static_cast<std::uint64_t>(ci) << kTagClusterShift;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -38,28 +37,19 @@ void CheckIcn2Capacity(const Topology& icn2, std::int64_t clusters) {
   }
 }
 
-/// Counted outside the lock; the first count to finish is kept.
-struct SystemConfig::Icn2Census {
-  std::mutex mu;
-  std::unique_ptr<const LinkDistribution> links;  ///< guarded by mu
-};
-
 SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
                            NetworkCharacteristics icn2, MessageFormat message,
-                           std::optional<TopologySpec> icn2_topo)
-    : m_(m),
-      clusters_(std::move(clusters)),
-      icn2_(icn2),
-      message_(message),
-      icn2_census_(std::make_shared<Icn2Census>()) {
-  if (m_ < 4 || m_ % 2 != 0) {
+                           std::optional<TopologySpec> icn2_topo) {
+  auto state = std::make_shared<State>(m, std::move(clusters), icn2, message);
+  State& s = *state;
+  if (s.m < 4 || s.m % 2 != 0) {
     throw std::invalid_argument("switch arity m must be even and >= 4");
   }
-  if (clusters_.empty()) {
+  if (s.clusters.empty()) {
     throw std::invalid_argument("system needs at least one cluster");
   }
-  icn2_.Validate();
-  message_.Validate();
+  s.icn2.Validate();
+  s.message.Validate();
 
   // One immutable Topology per distinct resolved spec: clusters sharing a
   // spec share the instance and its cached link distributions, so model and
@@ -74,20 +64,20 @@ SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
     return topo;
   };
 
-  icn1_topos_.reserve(clusters_.size());
-  ecn1_topos_.reserve(clusters_.size());
-  cluster_sizes_.reserve(clusters_.size());
-  cluster_bases_.reserve(clusters_.size());
-  for (const auto& c : clusters_) {
+  s.icn1_topos.reserve(s.clusters.size());
+  s.ecn1_topos.reserve(s.clusters.size());
+  s.cluster_sizes.reserve(s.clusters.size());
+  s.cluster_bases.reserve(s.clusters.size());
+  for (const auto& c : s.clusters) {
     c.icn1.Validate();
     c.ecn1.Validate();
     const TopologySpec icn1_spec = ResolveTopologySpec(
-        c.icn1_topo.value_or(TopologySpec::Tree(0, 0)), m_, c.n,
+        c.icn1_topo.value_or(TopologySpec::Tree(0, 0)), s.m, c.n,
         /*fit_nodes=*/0);
     auto icn1 = build(icn1_spec);
     const std::int64_t size = icn1->num_nodes();
     const TopologySpec ecn1_spec = ResolveTopologySpec(
-        c.ecn1_topo.value_or(icn1_spec), m_, c.n, /*fit_nodes=*/size);
+        c.ecn1_topo.value_or(icn1_spec), s.m, c.n, /*fit_nodes=*/size);
     auto ecn1 = build(ecn1_spec);
     if (ecn1->num_nodes() != size) {
       throw std::invalid_argument(
@@ -95,45 +85,46 @@ SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
           std::to_string(ecn1->num_nodes()) + " nodes) must match its ICN1 (" +
           icn1->Name() + ", " + std::to_string(size) + " nodes)");
     }
-    icn1_topos_.push_back(std::move(icn1));
-    ecn1_topos_.push_back(std::move(ecn1));
-    cluster_bases_.push_back(total_nodes_);
-    cluster_sizes_.push_back(size);
-    total_nodes_ += size;
+    s.icn1_topos.push_back(std::move(icn1));
+    s.ecn1_topos.push_back(std::move(ecn1));
+    s.cluster_bases.push_back(s.total_nodes);
+    s.cluster_sizes.push_back(size);
+    s.total_nodes += size;
   }
 
   // ICN2: its node slots host the C concentrator/dispatchers.
-  const auto c_count = static_cast<std::int64_t>(clusters_.size());
-  const TopologySpec icn2_spec = ResolveIcn2Spec(icn2_topo, m_, c_count);
-  icn2_topo_ = build(icn2_spec);
-  CheckIcn2Capacity(*icn2_topo_, c_count);
-  icn2_depth_ =
-      icn2_spec.type == TopologySpec::Type::kTree ? icn2_spec.n : 0;
-  icn2_exact_fit_ = (icn2_topo_->num_nodes() == c_count);
+  const auto c_count = static_cast<std::int64_t>(s.clusters.size());
+  const TopologySpec icn2_spec = ResolveIcn2Spec(icn2_topo, s.m, c_count);
+  s.icn2_topo = build(icn2_spec);
+  CheckIcn2Capacity(*s.icn2_topo, c_count);
+  s.icn2_depth = icn2_spec.type == TopologySpec::Type::kTree ? icn2_spec.n : 0;
+  s.icn2_exact_fit = (s.icn2_topo->num_nodes() == c_count);
+  s_ = std::move(state);
 }
 
 double SystemConfig::OutgoingProbability(int i) const {
-  if (total_nodes_ <= 1) return 0.0;
+  if (s_->total_nodes <= 1) return 0.0;
   const double ni = static_cast<double>(NodesInCluster(i));
-  const double n = static_cast<double>(total_nodes_);
+  const double n = static_cast<double>(s_->total_nodes);
   return 1.0 - (ni - 1.0) / (n - 1.0);
 }
 
 int SystemConfig::ClusterOfNode(std::int64_t global_node) const {
-  const auto it = std::upper_bound(cluster_bases_.begin(),
-                                   cluster_bases_.end(), global_node);
-  return static_cast<int>(it - cluster_bases_.begin()) - 1;
+  const std::vector<std::int64_t>& bases = s_->cluster_bases;
+  const auto it = std::upper_bound(bases.begin(), bases.end(), global_node);
+  return static_cast<int>(it - bases.begin()) - 1;
 }
 
 const LinkDistribution& SystemConfig::icn2_links(
     const Deadline* deadline) const {
-  if (icn2_exact_fit_) return icn2_topo_->Links();
+  const State& s = *s_;
+  if (s.icn2_exact_fit) return s.icn2_topo->Links();
   {
-    std::lock_guard<std::mutex> lock(icn2_census_->mu);
-    if (icn2_census_->links) return *icn2_census_->links;
+    std::lock_guard<std::mutex> lock(s.census_mu);
+    if (s.census) return *s.census;
   }
-  const Topology& topo = *icn2_topo_;
-  const auto c = static_cast<std::int64_t>(clusters_.size());
+  const Topology& topo = *s.icn2_topo;
+  const auto c = static_cast<std::int64_t>(s.clusters.size());
   std::vector<double> weights(
       static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
   std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
@@ -151,13 +142,13 @@ const LinkDistribution& SystemConfig::icn2_links(
   }
   if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
   auto links = std::make_unique<const LinkDistribution>(weights);
-  std::lock_guard<std::mutex> lock(icn2_census_->mu);
-  if (!icn2_census_->links) icn2_census_->links = std::move(links);
-  return *icn2_census_->links;
+  std::lock_guard<std::mutex> lock(s.census_mu);
+  if (!s.census) s.census = std::move(links);
+  return *s.census;
 }
 
 SystemConfig SystemConfig::WithIcn2Topology(const TopologySpec& spec) const {
-  return SystemConfig(m_, clusters_, icn2_, message_, spec);
+  return SystemConfig(s_->m, s_->clusters, s_->icn2, s_->message, spec);
 }
 
 }  // namespace coc

@@ -10,10 +10,14 @@
 // SystemConfig resolves the specs, builds one immutable Topology per
 // distinct resolved spec, and shares the instances (and their cached hop
 // distributions) between the analytical model and the simulator.
+//
+// A SystemConfig is immutable, and its copies (every compiled model keeps
+// one) share all of its data, the ICN2 census cell too: a reference count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -72,44 +76,44 @@ class SystemConfig {
                NetworkCharacteristics icn2, MessageFormat message,
                std::optional<TopologySpec> icn2_topo = std::nullopt);
 
-  int m() const { return m_; }
-  int k() const { return m_ / 2; }
+  int m() const { return s_->m; }
+  int k() const { return s_->m / 2; }
   /// Number of clusters C.
-  int num_clusters() const { return static_cast<int>(clusters_.size()); }
+  int num_clusters() const { return static_cast<int>(s_->clusters.size()); }
   const ClusterConfig& cluster(int i) const {
-    return clusters_[static_cast<std::size_t>(i)];
+    return s_->clusters[static_cast<std::size_t>(i)];
   }
-  const NetworkCharacteristics& icn2() const { return icn2_; }
-  const MessageFormat& message() const { return message_; }
+  const NetworkCharacteristics& icn2() const { return s_->icn2; }
+  const MessageFormat& message() const { return s_->message; }
 
   /// Resolved topology instances. Clusters with identical resolved specs
   /// share one instance (and its cached link distributions).
   const Topology& icn1_topology(int i) const {
-    return *icn1_topos_[static_cast<std::size_t>(i)];
+    return *s_->icn1_topos[static_cast<std::size_t>(i)];
   }
   const Topology& ecn1_topology(int i) const {
-    return *ecn1_topos_[static_cast<std::size_t>(i)];
+    return *s_->ecn1_topos[static_cast<std::size_t>(i)];
   }
-  const Topology& icn2_topology() const { return *icn2_topo_; }
+  const Topology& icn2_topology() const { return *s_->icn2_topo; }
 
   /// Cluster size N_i — the node count of its ICN1 topology (2(m/2)^{n_i}
   /// for the default trees).
   std::int64_t NodesInCluster(int i) const {
-    return cluster_sizes_[static_cast<std::size_t>(i)];
+    return s_->cluster_sizes[static_cast<std::size_t>(i)];
   }
   /// Total system size N = sum N_i.
-  std::int64_t TotalNodes() const { return total_nodes_; }
+  std::int64_t TotalNodes() const { return s_->total_nodes; }
 
   /// ICN2 tree depth n_c when the ICN2 topology is a tree: the smallest
   /// depth whose m-port n_c-tree has at least C node slots (the paper's
   /// exact-fit C = 2(m/2)^{n_c} for the validation organizations). Zero for
   /// non-tree ICN2 topologies.
-  int icn2_depth() const { return icn2_depth_; }
+  int icn2_depth() const { return s_->icn2_depth; }
   /// Whether C fills the ICN2 node slots exactly (the paper's assumption).
   /// Partial occupancy is allowed for exploratory configurations; the model
   /// then uses the exact journey census of the occupied slots instead of
   /// the closed-form distribution.
-  bool icn2_exact_fit() const { return icn2_exact_fit_; }
+  bool icn2_exact_fit() const { return s_->icn2_exact_fit; }
 
   /// ICN2 journey distribution: the topology's closed form at an exact fit;
   /// otherwise the exact journey census of the occupied slots (averaged over
@@ -128,7 +132,7 @@ class SystemConfig {
   /// Global node numbering: cluster-major, i.e. node g belongs to the
   /// cluster whose [base, base+N_i) interval contains g.
   std::int64_t ClusterBase(int i) const {
-    return cluster_bases_[static_cast<std::size_t>(i)];
+    return s_->cluster_bases[static_cast<std::size_t>(i)];
   }
   /// Maps a global node id to its cluster index.
   int ClusterOfNode(std::int64_t global_node) const;
@@ -139,21 +143,23 @@ class SystemConfig {
   SystemConfig WithIcn2Topology(const TopologySpec& spec) const;
 
  private:
-  int m_;
-  std::vector<ClusterConfig> clusters_;
-  NetworkCharacteristics icn2_;
-  MessageFormat message_;
-  std::vector<std::shared_ptr<const Topology>> icn1_topos_;
-  std::vector<std::shared_ptr<const Topology>> ecn1_topos_;
-  std::shared_ptr<const Topology> icn2_topo_;
-  std::vector<std::int64_t> cluster_sizes_;
-  std::vector<std::int64_t> cluster_bases_;
-  std::int64_t total_nodes_ = 0;
-  int icn2_depth_ = 0;
-  bool icn2_exact_fit_ = false;
-  /// The ICN2 census cell every copy shares (system_config.cc).
-  struct Icn2Census;
-  std::shared_ptr<Icn2Census> icn2_census_;
+  /// Built once by the constructor, then read-only but for the census cell.
+  struct State {
+    int m = 0;
+    std::vector<ClusterConfig> clusters;
+    NetworkCharacteristics icn2;
+    MessageFormat message;
+    std::vector<std::shared_ptr<const Topology>> icn1_topos, ecn1_topos;
+    std::shared_ptr<const Topology> icn2_topo;
+    std::vector<std::int64_t> cluster_sizes, cluster_bases;
+    std::int64_t total_nodes = 0;
+    int icn2_depth = 0;
+    bool icn2_exact_fit = false;
+    /// The ICN2 census: counted outside the lock, the first count kept.
+    mutable std::mutex census_mu;
+    mutable std::unique_ptr<const LinkDistribution> census;  ///< census_mu
+  };
+  std::shared_ptr<const State> s_;
 };
 
 }  // namespace coc

@@ -1081,6 +1081,32 @@ TEST(Engine, OversizedMessageCountIsAScenarioErrorWhileItsModelIsServed) {
   }
 }
 
+TEST(Engine, OversizedFlitTransmissionCountIsAScenarioErrorAtOnce) {
+  // 960,000 messages of 2^20 flits on preset:tiny pass the message, channel
+  // and pair bounds, but are ~5e12 flit transmissions: days of engine time.
+  // The run is refused once its running count passes 2^30, before the
+  // engine starts, while the same scenario's model is served.
+  const std::string sim =
+      "[scenario s]\nsystem = preset:tiny:1048576:256\nrate = 1e-4\n"
+      "sim.messages = 800000\n";
+  Engine engine;
+  const auto model =
+      engine.EvaluateBatch(ParseScenarios(sim + "analyses = model\n"), {});
+  ASSERT_EQ(model.size(), 1u);
+  EXPECT_TRUE(model[0].status.ok()) << model[0].status.message;
+  const auto reports =
+      engine.EvaluateBatch(ParseScenarios(sim + "analyses = sim\n"), {});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].status.code, StatusCode::kScenarioError);
+  EXPECT_NE(reports[0].status.message.find(
+                "cannot simulate 960000 messages: the first "),
+            std::string::npos)
+      << reports[0].status.message;
+  EXPECT_NE(reports[0].status.message.find(" flit transmissions (> 2^30)"),
+            std::string::npos)
+      << reports[0].status.message;
+}
+
 TEST(Engine, RebindSourceTableIsBoundedByLru) {
   // The per-(system, options)-family rebind-source table is an accelerator,
   // not a registry: a batch cycling through many distinct families must not

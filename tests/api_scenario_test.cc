@@ -61,7 +61,8 @@ TEST(Scenario, PropertyRandomizedRoundTrip) {
   };
   for (int trial = 0; trial < 200; ++trial) {
     Scenario s;
-    s.name = "t" + std::to_string(trial);
+    const std::string index = std::to_string(trial);
+    s.name = "t" + index;
     s.system = pick(2) ? "preset:tiny:16:64" : "some/config/file.cfg";
     if (pick(2)) {
       const char* const kOverrides[] = {"crossbar:16", "mesh:2x2,tap=center",

@@ -517,6 +517,19 @@ TEST(Cli, OversizedMessageCountIsRejectedNamingTheBound) {
       << sim.err;
 }
 
+TEST(Cli, OversizedFlitTransmissionCountIsRejectedNamingTheBound) {
+  // --messages 800000 is 960,000 messages with warm-up and drain, each of
+  // 2^20 flits: refused at once, not simulated for days.
+  const auto sim = RunCommand({"sim", "preset:tiny:1048576:256", "--rate",
+                               "1e-4", "--messages", "800000"});
+  EXPECT_EQ(sim.code, 1);
+  EXPECT_NE(sim.err.find("cannot simulate 960000 messages: the first "),
+            std::string::npos)
+      << sim.err;
+  EXPECT_NE(sim.err.find(" flit transmissions (> 2^30)"), std::string::npos)
+      << sim.err;
+}
+
 TEST(Cli, BottleneckNamesBindingResource) {
   const auto r = RunCommand({"bottleneck", "preset:1120", "--rate", "1e-4"});
   EXPECT_EQ(r.code, 0) << r.err;

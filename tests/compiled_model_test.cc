@@ -10,9 +10,11 @@
 // a rate scale on one cluster inside a run. Also pins the bracket-expansion
 // fix for upper bounds below the true saturation point, that the search's
 // saturated-side certificate (SaturatedFrom) changes no bit on seeded
-// draws, and the deadline checks inside compile and evaluation.
+// draws, the deadline checks inside compile and evaluation, and that class
+// lookup stays near linear in the class count.
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -642,6 +644,39 @@ TEST(CompiledModel, DedupesHeterogeneousTable1Organization) {
     EXPECT_BIT_EQ(r.clusters[12].blended,
                   r.clusters[static_cast<std::size_t>(i)].blended);
   }
+}
+
+TEST(CompiledModel, CompileTimeIsNearLinearInTheIntraClassCount) {
+  // Every cluster its own intra class: the clusters differ only in ICN1
+  // bandwidth and share one ECN1, so there is one side shape. Eight times
+  // the classes must cost under thirty times the time (C log C predicts
+  // about ten; a lookup that scanned the classes took 68x). Each side is
+  // the best of three compiles, the two sizes alternating so that both meet
+  // the same allocator state; no absolute time is asserted.
+  const auto system = [](int clusters) {
+    std::vector<ClusterConfig> list;
+    for (int i = 0; i < clusters; ++i) {
+      list.emplace_back(1, NetworkCharacteristics{500.0 + i, 0.01, 0.02},
+                        Net2());
+    }
+    return SystemConfig(4, std::move(list), Net1(), MessageFormat{32, 256});
+  };
+  const SystemConfig small_sys = system(4096);
+  const SystemConfig large_sys = system(32768);
+  ASSERT_TRUE(small_sys.icn2_exact_fit() && large_sys.icn2_exact_fit());
+  double small = std::numeric_limits<double>::infinity();
+  double large = small;
+  for (int run = 0; run < 3; ++run) {
+    for (const bool is_large : {false, true}) {
+      const auto start = std::chrono::steady_clock::now();
+      const CompiledModel model(is_large ? large_sys : small_sys);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      double& best = is_large ? large : small;
+      best = std::min(best, took.count());
+    }
+  }
+  EXPECT_LT(large, 30.0 * small) << small << " s vs " << large << " s";
 }
 
 }  // namespace

@@ -280,8 +280,9 @@ TEST(Json, ParseKeepsARepeatedKeysFirstPositionAndLastValue) {
       std::string text = "{";
       Json want = Json::Object();
       for (int i = 0; i < members; ++i) {
-        const std::string key =
-            "k" + std::to_string(rng() % static_cast<unsigned>(members));
+        const std::string index =
+            std::to_string(rng() % static_cast<unsigned>(members));
+        const std::string key = "k" + index;
         if (i != 0) text += ',';
         text += "\"" + key + "\":" + std::to_string(i);
         want.Set(key, i);

@@ -68,8 +68,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, HopTest,
                                            TreeCase{8, 2}, TreeCase{8, 3},
                                            TreeCase{12, 2}),
                          [](const ::testing::TestParamInfo<TreeCase>& info) {
-                           return "m" + std::to_string(info.param.m) + "n" +
-                                  std::to_string(info.param.n);
+                           const std::string m = std::to_string(info.param.m);
+                           const std::string n = std::to_string(info.param.n);
+                           return "m" + m + "n" + n;
                          });
 
 TEST(HopDistribution, EmpiricalConstructorNormalizes) {

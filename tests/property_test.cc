@@ -93,8 +93,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, TreeProperties,
                                            TreeCase{6, 2}, TreeCase{8, 2},
                                            TreeCase{8, 3}, TreeCase{10, 2}),
                          [](const ::testing::TestParamInfo<TreeCase>& info) {
-                           return "m" + std::to_string(info.param.m) + "n" +
-                                  std::to_string(info.param.n);
+                           const std::string m = std::to_string(info.param.m);
+                           const std::string n = std::to_string(info.param.n);
+                           return "m" + m + "n" + n;
                          });
 
 // ---------------------------------------------------------------------------
@@ -145,10 +146,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, ModelMonotonicity,
                                            FormatCase{32, 128},
                                            FormatCase{64, 32}),
                          [](const ::testing::TestParamInfo<FormatCase>& info) {
-                           return "M" + std::to_string(info.param.m_flits) +
-                                  "d" +
-                                  std::to_string(
-                                      static_cast<int>(info.param.dm));
+                           const std::string m =
+                               std::to_string(info.param.m_flits);
+                           const std::string d = std::to_string(
+                               static_cast<int>(info.param.dm));
+                           return "M" + m + "d" + d;
                          });
 
 // ---------------------------------------------------------------------------
