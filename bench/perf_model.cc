@@ -95,7 +95,7 @@ BENCHMARK(BM_CompiledModelBuild);
 
 // The same cold compile with the 32 clusters on a 128-slot tree:3 ICN2, so
 // the model reads the census of the occupied slots. Every compile comes
-// from one SystemConfig, which counts that census once for all of them.
+// from one SystemConfig, whose constructor counted that census.
 void BM_CompiledModelBuildSparseIcn2(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256})
                        .WithIcn2Topology(ParseTopologySpec("tree:3"));
@@ -105,6 +105,19 @@ void BM_CompiledModelBuildSparseIcn2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompiledModelBuildSparseIcn2);
+
+// The system set-up a sparse ICN2 override costs a served request once:
+// preset:1120 rebuilt on a 65,536-slot mesh:4x8 ICN2, through its first
+// icn2_links() read, which is the census of the 32 occupied slots.
+void BM_SystemBuildSparseIcn2(benchmark::State& state) {
+  const auto base = MakeSystem1120(MessageFormat{32, 256});
+  const TopologySpec spec = ParseTopologySpec("mesh:4x8");
+  for (auto _ : state) {
+    const SystemConfig sys = base.WithIcn2Topology(spec);
+    benchmark::DoNotOptimize(&sys.icn2_links());
+  }
+}
+BENCHMARK(BM_SystemBuildSparseIcn2);
 
 // The sweep pair: one full rate grid per iteration on the N=1120
 // organization, compiled (build + EvaluateMany) vs the pointwise loop over

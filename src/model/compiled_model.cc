@@ -207,11 +207,10 @@ void CompiledModel::CompileFrom(const CompiledModel* prev,
       opts_.source_queue_rate == ModelOptions::SourceQueueRate::kPerNode;
   skewed_ = workload_.DestinationSkewed();
 
-  // The ICN2 census is the system's (counted once for every copy of it); the
-  // workload-invariant (r, v, d_l) combo tables transfer outright, and
-  // per-class reuse additionally needs the message-length moments to match
-  // bit for bit, since every x_* constant scales with them.
-  sys_.icn2_links(deadline);
+  // The ICN2 census is the system's; the workload-invariant (r, v, d_l)
+  // combo tables transfer outright, and per-class reuse additionally needs
+  // the message-length moments to match bit for bit, since every x_*
+  // constant scales with them.
   if (prev != nullptr) combo_table_ = prev->combo_table_;
   const bool reuse_classes = prev != nullptr &&
                              Bits(m_flits_) == Bits(prev->m_flits_) &&
@@ -443,8 +442,18 @@ CompiledModel::PairClass CompiledModel::BuildPairClass(
   }
 
   // Non-zero (r, v, d_l) combinations, reference loop order; Eq. 34's tail
-  // drain is rate-invariant and folds entirely into the compile step.
+  // drain is rate-invariant and folds entirely into the compile step. The
+  // combinations are the product of the three supports, sized once.
+  const auto support = [](const LinkDistribution& d, int from) {
+    std::size_t n = 0;
+    for (int x = from; x <= d.max_links(); ++x) n += d.P(x) != 0.0 ? 1 : 0;
+    return n;
+  };
   auto combos = std::make_shared<PairCombos>();
+  const std::size_t n_combos =
+      support(access_i, 1) * support(access_j, 1) * support(icn2_links, 2);
+  combos->idx.reserve(n_combos);
+  combos->p.reserve(n_combos);
   double e_ex = 0;
   for (int r = 1; r <= k.r_max; ++r) {
     const double p_r = access_i.P(r);

@@ -74,12 +74,10 @@ namespace coc {
 /// const and thread-safe.
 ///
 /// The optional `deadline` is probed once per class and per run of the
-/// hot-spot sums while compiling, once per ICN2 census row when the system
-/// has not counted its census yet (SystemConfig::icn2_links), and once per
-/// run while evaluating; a trip throws DeadlineExceeded naming "model
-/// compilation", "ICN2 census" or "model evaluation". Interleaved kinds make
-/// every run one cluster and an evaluation C^2, so these probes are what
-/// bound such a request.
+/// hot-spot sums while compiling and once per run while evaluating; a trip
+/// throws DeadlineExceeded naming "model compilation" or "model
+/// evaluation". Interleaved kinds make every run one cluster and an
+/// evaluation C^2, so these probes are what bound such a request.
 class CompiledModel {
  public:
   explicit CompiledModel(const SystemConfig& sys, ModelOptions opts = {},

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/deadline.h"
-
 namespace coc {
 
 TopologySpec ResolveIcn2Spec(std::optional<TopologySpec> spec, int m,
@@ -99,6 +97,12 @@ SystemConfig::SystemConfig(int m, std::vector<ClusterConfig> clusters,
   CheckIcn2Capacity(*s.icn2_topo, c_count);
   s.icn2_depth = icn2_spec.type == TopologySpec::Type::kTree ? icn2_spec.n : 0;
   s.icn2_exact_fit = (s.icn2_topo->num_nodes() == c_count);
+  if (!s.icn2_exact_fit) {
+    // A lone cluster has no journeys: one 2-link journey stands in.
+    std::vector<std::int64_t> journeys{0, 0, 1};
+    if (c_count > 1) journeys = s.icn2_topo->PrefixJourneys(c_count);
+    s.census.emplace(std::vector<double>(journeys.begin(), journeys.end()));
+  }
   s_ = std::move(state);
 }
 
@@ -113,38 +117,6 @@ int SystemConfig::ClusterOfNode(std::int64_t global_node) const {
   const std::vector<std::int64_t>& bases = s_->cluster_bases;
   const auto it = std::upper_bound(bases.begin(), bases.end(), global_node);
   return static_cast<int>(it - bases.begin()) - 1;
-}
-
-const LinkDistribution& SystemConfig::icn2_links(
-    const Deadline* deadline) const {
-  const State& s = *s_;
-  if (s.icn2_exact_fit) return s.icn2_topo->Links();
-  {
-    std::lock_guard<std::mutex> lock(s.census_mu);
-    if (s.census) return *s.census;
-  }
-  const Topology& topo = *s.icn2_topo;
-  const auto c = static_cast<std::int64_t>(s.clusters.size());
-  std::vector<double> weights(
-      static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
-  std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
-  for (std::int64_t src = 0; src < c; ++src) {
-    if (deadline != nullptr && deadline->Expired()) {
-      deadline->Check("ICN2 census", std::to_string(src) + " of " +
-                                         std::to_string(c) + " source rows");
-    }
-    for (std::int64_t dst = 0; dst < c; ++dst) {
-      if (src == dst) continue;
-      route.clear();
-      topo.RouteInto(src, dst, /*entropy=*/0, route);
-      weights[route.size()] += 1.0;
-    }
-  }
-  if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
-  auto links = std::make_unique<const LinkDistribution>(weights);
-  std::lock_guard<std::mutex> lock(s.census_mu);
-  if (!s.census) s.census = std::move(links);
-  return *s.census;
 }
 
 SystemConfig SystemConfig::WithIcn2Topology(const TopologySpec& spec) const {

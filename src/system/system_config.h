@@ -12,12 +12,11 @@
 // distributions) between the analytical model and the simulator.
 //
 // A SystemConfig is immutable, and its copies (every compiled model keeps
-// one) share all of its data, the ICN2 census cell too: a reference count.
+// one) share all of its data, the ICN2 census too: a reference count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -26,8 +25,6 @@
 #include "topology/topology_spec.h"
 
 namespace coc {
-
-class Deadline;
 
 /// Per-cluster description: tree depth, the characteristics of its two
 /// networks (paper assumption 5: networks may differ per cluster), and
@@ -116,14 +113,13 @@ class SystemConfig {
   bool icn2_exact_fit() const { return s_->icn2_exact_fit; }
 
   /// ICN2 journey distribution: the topology's closed form at an exact fit;
-  /// otherwise the exact journey census of the occupied slots (averaged over
-  /// sources), which degenerates to the closed form at full occupancy. The
-  /// census routes all C (C - 1) ordered slot pairs once, on first use, and
-  /// every copy of this SystemConfig reads that one count: the Engine's
-  /// system entry, each model compiled or rebound from it, each sweep.
-  /// `deadline` (optional) is probed once per source row; a trip throws
-  /// DeadlineExceeded naming "ICN2 census" and caches nothing.
-  const LinkDistribution& icn2_links(const Deadline* deadline = nullptr) const;
+  /// otherwise the exact journey census of the occupied slots [0, C)
+  /// (Topology::PrefixJourneys), counted once by the constructor and read
+  /// by every copy: the Engine's system entry, each model compiled or
+  /// rebound from it, each sweep.
+  const LinkDistribution& icn2_links() const {
+    return s_->census ? *s_->census : s_->icn2_topo->Links();
+  }
 
   /// U^(i), Eq. (2): probability a message from cluster i leaves the cluster
   /// (uniform destinations over the other N-1 nodes).
@@ -143,7 +139,7 @@ class SystemConfig {
   SystemConfig WithIcn2Topology(const TopologySpec& spec) const;
 
  private:
-  /// Built once by the constructor, then read-only but for the census cell.
+  /// Built once by the constructor, then read-only.
   struct State {
     int m = 0;
     std::vector<ClusterConfig> clusters;
@@ -155,9 +151,7 @@ class SystemConfig {
     std::int64_t total_nodes = 0;
     int icn2_depth = 0;
     bool icn2_exact_fit = false;
-    /// The ICN2 census: counted outside the lock, the first count kept.
-    mutable std::mutex census_mu;
-    mutable std::unique_ptr<const LinkDistribution> census;  ///< census_mu
+    std::optional<LinkDistribution> census;  ///< unset at an exact fit
   };
   std::shared_ptr<const State> s_;
 };

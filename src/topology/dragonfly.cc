@@ -1,6 +1,7 @@
 #include "topology/dragonfly.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace coc {
 namespace {
@@ -169,6 +170,25 @@ void Dragonfly::RouteFromTapInto(std::int64_t dst,
   AppendMinHops(0, 0, static_cast<int>(rd / a_), static_cast<int>(rd % a_),
                 out);
   out.push_back(num_nodes_ + dst);
+}
+
+std::vector<std::int64_t> Dragonfly::PrefixJourneys(std::int64_t c) const {
+  if (c * (c - 1) > kMaxPrefixPairs) {
+    throw std::invalid_argument(
+        "dragonfly ICN2 too large to count: " + std::to_string(c) +
+        " occupied slots, " + std::to_string(c * (c - 1)) +
+        " ordered slot pairs (> 2^20)");
+  }
+  std::vector<std::int64_t> counts(8, 0), route;
+  for (std::int64_t src = 0; src < c; ++src) {
+    for (std::int64_t dst = 0; dst < c; ++dst) {
+      if (src == dst) continue;
+      route.clear();
+      RouteInto(src, dst, /*entropy=*/0, route);
+      ++counts[route.size()];
+    }
+  }
+  return counts;
 }
 
 int Dragonfly::MinDistance(std::int64_t router_a, std::int64_t router_b) const {

@@ -51,6 +51,8 @@ namespace coc {
 class Dragonfly : public Topology {
  public:
   enum class Routing : std::uint8_t { kMin, kValiant };
+  /// PrefixJourneys' bound: the simulator's on ordered cluster pairs.
+  static constexpr std::int64_t kMaxPrefixPairs = std::int64_t{1} << 20;
 
   /// Throws std::invalid_argument for a < 1, p < 1, h < 1, a*h > 4096
   /// (the O(g^2) Valiant census bound) or more than 2^22 nodes.
@@ -74,6 +76,10 @@ class Dragonfly : public Topology {
   }
   ChannelInfo Channel(std::int64_t id) const override;
   const LinkDistribution& Links() const override { return links_; }
+  /// Routes every ordered pair: the entropy-0 Valiant group is a hash of
+  /// the pair. Throws std::invalid_argument, before routing any, above
+  /// kMaxPrefixPairs ordered pairs.
+  std::vector<std::int64_t> PrefixJourneys(std::int64_t c) const override;
   const LinkDistribution& AccessLinks() const override {
     return access_links_;
   }

@@ -36,6 +36,10 @@ class FullCrossbar : public Topology {
     return NodeLink(id, 0);
   }
   const LinkDistribution& Links() const override { return links_; }
+  /// Every journey crosses 2 links.
+  std::vector<std::int64_t> PrefixJourneys(std::int64_t c) const override {
+    return {0, 0, c * (c - 1)};
+  }
   const LinkDistribution& AccessLinks() const override {
     return access_links_;
   }

@@ -1,6 +1,7 @@
 #include "topology/k_ary_mesh.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace coc {
@@ -22,43 +23,30 @@ int ValidatedRadix(int radix, int dims) {
   return radix;
 }
 
-/// Per-dimension coordinate-distance counts over ordered pairs (a, b) in
-/// [0, k)^2: counts[t] = number of pairs at distance t.
-std::vector<double> PairDistanceCounts(int k, bool torus) {
-  std::vector<double> counts(static_cast<std::size_t>(k), 0.0);
-  counts[0] = k;  // a == b
-  if (torus) {
-    for (int t = 1; t <= k / 2; ++t) {
-      // Each a has two partners at Lee distance t, except the antipode
-      // (one partner) when k is even and t == k/2.
-      counts[static_cast<std::size_t>(t)] =
-          (2 * t == k) ? k : 2.0 * k;
-    }
-  } else {
-    for (int t = 1; t < k; ++t) {
-      counts[static_cast<std::size_t>(t)] = 2.0 * (k - t);
-    }
+/// One coordinate range [lo, hi) per dimension.
+using Box = std::vector<std::array<int, 2>>;
+
+/// Ordered coordinate pairs (a, b) of one k-wide dimension, a in `ra` and b
+/// in `rb`, by distance: element t counts the pairs t hops apart. O(k), no
+/// double loop: the pairs at offset s = b - a are the overlap of `ra` with
+/// `rb` shifted down by s.
+std::vector<std::int64_t> RangeDistanceCounts(int k, bool torus,
+                                              std::array<int, 2> ra,
+                                              std::array<int, 2> rb) {
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(k), 0);
+  for (int s = rb[0] - ra[1] + 1; s < rb[1] - ra[0]; ++s) {
+    const int d = s < 0 ? -s : s;
+    counts[static_cast<std::size_t>(torus ? std::min(d, k - d) : d)] +=
+        std::min(ra[1], rb[1] - s) - std::max(ra[0], rb[0] - s);
   }
   return counts;
 }
 
-/// Per-dimension distance-to-anchor counts over a in [0, k); `anchor` is the
-/// tap's coordinate in this dimension (0 for the corner tap).
-std::vector<double> AnchorDistanceCounts(int k, bool torus, int anchor) {
-  std::vector<double> counts(static_cast<std::size_t>(k), 0.0);
-  for (int a = 0; a < k; ++a) {
-    const int direct = a > anchor ? a - anchor : anchor - a;
-    const int t = torus ? std::min(direct, k - direct) : direct;
-    counts[static_cast<std::size_t>(t)] += 1.0;
-  }
-  return counts;
-}
-
-std::vector<double> Convolve(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  std::vector<double> out(a.size() + b.size() - 1, 0.0);
+std::vector<std::int64_t> Convolve(const std::vector<std::int64_t>& a,
+                                   const std::vector<std::int64_t>& b) {
+  std::vector<std::int64_t> out(a.size() + b.size() - 1, 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == 0.0) continue;
+    if (a[i] == 0) continue;
     for (std::size_t j = 0; j < b.size(); ++j) {
       out[i + j] += a[i] * b[j];
     }
@@ -66,18 +54,31 @@ std::vector<double> Convolve(const std::vector<double>& a,
   return out;
 }
 
-std::vector<double> HopCounts(int radix, int dims, bool torus,
-                              bool to_anchor, int anchor_coord = 0) {
-  std::vector<double> counts =
-      to_anchor ? AnchorDistanceCounts(radix, torus, anchor_coord)
-                : PairDistanceCounts(radix, torus);
-  for (int j = 1; j < dims; ++j) {
-    counts = Convolve(counts, to_anchor
-                                  ? AnchorDistanceCounts(radix, torus,
-                                                         anchor_coord)
-                                  : PairDistanceCounts(radix, torus));
+/// Ordered router pairs (x, y), x in box `a` and y in box `b`, by DOR hop
+/// count: the convolution of the per-dimension distance counts.
+std::vector<std::int64_t> BoxPairHops(int k, bool torus, const Box& a,
+                                      const Box& b) {
+  std::vector<std::int64_t> hops{1};
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    hops = Convolve(hops, RangeDistanceCounts(k, torus, a[j], b[j]));
   }
-  return counts;
+  return hops;
+}
+
+/// Journeys among the routers of disjoint `boxes`: element H + 2 counts
+/// the ordered pairs of distinct routers H hops apart (a journey of H
+/// router hops crosses H + 2 links; H = 0 is the src == dst diagonal).
+std::vector<std::int64_t> BoxJourneys(int k, bool torus,
+                                      const std::vector<Box>& boxes) {
+  std::vector<std::int64_t> out;
+  for (const Box& a : boxes) {
+    for (const Box& b : boxes) {
+      const std::vector<std::int64_t> hops = BoxPairHops(k, torus, a, b);
+      out.resize(std::max(out.size(), hops.size() + 2), 0);
+      for (std::size_t h = 1; h < hops.size(); ++h) out[h + 2] += hops[h];
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -222,30 +223,46 @@ void KAryMesh::RouteFromTapInto(std::int64_t dst,
   out.push_back(num_nodes_ + dst);
 }
 
+std::vector<std::int64_t> KAryMesh::PrefixJourneys(std::int64_t c) const {
+  // In base-radix digits [0, c) is one box per digit position j where c's
+  // digit c_j > 0: the digits above j equal c's, digit j lies in [0, c_j)
+  // and the lower digits are free. Position dims holds c's carry, so at
+  // c = radix^dims the one box is the whole mesh.
+  std::vector<Box> boxes;
+  for (int j = 0; j <= dims_; ++j) {
+    const int cj = Coord(c, j);
+    if (cj == 0) continue;
+    Box& box = boxes.emplace_back(static_cast<std::size_t>(dims_));
+    for (int i = 0; i < dims_; ++i) {
+      box[static_cast<std::size_t>(i)] =
+          i > j ? std::array{Coord(c, i), Coord(c, i) + 1}
+                : std::array{0, i == j ? cj : radix_};
+    }
+  }
+  return BoxJourneys(radix_, torus_, boxes);
+}
+
 LinkDistribution KAryMesh::MakeLinkDistribution(int radix, int dims,
                                                 bool torus) {
-  const bool wraps = torus && radix > 2;
-  const auto hop_counts = HopCounts(radix, dims, wraps, /*to_anchor=*/false);
-  // A journey of H router hops crosses H + 2 links; distinct nodes always
-  // sit on distinct routers, so H = 0 (the src == dst diagonal) is excluded.
-  std::vector<double> weights(hop_counts.size() + 2, 0.0);
-  for (std::size_t h = 1; h < hop_counts.size(); ++h) {
-    weights[h + 2] = hop_counts[h];
-  }
-  return LinkDistribution(std::move(weights));
+  const std::vector<std::int64_t> journeys =
+      BoxJourneys(radix, torus && radix > 2,
+                  {Box(static_cast<std::size_t>(dims), {0, radix})});
+  return LinkDistribution(
+      std::vector<double>(journeys.begin(), journeys.end()));
 }
 
 LinkDistribution KAryMesh::MakeAccessDistribution(int radix, int dims,
                                                   bool torus,
                                                   int anchor_coord) {
-  const bool wraps = torus && radix > 2;
+  const auto d = static_cast<std::size_t>(dims);
   const auto hop_counts =
-      HopCounts(radix, dims, wraps, /*to_anchor=*/true, anchor_coord);
+      BoxPairHops(radix, torus && radix > 2, Box(d, {0, radix}),
+                  Box(d, {anchor_coord, anchor_coord + 1}));
   // Access journeys cross dist(router, tap) + 1 links; the tap router's own
   // node contributes at r = 1 (mirroring the tree's nca == 0 -> r = 1 rule).
   std::vector<double> weights(hop_counts.size() + 1, 0.0);
   for (std::size_t h = 0; h < hop_counts.size(); ++h) {
-    weights[h + 1] = hop_counts[h];
+    weights[h + 1] = static_cast<double>(hop_counts[h]);
   }
   return LinkDistribution(std::move(weights));
 }

@@ -56,6 +56,9 @@ class KAryMesh : public Topology {
   }
   ChannelInfo Channel(std::int64_t id) const override;
   const LinkDistribution& Links() const override { return links_; }
+  /// The prefix in base-radix digits is at most dims boxes, whose pair
+  /// counts convolve per-dimension range distances like Links().
+  std::vector<std::int64_t> PrefixJourneys(std::int64_t c) const override;
   const LinkDistribution& AccessLinks() const override {
     return access_links_;
   }

@@ -200,6 +200,25 @@ void MPortNTree::DescendFromSpineInto(std::int64_t dst, std::int64_t anchor,
   out.push_back(NodeDownChannel(dst));
 }
 
+std::vector<std::int64_t> MPortNTree::PrefixJourneys(std::int64_t c) const {
+  // A level-h subtree (h < n) is a block of k^h consecutive ids, so the
+  // ordered pairs of [0, c) sharing one number the sum of s (s - 1) over the
+  // blocks; every pair shares the roots. Those at NCA level h (2h links) are
+  // the difference between adjacent levels.
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(2 * n_ + 1), 0);
+  std::int64_t below = 0;  // pairs sharing a level-(h-1) block
+  for (int h = 1; h <= n_; ++h) {
+    const std::int64_t size =
+        h < n_ ? pow_k_[static_cast<std::size_t>(h)] : num_nodes_;
+    const std::int64_t rest = c % size;
+    const std::int64_t shared =
+        c / size * size * (size - 1) + rest * (rest - 1);
+    counts[static_cast<std::size_t>(2 * h)] = shared - below;
+    below = shared;
+  }
+  return counts;
+}
+
 std::vector<std::int64_t> MPortNTree::NcaCensus(std::int64_t src) const {
   std::vector<std::int64_t> census(static_cast<std::size_t>(n_), 0);
   for (std::int64_t dst = 0; dst < num_nodes_; ++dst) {

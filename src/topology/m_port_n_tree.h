@@ -66,6 +66,9 @@ class MPortNTree : public Topology {
   /// Eq. (6) journey distribution: a level-h NCA journey crosses 2h links.
   const LinkDistribution& Links() const override { return links_; }
 
+  /// Eq. (6) under partial occupancy: the level counts of [0, c), O(n).
+  std::vector<std::int64_t> PrefixJourneys(std::int64_t c) const override;
+
   /// Eq. (6) access distribution: the spine ascent exits at level r with the
   /// same law, crossing r links.
   const LinkDistribution& AccessLinks() const override {

@@ -9,7 +9,8 @@
 //     (node vs. switch link, for per-flit times) decoded from its id;
 //   * journey statistics — the uniform-traffic distribution of links per
 //     src -> dst journey (generalizing Eq. 6) and per node -> tap access
-//     journey, both cached per instance so sweeps never recompute them;
+//     journey, both cached per instance so sweeps never recompute them,
+//     and the journey census of a node prefix, for a partly filled ICN2;
 //   * a routing oracle  — Route(src, dst) yielding the exact channel
 //     sequence the wormhole engine replays;
 //   * a concentrator tap — RouteToTap / RouteFromTap, the generalization of
@@ -87,6 +88,13 @@ class Topology {
   /// Uniform-traffic distribution of links per src -> dst journey
   /// (generalizes Eq. 6). Cached per instance.
   virtual const LinkDistribution& Links() const = 0;
+
+  /// Journeys among the node prefix [0, c), 2 <= c <= num_nodes(), where an
+  /// ICN2's C concentrators sit: element d counts the ordered pairs of
+  /// distinct nodes whose entropy-0 route crosses d links (Links() is the
+  /// census at c = num_nodes(), normalized). Exact, and in closed form for
+  /// every family but the dragonfly, which routes each pair.
+  virtual std::vector<std::int64_t> PrefixJourneys(std::int64_t c) const = 0;
 
   /// Distribution of links of the access journey from a uniform node to the
   /// concentrator tap (the tree's spine ascent of r links). Cached.

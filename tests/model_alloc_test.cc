@@ -11,7 +11,11 @@
 //     a Rebind of two runs of 2,048 clusters makes at most 16 more
 //     allocations than one of two runs of 32 (a key built or interned per
 //     cluster would add thousands);
-//   * that a preset:1120 Rebind to an adjacent locality makes at most 60.
+//   * that a preset:1120 Rebind to an adjacent locality makes at most 60,
+//     and a cold preset:1120 compile at most 80 (each pair class sizes its
+//     combo vectors once);
+//   * that a sparse ICN2's census comes with its system: reading it, or
+//     compiling a model over it, counts nothing again.
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "model/compiled_model.h"
 #include "system/presets.h"
+#include "topology/topology_spec.h"
 
 namespace {
 
@@ -143,6 +148,27 @@ TEST(ModelAlloc, Preset1120LocalityRebindMakesAtMost60Allocations) {
   const CompiledModel::RebindStats& stats = moved->rebind_stats();
   EXPECT_GT(stats.pair_rebuilt, 0);
   EXPECT_EQ(stats.combos_shared, stats.pair_rebuilt);
+}
+
+TEST(ModelAlloc, Preset1120ColdCompileMakesAtMost80Allocations) {
+  const SystemConfig sys = MakeSystem1120(MessageFormat{32, 256});
+  std::optional<CompiledModel> model;
+  const Allocs allocs = Counted([&] { model.emplace(sys); });
+  EXPECT_LE(allocs.blocks, 80) << allocs.bytes << " bytes";
+}
+
+TEST(ModelAlloc, SparseIcn2CensusIsCountedByTheConstructor) {
+  // preset:1120's 32 clusters on a 65,536-slot mesh: the census read after
+  // construction allocates nothing, and a compile over the sparse ICN2
+  // allocates what one over the exact-fit tree does.
+  const SystemConfig fit = MakeSystem1120(MessageFormat{32, 256});
+  const SystemConfig sparse =
+      fit.WithIcn2Topology(ParseTopologySpec("mesh:4x8"));
+  ASSERT_FALSE(sparse.icn2_exact_fit());
+  EXPECT_EQ(Counted([&] { sparse.icn2_links(); }).blocks, 0);
+  std::optional<CompiledModel> model;
+  const long long fit_blocks = Counted([&] { model.emplace(fit); }).blocks;
+  EXPECT_EQ(Counted([&] { model.emplace(sparse); }).blocks, fit_blocks);
 }
 
 }  // namespace
