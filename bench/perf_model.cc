@@ -26,6 +26,41 @@ namespace {
 /// (the Figs. 3-6 x-axis, at sweep-CSV resolution).
 std::vector<double> SweepGrid() { return LinearRates(4.5e-4, 48); }
 
+// The render layer: one evaluated Report written to its compact bytes
+// (Report::ToJsonText), what a served miss stores in the result cache. The
+// `bytes` counter is the report's size. These rows register first, so no
+// other row's allocations precede them: a full run times them on the heap
+// a filtered run (--benchmark_filter=ReportRender) does.
+void ReportRender(benchmark::State& state, const char* scenario) {
+  Engine engine;
+  const Report report = engine.Evaluate(ParseScenario(scenario));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = report.ToJsonText();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+
+// A dial_walk-shaped miss: 32 clusters of model rows, plus the bottleneck
+// and saturation blocks.
+void BM_ReportRender1120(benchmark::State& state) {
+  ReportRender(state,
+               "[scenario render]\nsystem = preset:1120\n"
+               "analyses = model,bottleneck,saturation\nrate = 1e-4\n");
+}
+BENCHMARK(BM_ReportRender1120);
+
+// A model-only 16-point sweep, dial_walk's other miss shape.
+void BM_ReportRenderSweep(benchmark::State& state) {
+  ReportRender(state,
+               "[scenario render]\nsystem = preset:1120\nanalyses = sweep\n"
+               "sweep.max_rate = 4e-4\nsweep.points = 16\nsweep.sim = false\n");
+}
+BENCHMARK(BM_ReportRenderSweep);
+
 void BM_Evaluate1120(benchmark::State& state) {
   const auto sys = MakeSystem1120(MessageFormat{32, 256});
   LatencyModel model(sys);
@@ -246,39 +281,6 @@ void BM_WorkloadDialSweepCold(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_WorkloadDialSweepCold);
-
-// The render layer: one evaluated Report written to its compact bytes
-// (Report::ToJsonText), what a served miss stores in the result cache. The
-// `bytes` counter is the report's size.
-void ReportRender(benchmark::State& state, const char* scenario) {
-  Engine engine;
-  const Report report = engine.Evaluate(ParseScenario(scenario));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const std::string text = report.ToJsonText();
-    bytes = text.size();
-    benchmark::DoNotOptimize(text.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["bytes"] = static_cast<double>(bytes);
-}
-
-// A dial_walk-shaped miss: 32 clusters of model rows, plus the bottleneck
-// and saturation blocks.
-void BM_ReportRender1120(benchmark::State& state) {
-  ReportRender(state,
-               "[scenario render]\nsystem = preset:1120\n"
-               "analyses = model,bottleneck,saturation\nrate = 1e-4\n");
-}
-BENCHMARK(BM_ReportRender1120);
-
-// A model-only 16-point sweep, dial_walk's other miss shape.
-void BM_ReportRenderSweep(benchmark::State& state) {
-  ReportRender(state,
-               "[scenario render]\nsystem = preset:1120\nanalyses = sweep\n"
-               "sweep.max_rate = 4e-4\nsweep.points = 16\nsweep.sim = false\n");
-}
-BENCHMARK(BM_ReportRenderSweep);
 
 }  // namespace
 }  // namespace coc

@@ -4,6 +4,8 @@
 // sweep's wall time).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 #include "topology/m_port_n_tree.h"
@@ -134,6 +136,58 @@ void BM_SimulateManyFlitTimes(benchmark::State& state) {
       static_cast<double>(messages), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulateManyFlitTimes);
+
+void BM_SimulateServeShapes(benchmark::State& state) {
+  // The served simulations of servebench's sim_serve workload: four presets
+  // at 0.05 and 0.2 of their saturation rates (uniform traffic), 100 / 1000
+  // / 100 messages each, one SimScratch carried across all eight shapes as
+  // a sweep worker carries it. `flit_events` counts flit transmissions
+  // (one engine event each), so time / flit_events is the cost of one.
+  struct Shape {
+    SystemConfig (*make)(MessageFormat);
+    double saturation;
+  };
+  const Shape shapes[] = {{MakeTinySystem, 9.48e-3},
+                          {MakeDragonflySystem, 6.39e-3},
+                          {MakeSystem544, 1.04e-3},
+                          {MakeSystem1120, 5.17e-4}};
+  std::vector<CocSystemSim> sims;
+  std::vector<double> rates;
+  for (const Shape& s : shapes) {
+    for (const double fraction : {0.05, 0.2}) {
+      sims.emplace_back(s.make(MessageFormat{32, 256}));
+      rates.push_back(s.saturation * fraction);
+    }
+  }
+  SimConfig cfg;
+  cfg.warmup_messages = 100;
+  cfg.measured_messages = 1000;
+  cfg.drain_messages = 100;
+  SimScratch scratch;
+  std::int64_t messages = 0;
+  double flit_events = 0;
+  for (auto _ : state) {
+    cfg.seed++;
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+      cfg.lambda_g = rates[i];
+      const auto r = sims[i].Run(cfg, scratch);
+      messages += r.delivered;
+      benchmark::DoNotOptimize(r.latency.Mean());
+      // Each channel's busy time is its flit count times its flit time.
+      const auto& times = sims[i].channel_flit_times();
+      for (std::size_t ch = 0; ch < times.size(); ++ch) {
+        flit_events += std::round(scratch.engine.ChannelBusyTime(
+                                      static_cast<std::int32_t>(ch)) /
+                                  times[ch]);
+      }
+    }
+  }
+  state.counters["msgs/s"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kIsRate);
+  state.counters["flit_events"] = benchmark::Counter(
+      flit_events, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimulateServeShapes);
 
 }  // namespace
 }  // namespace coc

@@ -7,9 +7,9 @@
 // recursion once per combination per ordered cluster pair. CompiledModel
 // does all of that once, at construction:
 //
-//   * Per-cluster and per-pair constants are flattened into plain arrays
-//     (the SoA layout the simulator's arena uses), so Evaluate(lambda_g) is
-//     a thin loop of multiply-adds plus the M/G/1 closed forms.
+//   * Per-cluster and per-pair constants are flattened into plain arrays,
+//     so Evaluate(lambda_g) is a thin loop of multiply-adds plus the M/G/1
+//     closed forms.
 //   * Clusters and ordered pairs are deduplicated by their full constant
 //     tuples (bit patterns, not tolerances): heterogeneous systems built
 //     from a few cluster classes — e.g. the Table 1 organizations, whose

@@ -1,6 +1,7 @@
 #include "sim/coc_system_sim.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -28,6 +29,9 @@ constexpr std::int64_t kMaxClusterPairs = std::int64_t{1} << 20;
 // The engine steps once per flit per path link: ~35x the paper's 120k
 // messages on preset:1120, where 2^20 messages of 2^20 flits take days.
 constexpr std::int64_t kMaxFlitHops = std::int64_t{1} << 30;
+// Beside a generation time 2^32 flit times long, that flit time keeps 20 of
+// its 53 bits; later (or infinite) generation times blur every latency.
+constexpr double kMaxGenFlitTimes = 0x1p32;
 
 std::int64_t CheckedMessages(std::int64_t n) {
   if (n < 0 || n > kMaxMessages) {
@@ -239,6 +243,16 @@ SimResult CocSystemSim::Run(const SimConfig& cfg, SimScratch& scratch) const {
       CheckedMessages(CheckedMessages(cfg.warmup_messages) + measured +
                       CheckedMessages(cfg.drain_messages));
   GenerateTraffic(sys_, cfg, total, scratch.traffic);
+  const double last = total > 0 ? scratch.traffic.back().time : 0.0;
+  const double fastest = *std::ranges::min_element(flit_time_);
+  if (!(last <= kMaxGenFlitTimes * fastest)) {
+    char buf[200];
+    std::snprintf(buf, sizeof buf,
+                  "cannot simulate rate %.4g: its last message is generated at "
+                  "%.4g us, past 2^32 times the smallest flit time (%.4g us)",
+                  cfg.lambda_g, last, fastest);
+    throw std::invalid_argument(buf);
+  }
 
   WormholeEngine& engine = scratch.engine;
   engine.Reset(flit_time_);

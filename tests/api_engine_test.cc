@@ -1107,6 +1107,33 @@ TEST(Engine, OversizedFlitTransmissionCountIsAScenarioErrorAtOnce) {
       << reports[0].status.message;
 }
 
+TEST(Engine, UnrepresentableGenerationTimesAreAScenarioError) {
+  // A rate so low that generation times overflow (1e-320) or swamp every
+  // flit time (1e-300) is refused in its own report; its neighbours run.
+  Engine engine;
+  const auto reports = engine.EvaluateBatch(
+      ParseScenarios("[scenario before]\nsystem = preset:tiny\n"
+                     "analyses = sim\nrate = 1e-4\nsim.messages = 100\n"
+                     "[scenario inf]\nsystem = preset:tiny\n"
+                     "analyses = sim\nrate = 1e-320\nsim.messages = 100\n"
+                     "[scenario huge]\nsystem = preset:tiny\n"
+                     "analyses = sim\nrate = 1e-300\nsim.messages = 100\n"
+                     "[scenario after]\nsystem = preset:tiny\n"
+                     "analyses = model,sim\nrate = 1e-4\n"
+                     "sim.messages = 100\n"),
+      {});
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_TRUE(reports[0].status.ok()) << reports[0].status.message;
+  EXPECT_TRUE(reports[3].status.ok()) << reports[3].status.message;
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(reports[i].status.code, StatusCode::kScenarioError) << i;
+    EXPECT_NE(reports[i].status.message.find(
+                  "past 2^32 times the smallest flit time"),
+              std::string::npos)
+        << reports[i].status.message;
+  }
+}
+
 TEST(Engine, RebindSourceTableIsBoundedByLru) {
   // The per-(system, options)-family rebind-source table is an accelerator,
   // not a registry: a batch cycling through many distinct families must not

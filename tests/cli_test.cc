@@ -530,6 +530,22 @@ TEST(Cli, OversizedFlitTransmissionCountIsRejectedNamingTheBound) {
       << sim.err;
 }
 
+TEST(Cli, UnrepresentableGenerationTimesAreRejectedNamingTheBound) {
+  // At 1e-320 the generation times overflow to inf; at 1e-300 they are
+  // ~4e300 us, beside which each flit time vanishes (every latency read 0).
+  for (const char* rate : {"1e-320", "1e-300"}) {
+    const auto sim = RunCommand(
+        {"sim", "preset:tiny", "--rate", rate, "--messages", "100"});
+    EXPECT_EQ(sim.code, 1) << rate;
+    EXPECT_NE(sim.err.find(std::string("cannot simulate rate ") + rate),
+              std::string::npos)
+        << sim.err;
+    EXPECT_NE(sim.err.find("past 2^32 times the smallest flit time"),
+              std::string::npos)
+        << sim.err;
+  }
+}
+
 TEST(Cli, BottleneckNamesBindingResource) {
   const auto r = RunCommand({"bottleneck", "preset:1120", "--rate", "1e-4"});
   EXPECT_EQ(r.code, 0) << r.err;

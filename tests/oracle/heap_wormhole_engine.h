@@ -6,8 +6,9 @@
 // exactly (sim_engine_test compares deliveries, end time, busy time and
 // budget trips), as LatencyModel is kept for CompiledModel.
 //
-// Flow control is stated on WormholeEngine; the memory layout is the same
-// structure-of-arrays arena.
+// Flow control is stated on WormholeEngine. This copy keeps one flat array
+// per per-position field (WormholeEngine keeps one `Hop` record per
+// position) and sends upstream by recursion (WormholeEngine by one loop).
 #pragma once
 
 #include <algorithm>

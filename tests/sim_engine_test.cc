@@ -327,6 +327,31 @@ TEST(WormholeEngine, RejectsMalformedMessages) {
   EXPECT_THROW(e.AddMessage(0, {0}, {1}, WormholeEngine::kMaxFlits + 1, 0),
                std::invalid_argument);
   EXPECT_THROW(e.AddMessage(0, {5}, {1}, 4, 0), std::invalid_argument);
+  // Generation times are finite and non-negative: the lane heads order
+  // times by their bit patterns.
+  for (const double gen : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
+    EXPECT_THROW(e.AddMessage(gen, {0}, {1}, 4, 0), std::invalid_argument)
+        << gen;
+  }
+  // Each throw left the engine unchanged: the first message is still id 0.
+  EXPECT_EQ(e.AddMessage(-0.0, {0}, {1}, 4, 0), 0);
+  const auto d = RunAll(e);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_DOUBLE_EQ(d[0].deliver_time, 4.0);
+}
+
+TEST(WormholeEngine, RejectsMoreDistinctFlitTimesThanLanes) {
+  // A hop names its lane in 16 bits. A table past 2^16 distinct times is
+  // refused before the engine changes, so the old table still runs.
+  WormholeEngine e({1.0});
+  std::vector<double> times;
+  for (int i = 0; i <= 1 << 16; ++i) times.push_back(1.0 + i / 1024.0);
+  EXPECT_THROW(e.Reset(times), std::invalid_argument);
+  EXPECT_THROW(WormholeEngine{times}, std::invalid_argument);
+  times.pop_back();
+  EXPECT_NO_THROW(WormholeEngine{times});
+  e.AddMessage(0.0, {0}, {1}, 3, 0);
+  EXPECT_DOUBLE_EQ(RunAll(e)[0].deliver_time, 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,6 +408,53 @@ RandomCase MakeRandomCase(std::uint64_t seed) {
     m.flits = 1 + static_cast<int>(next(40));
     c.events += 1 + static_cast<std::int64_t>(m.flits) *
                         static_cast<std::int64_t>(m.path.size());
+    c.messages.push_back(std::move(m));
+  }
+  return c;
+}
+
+// Shaped like the presets: 4 flit times, one twice another as t_cs of one
+// network is twice t_cn of another (0.5 + 0.5 ties 1.0); 5-16 link paths of
+// 32-flit messages; inter-cluster-like messages pass two unbounded C/D
+// buffers, store-and-forward in odd seeds; and generations dense enough
+// that several messages queue for each shared channel.
+RandomCase MakePresetShapedCase(std::uint64_t seed) {
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL + 7;
+  auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  RandomCase c;
+  const double times[] = {0.5, 0.5625, 1.0, 1.125};
+  const std::size_t channels = 40 + next(24);
+  for (std::size_t ch = 0; ch < channels; ++ch) {
+    c.times.push_back(times[next(4)]);
+  }
+  const int count = 40 + static_cast<int>(next(80));
+  double gen = 0;
+  for (int i = 0; i < count; ++i) {
+    RandomMessage m;
+    gen += 0.5 * static_cast<double>(next(8));
+    m.gen_time = gen;
+    const auto len = static_cast<std::int32_t>(5 + next(12));
+    // Strictly increasing channels keep the workload deadlock-free.
+    auto ch = static_cast<std::int32_t>(
+        next(channels - 2 * static_cast<std::size_t>(len) + 1));
+    for (std::int32_t pos = 0; pos < len; ++pos) {
+      m.path.push_back(ch);
+      m.depth.push_back(1);
+      ch += 1 + static_cast<std::int32_t>(next(2));
+    }
+    if (next(4) != 0) {  // through a concentrator and a dispatcher
+      const auto cd = {1 + static_cast<std::int32_t>(next(2)),
+                       len - 1 - static_cast<std::int32_t>(next(2))};
+      for (const std::int32_t pos : cd) {
+        m.depth[static_cast<std::size_t>(pos) - 1] = 0;
+        if (seed % 2 == 1) m.store_forward.push_back(pos);
+      }
+    }
+    m.flits = 32;
+    c.events += 1 + 32 * static_cast<std::int64_t>(len);
     c.messages.push_back(std::move(m));
   }
   return c;
@@ -449,6 +521,32 @@ TEST(WormholeEngine, LanesReproduceTheHeapScheduleExactly) {
     EXPECT_EQ(lanes.busy, heap.busy) << seed;
 
     // A budget short of the full run trips both at the same point.
+    const auto budget = 1 + static_cast<std::int64_t>(
+                                (seed * 7919) %
+                                static_cast<std::uint64_t>(c.events - 1));
+    const Outcome lanes_cut = RunRandomCase<WormholeEngine>(c, budget);
+    const Outcome heap_cut = RunRandomCase<HeapWormholeEngine>(c, budget);
+    ASSERT_FALSE(heap_cut.budget_error.empty()) << seed;
+    EXPECT_EQ(lanes_cut.budget_error, heap_cut.budget_error) << seed;
+    EXPECT_EQ(lanes_cut.delivered, heap_cut.delivered) << seed;
+    EXPECT_TRUE(lanes_cut.deliveries == heap_cut.deliveries) << seed;
+    EXPECT_EQ(lanes_cut.busy, heap_cut.busy) << seed;
+  }
+}
+
+TEST(WormholeEngine, PresetShapedRunsReproduceTheHeapScheduleExactly) {
+  // The send cascade walks up to 16 positions here, through C/D buffers
+  // and waiter FIFOs; the same equalities as the random cases above.
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    const RandomCase c = MakePresetShapedCase(seed);
+    const Outcome lanes = RunRandomCase<WormholeEngine>(c, 0);
+    const Outcome heap = RunRandomCase<HeapWormholeEngine>(c, 0);
+    ASSERT_EQ(heap.deliveries.size(), c.messages.size()) << seed;
+    EXPECT_TRUE(lanes.deliveries == heap.deliveries) << seed;
+    EXPECT_EQ(lanes.end_time, heap.end_time) << seed;
+    EXPECT_EQ(lanes.delivered, heap.delivered) << seed;
+    EXPECT_EQ(lanes.busy, heap.busy) << seed;
+
     const auto budget = 1 + static_cast<std::int64_t>(
                                 (seed * 7919) %
                                 static_cast<std::uint64_t>(c.events - 1));

@@ -6,8 +6,11 @@
 // pre-refactor engine on the mixed-topology system — tree, mesh and crossbar
 // clusters behind the tree ICN2 — under three disciplines: cut-through C/D,
 // store-and-forward C/D with interleaved slots, and randomized-ascent
-// routing. A single ULP of drift in any delivery, or any reordering of the
-// event schedule, fails EXPECT_EQ on exact doubles.
+// routing. A fourth block, captured before the hop-record engine, runs the
+// paper's N=544 organization (32-flit messages over 16-link paths) under
+// store-and-forward C/D, bursty MMPP arrivals and a 5% hot spot. A single
+// ULP of drift in any delivery, or any reordering of the event schedule,
+// fails EXPECT_EQ on exact doubles.
 //
 // Regenerate (after an *intentional* schedule change only) with
 //   COC_REGEN_SIM_GOLDEN=1 ./sim_golden_test
@@ -31,13 +34,19 @@ struct GoldenCase {
   std::uint64_t seed;
   std::int64_t measured;
   const std::vector<double>& golden;
+  // The first three blocks share the mixed-topology system at 2e-4.
+  SystemConfig (*make_system)(MessageFormat) = MakeMixedTopologySystem;
+  MessageFormat message{16, 64};
+  double lambda_g = 2e-4;
+  Workload workload{};
 };
 
 SimResult RunCase(const GoldenCase& c) {
-  const auto sys = MakeMixedTopologySystem(MessageFormat{16, 64});
+  const auto sys = c.make_system(c.message);
   const CocSystemSim sim(sys, c.policy);
   SimConfig cfg;
-  cfg.lambda_g = 2e-4;
+  cfg.lambda_g = c.lambda_g;
+  cfg.workload = c.workload;
   cfg.warmup_messages = 100;
   cfg.measured_messages = c.measured;
   cfg.drain_messages = 50;
@@ -293,6 +302,75 @@ const std::vector<double> kRandomizedGolden = {
     0x1.4d3be98bf4698p+15,    0x1.4d6a0d09835a1p+15,    0x1.4ed067a38fa3dp+15,
     0x1.4f3cbf01f19d1p+15,    0x1.513a95099944p+15,    0x1.575a8aacd8ee3p+15,};
 
+const std::vector<double> kPaper544Golden = {
+    0x1.d66d25a15c1f8p+9,    0x1.d973c57f1b7b5p+9,    0x1.de1ff1a932d19p+9,
+    0x1.ded66fcae058dp+9,    0x1.e1727dd107012p+9,    0x1.e6c5eaba1fd52p+9,
+    0x1.e71c1195a0dcdp+9,    0x1.ed37dc9ea2be5p+9,    0x1.ef2f9dfbcb97cp+9,
+    0x1.ef78c9da1f5e8p+9,    0x1.f0c16d06d19e7p+9,    0x1.f7b7711f6513ep+9,
+    0x1.f7e2da49da348p+9,    0x1.f9c8d9921534ap+9,    0x1.fdfcb9cdbd5dbp+9,
+    0x1.0035d4e617ecep+10,    0x1.00a0a6211afdp+10,    0x1.0454d17f09c62p+10,
+    0x1.076da58a81665p+10,    0x1.0778aa1951456p+10,    0x1.090115d4ee611p+10,
+    0x1.090b2298d2c39p+10,    0x1.0aa009b50875fp+10,    0x1.0d8bf796c6794p+10,
+    0x1.0f77626b3cc9bp+10,    0x1.0fdb18b0de952p+10,    0x1.11647a2f0b0cfp+10,
+    0x1.116aafe8b1feep+10,    0x1.1b85ee0ba1be6p+10,    0x1.1bb70f5d8a317p+10,
+    0x1.1c079c759acf4p+10,    0x1.1edf23fcfef96p+10,    0x1.1f743e7829ef3p+10,
+    0x1.22b0504258ef2p+10,    0x1.2381faaada4acp+10,    0x1.24681f880966cp+10,
+    0x1.27c383e22610cp+10,    0x1.2cc9a8bf552aep+10,    0x1.2d07d6a06a57bp+10,
+    0x1.2d1075efca5fcp+10,    0x1.2f1607a569c5ap+10,    0x1.319521f7fb86p+10,
+    0x1.4132f9ca6f557p+10,    0x1.5163348b9546dp+10,    0x1.51a0e7b1892afp+10,
+    0x1.5299a12b2e89fp+10,    0x1.5442c39c3464ep+10,    0x1.54a86015ad698p+10,
+    0x1.555e16cc28e8bp+10,    0x1.571d5770d0541p+10,    0x1.5865948194a6ep+10,
+    0x1.595c7d328f4e7p+10,    0x1.5a23fa2020b6fp+10,    0x1.5c0c6f8585e88p+10,
+    0x1.5d08e3281c01p+10,    0x1.5d9efc2c6a709p+10,    0x1.5d9efc2c6a709p+10,
+    0x1.5de0337831189p+10,    0x1.6221bcaf7cde9p+10,    0x1.6226396052803p+10,
+    0x1.630d3c234a008p+10,    0x1.65dd89e0d2ad6p+10,    0x1.664b905cb5f63p+10,
+    0x1.67edac5636bc1p+10,    0x1.69968790fd6d6p+10,    0x1.69be90691bc9p+10,
+    0x1.6a448f646b139p+10,    0x1.6a671ec094081p+10,    0x1.6a88a7f7dfcffp+10,
+    0x1.6d7ac9c12c2aap+10,    0x1.6e0019a0678fp+10,    0x1.704e2f68a5539p+10,
+    0x1.71bc52f877f0ap+10,    0x1.75bab95ede566p+10,    0x1.774f30c8af2e6p+10,
+    0x1.7ac1d3fe9cccap+10,    0x1.7be460e658d51p+10,    0x1.7dfaa8fc90822p+10,
+    0x1.80a52de7ccfccp+10,    0x1.8578d53975096p+10,    0x1.86d745c4ad59p+10,
+    0x1.8cb53d459f9cap+10,    0x1.8d99d9c4d82ecp+10,    0x1.91d1a1256039cp+10,
+    0x1.91db62fc23f4cp+10,    0x1.924993c4c3061p+10,    0x1.92c481ca9aa65p+10,
+    0x1.95c58b939c1bdp+10,    0x1.961cec336fbacp+10,    0x1.96c4bc0dafbb7p+10,
+    0x1.983c4958529adp+10,    0x1.98644df706251p+10,    0x1.98ca169410fffp+10,
+    0x1.9997a7e22b8c1p+10,    0x1.9997ee3fb9746p+10,    0x1.9a4b2d5e5c9e3p+10,
+    0x1.9aab0c99c0f9bp+10,    0x1.9e9ffea20746cp+10,    0x1.9f51523b8bb85p+10,
+    0x1.a12e70b0bd07fp+10,    0x1.a2c2cf876788cp+10,    0x1.a35299e9a0327p+10,
+    0x1.a3ecb894d5ad6p+10,    0x1.a4844cbe8e2dcp+10,    0x1.a5c88cdc4c451p+10,
+    0x1.a7d464aa23445p+10,    0x1.a9a5c8fca71e6p+10,    0x1.a9f96eb42b28cp+10,
+    0x1.aa94f8ac18eacp+10,    0x1.abd66efde2b23p+10,    0x1.ac5910b2546a9p+10,
+    0x1.ad60ee4fef58cp+10,    0x1.ae2a05b14a38bp+10,    0x1.af59e63d815cep+10,
+    0x1.b25bdd4bb8788p+10,    0x1.b41fc991792b2p+10,    0x1.b58c06cfce2dap+10,
+    0x1.b70f1bdf46f4fp+10,    0x1.b7da17646ad48p+10,    0x1.b8006d688369p+10,
+    0x1.b98b62f8c3ef8p+10,    0x1.ba0fbd156ff7cp+10,    0x1.bb4856f9c038ap+10,
+    0x1.bbf8eaab521fap+10,    0x1.bc832deb95d7p+10,    0x1.c0828a148b98ep+10,
+    0x1.c3abbb53dce48p+10,    0x1.c6f9371ec5ad8p+10,    0x1.cc8c49a795f36p+10,
+    0x1.cd34c3ed8dc6bp+10,    0x1.ce8c22e2bc99bp+10,    0x1.d0ccdd1c525d4p+10,
+    0x1.d4ab956e3de2ep+10,    0x1.d5ec066ff2b62p+10,    0x1.d6120503929f6p+10,
+    0x1.d8ec28e2fa4ccp+10,    0x1.d9a9358a9273ep+10,    0x1.deb0502a50ea2p+10,
+    0x1.e14cabf568e44p+10,    0x1.f023df76de0bap+10,    0x1.f05a31bc2536p+10,
+    0x1.f061d6b07e764p+10,    0x1.f1d56d1cae41bp+10,    0x1.f34b25c623c64p+10,
+    0x1.f4eab88d6536p+10,    0x1.fab0bb83843e7p+10,    0x1.fc8bf642f9e7ap+10,
+    0x1.01cb473a971d3p+11,    0x1.028a788716b83p+11,    0x1.0508992587d9cp+11,
+    0x1.05507d5b2bc5cp+11,    0x1.06bb63c2554f4p+11,    0x1.0df009d3df89bp+11,
+    0x1.0e2554725c758p+11,    0x1.0f5038f6e03c8p+11,    0x1.0ff173714b265p+11,
+    0x1.1025f84966b3ap+11,    0x1.11179776b480cp+11,    0x1.1191993869747p+11,
+    0x1.11921419b1229p+11,    0x1.1288e9f3629bcp+11,    0x1.134f1a3e8e524p+11,
+    0x1.1391474ce4566p+11,    0x1.14466af987799p+11,    0x1.1590f5615f385p+11,
+    0x1.16a866e0f4058p+11,    0x1.17f36c2a13725p+11,    0x1.1866dda9a83f8p+11,
+    0x1.1c9394f40efaep+11,    0x1.1ca9b93af7a9dp+11,    0x1.29aa61c4eb6d1p+11,
+    0x1.29dcded605efap+11,    0x1.321e8277c185fp+11,    0x1.322c23d18d095p+11,
+    0x1.3241f7c83ef5dp+11,    0x1.32c4c72dad18p+11,    0x1.33283f6d47e04p+11,
+    0x1.34605d9a926cp+11,    0x1.38f56ebec6698p+11,    0x1.397ccfe6d0104p+11,
+    0x1.3a016fe0df97cp+11,    0x1.3a95b87bac348p+11,    0x1.3b7c7dfb4af23p+11,
+    0x1.3b9a8d771855cp+11,    0x1.3b9d948275f44p+11,    0x1.3cdcd2c8aac12p+11,
+    0x1.3e0051288dad8p+11,    0x1.3e31b16a16e38p+11,    0x1.3e99fa399911bp+11,
+    0x1.3efd976450a52p+11,    0x1.3fcb49e1974f9p+11,    0x1.3fdc16ae641dcp+11,
+    0x1.4261f2f34e2f4p+11,    0x1.42a9253ba55b6p+11,    0x1.43fc064c16496p+11,
+    0x1.449d7ba23068cp+11,    0x1.44af0b1320561p+11,    0x1.44c9e9d74b3f6p+11,
+    0x1.4508524359d8ap+11,    0x1.474aa847726ccp+11,};
+
 TEST(SimGolden, CutThroughClusterMajor) {
   CheckOrRegen({"cut-through / cluster-major / deterministic",
                 Icn2SlotPolicy::kClusterMajor, CondisMode::kCutThrough,
@@ -312,6 +390,19 @@ TEST(SimGolden, RandomizedAscent) {
                 Icn2SlotPolicy::kClusterMajor, CondisMode::kCutThrough,
                 SimConfig::AscentPolicy::kRandomized, 13, 150,
                 kRandomizedGolden});
+}
+
+TEST(SimGolden, Paper544StoreForwardBurstyHotSpot) {
+  // preset:544 at 0.2 of its saturation rate: 4 flit times (one twice
+  // another), so cross-lane ties, and waiter FIFOs at the hot node's
+  // ejection links and the C/D taps.
+  Workload workload = Workload::Hotspot(0.05, /*hot_node=*/100);
+  workload.arrival = ArrivalProcess::Mmpp(4, 8);
+  CheckOrRegen({"preset:544 / store-forward / mmpp:4,8 / 5% hot spot",
+                Icn2SlotPolicy::kClusterMajor, CondisMode::kStoreForward,
+                SimConfig::AscentPolicy::kDeterministic, 17, 200,
+                kPaper544Golden, MakeSystem544, MessageFormat{32, 256},
+                2.08e-4, workload});
 }
 
 }  // namespace
