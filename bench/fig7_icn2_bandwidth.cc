@@ -52,7 +52,9 @@ int main() {
   for (std::size_t c = 0; c < curves.size(); ++c) {
     const CompiledModel& model = models.emplace_back(curves[c].sys);
     PlotSeries s{curves[c].name, curves[c].glyph, {}};
-    for (const ModelResult& mr : model.EvaluateMany(rates)) {
+    std::vector<ModelResult> results;
+    model.EvaluateMany(rates, results);
+    for (const ModelResult& mr : results) {
       values[c].push_back(mr.mean_latency);
     }
     for (std::size_t i = 0; i < rates.size(); ++i) {

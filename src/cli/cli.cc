@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -80,15 +81,14 @@ preset:544, preset:small, preset:tiny, preset:mixed, preset:dragonfly —
 optionally preset:NAME:M:dm.
 
 A --sweep-locality / --sweep-hotspot-fraction / --sweep-rate-scale /
---sweep-burstiness flag turns
-sweep's x-axis into that workload dial (LO:HI:STEP, inclusive): each dial
-value is evaluated over the --max-rate/--points rate grid plus its saturation
-rate, compiled incrementally (the first point cold, later points rebinding
-the previous structure — bit-identical to cold per-point compiles). Each
-point runs the saturation search; the probes column counts its model
-evaluations. Dial sweeps are model-only (simulation flags are ignored) and
-render as text or csv; --dial-cluster I picks the cluster the rate-scale
-dial moves (default 0).
+--sweep-burstiness flag turns sweep's x-axis into that workload dial
+(LO:HI:STEP, inclusive): each dial value is one scenario named DIAL=VALUE,
+evaluated in order over the --max-rate/--points rate grid plus its
+saturation rate; the probes column counts the saturation search's model
+evaluations. Dial sweeps are model-only (simulation flags and --threads are
+ignored), --deadline-ms bounds the whole sweep, and --format json prints the
+points' reports as one batch; --dial-cluster I picks the cluster the
+rate-scale dial moves (default 0).
 
 <scenarios-file> holds [scenario NAME] sections (see src/api/scenario.h and
 examples/batch_scenarios.cfg); the batch is evaluated in parallel over
@@ -491,50 +491,116 @@ std::vector<double> ParseDialGrid(const std::string& flag,
   return values;
 }
 
-/// The workload-dial variant of sweep: the x-axis is a workload parameter,
-/// each setting evaluated over the rate grid plus its saturation rate,
-/// compiled incrementally point to point. Model-only.
-int RunWorkloadDialSweep(const Scenario& s, WorkloadDial dial,
-                         const std::vector<double>& values, int dial_cluster,
-                         double max_rate, int points,
-                         std::optional<double> deadline_ms, Format format,
-                         std::ostream& out) {
-  if (format == Format::kJson) {
-    throw UsageError("workload-dial sweeps support --format text or csv");
+/// The workload-dial variant of sweep: each dial value is one Scenario, the
+/// flags' scenario with the dial's overlay field at that value, asking for
+/// its saturation rate and a model-only sweep of the rate grid. The points
+/// run in order through one Engine that keeps one model, so each compile
+/// rebinds the point before it and memory does not grow with the points.
+/// `s.deadline_ms` bounds the whole sweep: each point gets the time left.
+int RunDialSweep(Scenario s, const std::string& dial,
+                 const std::vector<double>& values, int dial_cluster,
+                 Format format, std::ostream& out) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const std::optional<double> budget_ms = s.deadline_ms;
+  s.Request(Analysis::kSaturation);
+  s.sweep_sim = false;
+  // The rate-scale dial spells every cluster's scale from the base workload
+  // (the system's under the flags), so a config file's table is kept and the
+  // dial wins over --rate-scale on its cluster; the burstiness dial keeps
+  // the base's MMPP burst length.
+  std::vector<std::pair<int, double>> scales;
+  double burst_length = 8;
+  if (dial == "rate_scale" || dial == "burstiness") {
+    Experiment exp = LoadExperiment(s.system);
+    SystemConfig& sys = exp.system;
+    if (s.icn2_override) sys = sys.WithIcn2Topology(*s.icn2_override);
+    if (dial == "rate_scale" &&
+        (dial_cluster < 0 || dial_cluster >= sys.num_clusters())) {
+      throw UsageError("--dial-cluster " + std::to_string(dial_cluster) +
+                       " outside [0, " + std::to_string(sys.num_clusters()) +
+                       ") for this system");
+    }
+    const Workload base = s.workload.ApplyTo(exp.workload, sys);
+    if (base.arrival.kind() == ArrivalProcess::Kind::kMmpp) {
+      burst_length = base.arrival.mean_burst_length();
+    }
+    if (dial == "rate_scale") {
+      for (int i = 0; i < sys.num_clusters(); ++i) {
+        scales.emplace_back(i, base.RateScale(i));
+      }
+    }
   }
-  Experiment exp = LoadExperiment(s.system);
-  SystemConfig sys = exp.system;
-  if (s.icn2_override) sys = sys.WithIcn2Topology(*s.icn2_override);
-  if (dial == WorkloadDial::kRateScale &&
-      (dial_cluster < 0 || dial_cluster >= sys.num_clusters())) {
-    throw UsageError("--dial-cluster " + std::to_string(dial_cluster) +
-                     " outside [0, " + std::to_string(sys.num_clusters()) +
-                     ") for this system");
+  // Text and CSV rows render as each point completes; only JSON keeps the
+  // reports.
+  std::vector<std::string> header{"dial", "dial_value", "lambda_g",
+                                  "analysis", "saturated", "saturation_rate",
+                                  "saturation_probes"};
+  if (format == Format::kText) {
+    header = {dial, "sat_rate", "probes"};
+    for (const double rate : LinearRates(*s.sweep_max_rate, s.sweep_points)) {
+      header.push_back("L@" + FormatSci(rate));
+    }
   }
-  // The base workload carries the dial's own overlay field at the grid's
-  // first value, so a workload flag the dial contradicts (--pattern hotspot
-  // with --sweep-locality) fails as it does in `model`, not silently.
-  WorkloadOverlay overlay = s.workload;
-  if (dial == WorkloadDial::kLocality) overlay.locality = values.front();
-  if (dial == WorkloadDial::kHotspotFraction) {
-    overlay.hotspot_fraction = values.front();
+  Table table(std::move(header));
+  std::vector<Report> reports;
+  Engine engine(Engine::Options{.model_entries = 1});
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    Scenario point = s;
+    if (budget_ms) {
+      const double left =
+          *budget_ms -
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      Deadline::After(left).Check(
+          "workload grid", std::to_string(k) + " of " +
+                               std::to_string(values.size()) +
+                               " dial points completed");
+      point.deadline_ms = left;
+    }
+    const double v = values[k];
+    point.name = dial + "=" + JsonNumber(v);
+    if (dial == "locality") point.workload.locality = v;
+    if (dial == "hotspot_fraction") point.workload.hotspot_fraction = v;
+    if (dial == "rate_scale") {
+      scales[static_cast<std::size_t>(dial_cluster)].second = v;
+      point.workload.rate_scale = scales;
+    }
+    if (dial == "burstiness") {
+      point.workload.arrival = ArrivalProcess::Mmpp(v, burst_length);
+    }
+    // Every point is a distinct model, so its search runs exactly once.
+    const std::size_t before = engine.Stats().saturation_probes;
+    Report r = engine.Evaluate(point);
+    const std::string probes =
+        std::to_string(engine.Stats().saturation_probes - before);
+    if (format == Format::kJson) {
+      reports.push_back(std::move(r));
+    } else if (format == Format::kCsv) {
+      for (const SweepPoint& p : r.sweep->points) {
+        table.AddRow({dial, FormatDouble(v, 6),
+                      FormatSci(p.lambda_g, 6),
+                      p.model_saturated ? "" : FormatDouble(p.model_latency, 4),
+                      p.model_saturated ? "1" : "0",
+                      FormatSci(*r.saturation_rate, 6), probes});
+      }
+    } else {
+      std::vector<std::string> row{FormatDouble(v, 4),
+                                   FormatSci(*r.saturation_rate, 4), probes};
+      for (const SweepPoint& p : r.sweep->points) {
+        row.push_back(p.model_saturated ? "sat"
+                                        : FormatDouble(p.model_latency, 1));
+      }
+      table.AddRow(std::move(row));
+    }
   }
-  WorkloadGridSpec spec;
-  spec.base = overlay.ApplyTo(exp.workload, sys);
-  spec.dial = dial;
-  spec.values = values;
-  spec.rate_scale_cluster = dial_cluster;
-  spec.rates = LinearRates(max_rate, points);
-  spec.model_opts = s.model;
-  if (deadline_ms) spec.deadline = Deadline::After(*deadline_ms);
-  const std::vector<WorkloadGridPoint> grid = RunWorkloadGrid(sys, spec);
-  if (format == Format::kCsv) {
-    out << FormatWorkloadGridCsv(spec, grid);
-  } else {
-    out << FormatWorkloadGridTable(
-        "workload-dial sweep (" + std::string(WorkloadDialName(dial)) +
-            "), system: " + s.system,
-        spec, grid);
+  switch (format) {
+    case Format::kText:
+      out << "workload-dial sweep (" << dial << "), system: " << s.system
+          << '\n' << table.ToString();
+      break;
+    case Format::kJson: EmitJson(BatchToJson(reports), out); break;
+    case Format::kCsv: out << table.ToCsv(); break;
   }
   return 0;
 }
@@ -561,38 +627,26 @@ int CmdSweep(const std::string& system, Flags& flags, std::ostream& out) {
   // x-axis into that workload parameter (model-only; sim flags ignored).
   const struct {
     const char* flag;
-    WorkloadDial dial;
+    const char* dial;  ///< the table's first column and the CSV's dial
   } kDialFlags[] = {
-      {"sweep-locality", WorkloadDial::kLocality},
-      {"sweep-hotspot-fraction", WorkloadDial::kHotspotFraction},
-      {"sweep-rate-scale", WorkloadDial::kRateScale},
-      {"sweep-burstiness", WorkloadDial::kBurstiness},
+      {"sweep-locality", "locality"},
+      {"sweep-hotspot-fraction", "hotspot_fraction"},
+      {"sweep-rate-scale", "rate_scale"},
+      {"sweep-burstiness", "burstiness"},
   };
-  std::optional<WorkloadDial> dial;
+  const char* dial = nullptr;
   std::vector<double> dial_values;
   for (const auto& df : kDialFlags) {
     if (!flags.Present(df.flag)) continue;
-    if (dial) {
+    if (dial != nullptr) {
       throw UsageError("at most one --sweep-<dial> flag may be given");
     }
     dial = df.dial;
     dial_values = ParseDialGrid(df.flag, flags.Text(df.flag, ""));
   }
   const int dial_cluster = flags.Integer<int>("dial-cluster", 0);
-  if (!dial && flags.Present("dial-cluster")) {
+  if (dial == nullptr && flags.Present("dial-cluster")) {
     throw UsageError("--dial-cluster requires a --sweep-<dial> flag");
-  }
-  if (dial) {
-    // Consume the sim-only flags so CheckAllUsed doesn't reject a command
-    // line that merely adds a dial flag to an existing sweep invocation.
-    flags.Present("no-sim");
-    if (flags.Present("sim-abort-latency")) flags.Number("sim-abort-latency");
-    ThreadsFromFlags(flags);
-    const std::optional<double> deadline_ms = DeadlineFromFlags(flags);
-    const Format dial_format = FormatFromFlags(flags);
-    flags.CheckAllUsed();
-    return RunWorkloadDialSweep(s, *dial, dial_values, dial_cluster, max_rate,
-                                points, deadline_ms, dial_format, out);
   }
   s.sweep_max_rate = max_rate;
   s.sweep_points = points;
@@ -609,6 +663,9 @@ int CmdSweep(const std::string& system, Flags& flags, std::ostream& out) {
   const int threads = ThreadsFromFlags(flags);
   const Format format = FormatFromFlags(flags);
   flags.CheckAllUsed();
+  if (dial != nullptr) {
+    return RunDialSweep(s, dial, dial_values, dial_cluster, format, out);
+  }
   Engine engine;
   const Report r = engine.Evaluate(s, threads);
   switch (format) {

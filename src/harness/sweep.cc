@@ -147,78 +147,6 @@ std::string FormatSweepPlot(const std::string& title,
   return RenderAsciiPlot({analysis, simulation}, 72, 18, title);
 }
 
-std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
-                                               const WorkloadGridSpec& spec) {
-  std::vector<WorkloadGridPoint> points;
-  points.reserve(spec.values.size());
-  std::optional<CompiledModel> model;
-  for (std::size_t k = 0; k < spec.values.size(); ++k) {
-    spec.deadline.Check("workload grid",
-                        std::to_string(k) + " of " +
-                            std::to_string(spec.values.size()) +
-                            " dial points completed");
-    const Workload workload =
-        ApplyWorkloadDial(spec.base, spec.dial, spec.values[k],
-                          spec.rate_scale_cluster, sys.num_clusters());
-    if (!model) {
-      model.emplace(sys, workload, spec.model_opts);
-    } else {
-      model = model->Rebind(workload);
-    }
-    WorkloadGridPoint p;
-    p.dial_value = spec.values[k];
-    p.rebind = model->rebind_stats();
-    p.results = model->EvaluateMany(spec.rates);
-    p.saturation_rate = model->SaturationRate(1.0, 1e-3, &spec.deadline,
-                                              &p.saturation_probes);
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
-std::string FormatWorkloadGridTable(
-    const std::string& label, const WorkloadGridSpec& spec,
-    const std::vector<WorkloadGridPoint>& points) {
-  std::vector<std::string> header{WorkloadDialName(spec.dial), "sat_rate",
-                                  "probes", "reused", "combos"};
-  for (const double rate : spec.rates) {
-    header.push_back("L@" + FormatSci(rate));
-  }
-  Table t(std::move(header));
-  for (const auto& p : points) {
-    std::vector<std::string> row{
-        FormatDouble(p.dial_value, 4), FormatSci(p.saturation_rate, 4),
-        std::to_string(p.saturation_probes),
-        std::to_string(p.rebind.intra_reused + p.rebind.pair_reused),
-        std::to_string(p.rebind.combos_shared)};
-    for (const auto& r : p.results) {
-      row.push_back(r.saturated ? "sat" : FormatDouble(r.mean_latency, 1));
-    }
-    t.AddRow(std::move(row));
-  }
-  std::ostringstream out;
-  out << label << '\n' << t.ToString();
-  return out.str();
-}
-
-std::string FormatWorkloadGridCsv(
-    const WorkloadGridSpec& spec,
-    const std::vector<WorkloadGridPoint>& points) {
-  Table t({"dial", "dial_value", "lambda_g", "analysis", "saturated",
-           "saturation_rate", "saturation_probes"});
-  for (const auto& p : points) {
-    for (std::size_t k = 0; k < spec.rates.size(); ++k) {
-      const ModelResult& r = p.results[k];
-      t.AddRow({WorkloadDialName(spec.dial), FormatDouble(p.dial_value, 6),
-                FormatSci(spec.rates[k], 6),
-                r.saturated ? "" : FormatDouble(r.mean_latency, 4),
-                r.saturated ? "1" : "0", FormatSci(p.saturation_rate, 6),
-                std::to_string(p.saturation_probes)});
-    }
-  }
-  return t.ToCsv();
-}
-
 std::string FormatSweepCsv(const std::vector<SweepPoint>& points) {
   Table t({"lambda_g", "analysis", "simulation", "sim_ci95", "sim_intra",
            "sim_inter"});

@@ -1,6 +1,8 @@
 // Sweep harness: evaluates the analytical model and (optionally) the
 // simulator over a grid of traffic generation rates — the x-axis of every
-// figure in the paper's evaluation.
+// figure in the paper's evaluation. A workload-dial sweep (`coc_cli sweep
+// --sweep-<dial>`) is one Engine scenario per dial value, each running this
+// rate sweep as its sweep analysis.
 #pragma once
 
 #include <optional>
@@ -75,54 +77,6 @@ std::string FormatSweepTable(const std::string& label,
 /// Renders model + simulation series as an ASCII chart (finite points only).
 std::string FormatSweepPlot(const std::string& title,
                             const std::vector<SweepPoint>& points);
-
-/// One point of a workload-dial sweep: the full rate grid evaluated under
-/// one dial setting, plus the certified saturation search's outcome.
-struct WorkloadGridPoint {
-  double dial_value = 0;
-  std::vector<ModelResult> results;  ///< one per WorkloadGridSpec::rates
-  double saturation_rate = 0;
-  /// Model evaluations the saturation search spent at this point.
-  int saturation_probes = 0;
-  CompiledModel::RebindStats rebind;  ///< structure reuse at this point
-};
-
-/// Workload-dial sweep specification: walk `dial` over `values` (each move
-/// applied to `base` via ApplyWorkloadDial), evaluating the `rates` grid and
-/// the saturation rate at every setting (searched up to lambda_g = 1 to a
-/// relative tolerance of 1e-3, as the Engine does). Model-only — the x-axis
-/// is the workload, not the rate, so simulation budgets don't fit the loop.
-struct WorkloadGridSpec {
-  Workload base;
-  WorkloadDial dial = WorkloadDial::kLocality;
-  std::vector<double> values;
-  int rate_scale_cluster = 0;  ///< which cluster the kRateScale dial moves
-  std::vector<double> rates;
-  ModelOptions model_opts;
-  /// Probed before every dial point and inside each saturation search. A
-  /// trip throws DeadlineExceeded with the completed-point count.
-  Deadline deadline;
-};
-
-/// Runs the dial sweep. The first point compiles cold; every later point
-/// rebinds the previous point's compiled structure (CompiledModel::Rebind)
-/// and runs its own saturation search. Results are bit-identical to
-/// compiling and searching each point cold (pinned by
-/// tests/harness_test.cc).
-std::vector<WorkloadGridPoint> RunWorkloadGrid(const SystemConfig& sys,
-                                               const WorkloadGridSpec& spec);
-
-/// Renders a dial sweep as an aligned table: one row per dial value with
-/// the saturation rate, probe count, reused-class counts, and the mean
-/// latency at each rate ("sat" past analytical saturation).
-std::string FormatWorkloadGridTable(const std::string& label,
-                                    const WorkloadGridSpec& spec,
-                                    const std::vector<WorkloadGridPoint>& points);
-
-/// Renders a dial sweep as CSV in long form: one row per (dial value,
-/// rate) pair plus the point's saturation columns.
-std::string FormatWorkloadGridCsv(const WorkloadGridSpec& spec,
-                                  const std::vector<WorkloadGridPoint>& points);
 
 /// Renders a sweep as CSV (same columns as FormatSweepTable). This is the
 /// one sweep-CSV projection in the tree: the api layer's Report --format csv

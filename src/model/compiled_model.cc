@@ -745,13 +745,6 @@ void CompiledModel::EvaluateMany(std::span<const double> rates,
   }
 }
 
-std::vector<ModelResult> CompiledModel::EvaluateMany(
-    std::span<const double> rates) const {
-  std::vector<ModelResult> out;
-  EvaluateMany(rates, out);
-  return out;
-}
-
 BottleneckReport CompiledModel::Bottleneck(double lambda_g,
                                            const Deadline* deadline) const {
   return Bottleneck(Evaluate(lambda_g, deadline), lambda_g);

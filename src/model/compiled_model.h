@@ -101,7 +101,6 @@ class CompiledModel {
   void EvaluateMany(std::span<const double> rates,
                     std::vector<ModelResult>& out,
                     const Deadline* deadline = nullptr) const;
-  std::vector<ModelResult> EvaluateMany(std::span<const double> rates) const;
 
   /// Bit-identical to LatencyModel::Bottleneck.
   BottleneckReport Bottleneck(double lambda_g,

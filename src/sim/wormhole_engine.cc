@@ -211,9 +211,13 @@ bool WormholeEngine::TrySend(std::int64_t msg, std::int32_t pos, double now) {
     lane.ring[(lane.head + lane.size++) & (lane.ring.size() - 1)] =
         Event{at, seq_++, msg, pos, f};
     if (pos == 0) return true;
-    // Tail left the buffer between pos-1 and pos: with a unit buffer the
-    // upstream channel is released exactly now (tail handoff rule).
-    if (f == m.flits - 1 && hop[-1].depth == 1) ReleaseChannel(hop[-1].ch, now);
+    if (f == m.flits - 1) {
+      // Tail left the buffer between pos-1 and pos: with a unit buffer the
+      // upstream channel is released exactly now (tail handoff rule). The
+      // tail crossed pos-1 first, so a pass there could send nothing.
+      if (hop[-1].depth == 1) ReleaseChannel(hop[-1].ch, now);
+      return true;
+    }
   }
 }
 

@@ -480,57 +480,4 @@ Workload WorkloadOverlay::ApplyTo(Workload base, const SystemConfig& sys) const 
   return base;
 }
 
-// --- WorkloadDial ------------------------------------------------------------
-
-const char* WorkloadDialName(WorkloadDial dial) {
-  switch (dial) {
-    case WorkloadDial::kLocality:
-      return "locality";
-    case WorkloadDial::kHotspotFraction:
-      return "hotspot_fraction";
-    case WorkloadDial::kRateScale:
-      return "rate_scale";
-    case WorkloadDial::kBurstiness:
-      return "burstiness";
-  }
-  return "?";
-}
-
-Workload ApplyWorkloadDial(const Workload& base, WorkloadDial dial,
-                           double value, int rate_scale_cluster,
-                           int num_clusters) {
-  Workload w = base;
-  switch (dial) {
-    case WorkloadDial::kLocality:
-      w.pattern = WorkloadPattern::kClusterLocal;
-      w.locality_fraction = value;
-      break;
-    case WorkloadDial::kHotspotFraction:
-      w.pattern = WorkloadPattern::kHotspot;
-      w.hotspot_fraction = value;
-      break;
-    case WorkloadDial::kRateScale:
-      if (w.rate_scale.empty()) {
-        w.rate_scale.assign(static_cast<std::size_t>(num_clusters), 1.0);
-      }
-      if (rate_scale_cluster < 0 ||
-          static_cast<std::size_t>(rate_scale_cluster) >=
-              w.rate_scale.size()) {
-        throw std::invalid_argument(
-            "rate_scale dial: cluster index " +
-            std::to_string(rate_scale_cluster) + " out of range [0, " +
-            std::to_string(w.rate_scale.size()) + ")");
-      }
-      w.rate_scale[static_cast<std::size_t>(rate_scale_cluster)] = value;
-      break;
-    case WorkloadDial::kBurstiness:
-      w.arrival = ArrivalProcess::Mmpp(
-          value, base.arrival.kind() == ArrivalProcess::Kind::kMmpp
-                     ? base.arrival.mean_burst_length()
-                     : 8.0);
-      break;
-  }
-  return w;
-}
-
 }  // namespace coc

@@ -260,31 +260,4 @@ struct WorkloadOverlay {
                          const WorkloadOverlay&) = default;
 };
 
-/// The continuously-variable workload parameters — the x-axes of
-/// workload-dial sweeps (harness RunWorkloadGrid, CLI --sweep-locality and
-/// friends). Each dial move produces an adjacent Workload that
-/// CompiledModel::Rebind recompiles incrementally.
-enum class WorkloadDial : std::uint8_t {
-  kLocality,         ///< kClusterLocal's locality_fraction
-  kHotspotFraction,  ///< kHotspot's hotspot_fraction
-  kRateScale,        ///< one cluster's rate_scale entry
-  kBurstiness,       ///< the MMPP arrival process's burstiness ratio
-};
-
-/// Canonical text name ("locality", "hotspot_fraction", "rate_scale",
-/// "burstiness").
-const char* WorkloadDialName(WorkloadDial dial);
-
-/// Returns `base` with one dial moved to `value`. The locality and hotspot
-/// dials switch the pattern to the one they parameterize (mirroring the
-/// --locality / --hotspot-fraction overlay semantics); the rate_scale dial
-/// sets cluster `rate_scale_cluster`'s entry, expanding an empty (all-1)
-/// table to `num_clusters` entries first; the burstiness dial sets an MMPP
-/// arrival process with ratio `value`, keeping the base's mean burst length
-/// when it is already MMPP. The result is not validated — callers compile
-/// it against a concrete system, which validates.
-Workload ApplyWorkloadDial(const Workload& base, WorkloadDial dial,
-                           double value, int rate_scale_cluster,
-                           int num_clusters);
-
 }  // namespace coc

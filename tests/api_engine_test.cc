@@ -902,6 +902,82 @@ workload.locality = 0.5
   }
 }
 
+/// A point of `coc_cli sweep preset:small:16:64 --max-rate 2e-3 --points 4
+/// --sweep-<dial> ...` before its dial field is set: the CLI evaluates one
+/// such scenario per dial value, in order, through one Engine that keeps one
+/// model, so every point after the first rebinds the one before it.
+Scenario SmallDialPoint() {
+  return ParseScenario(
+      "[scenario point]\nsystem = preset:small:16:64\n"
+      "analyses = saturation,sweep\nsweep.max_rate = 2e-3\n"
+      "sweep.points = 4\nsweep.sim = false\n");
+}
+
+TEST(Engine, LocalityDialPointsMatchColdCompilesAndSearches) {
+  // The dial sweep's rebind chain is a pure shortcut: every point must
+  // match a cold compile and a cold search bit for bit.
+  const SystemConfig sys = MakeSmallSystem(MessageFormat{16, 64});
+  const std::vector<double> rates = LinearRates(2e-3, 4);
+  const std::vector<double> values = {0.1, 0.3, 0.5, 0.7, 0.9};
+  Engine engine(Engine::Options{.model_entries = 1});
+  for (const double v : values) {
+    Scenario s = SmallDialPoint();
+    s.workload.locality = v;
+    const std::size_t probes = engine.Stats().saturation_probes;
+    const Report r = engine.Evaluate(s);
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+    const CompiledModel cold(sys, Workload::ClusterLocal(v));
+    std::vector<ModelResult> want;
+    cold.EvaluateMany(rates, want);
+    ASSERT_EQ(r.sweep->points.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r.sweep->points[i].model_latency, want[i].mean_latency)
+          << "value " << v << " rate " << rates[i];
+      EXPECT_EQ(r.sweep->points[i].model_saturated, want[i].saturated);
+    }
+    EXPECT_EQ(*r.saturation_rate, cold.SaturationRate(1.0)) << "value " << v;
+    EXPECT_GT(engine.Stats().saturation_probes, probes);
+  }
+  EXPECT_EQ(engine.Stats().model_rebinds, values.size() - 1);
+}
+
+TEST(Engine, BurstinessDialPointsMatchColdCompilesAndSearches) {
+  // The burstiness dial walks the arrival process from Poisson (ratio 1)
+  // into deep bursts. Every point searches lambda* with one probe and still
+  // matches a cold compile and cold search bit for bit.
+  const SystemConfig sys = MakeSmallSystem(MessageFormat{16, 64});
+  const std::vector<double> rates = LinearRates(2e-3, 4);
+  const std::vector<double> values = {1.0, 2.0, 4.0, 8.0};
+  Engine engine(Engine::Options{.model_entries = 1});
+  std::vector<double> saturation;
+  for (const double v : values) {
+    Scenario s = SmallDialPoint();
+    s.workload.arrival = ArrivalProcess::Mmpp(v, 8.0);
+    const std::size_t probes = engine.Stats().saturation_probes;
+    const Report r = engine.Evaluate(s);
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+    Workload w;
+    w.arrival = ArrivalProcess::Mmpp(v, 8.0);
+    const CompiledModel cold(sys, w);
+    std::vector<ModelResult> want;
+    cold.EvaluateMany(rates, want);
+    ASSERT_EQ(r.sweep->points.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r.sweep->points[i].model_latency, want[i].mean_latency)
+          << "value " << v << " rate " << rates[i];
+    }
+    EXPECT_EQ(*r.saturation_rate, cold.SaturationRate(1.0)) << "value " << v;
+    EXPECT_EQ(engine.Stats().saturation_probes - probes, 1u) << "value " << v;
+    saturation.push_back(*r.saturation_rate);
+  }
+  EXPECT_EQ(engine.Stats().model_rebinds, values.size() - 1);
+  // Burstiness degrades the saturation point monotonically: more variance
+  // in the arrival stream means the queues blow up earlier.
+  for (std::size_t k = 1; k < saturation.size(); ++k) {
+    EXPECT_LE(saturation[k], saturation[k - 1]);
+  }
+}
+
 TEST(Engine, RepeatedEvaluateReusesCachesAndAgrees) {
   Scenario s = ParseScenario(
       "[scenario x]\nsystem = preset:tiny:16:64\nrate = 1e-4\n"

@@ -440,11 +440,6 @@ TEST(Cli, SweepWorkloadDialRejectsBadGridsAndCombos) {
                   "--points", "2", "--no-sim", "--dial-cluster", "1"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--dial-cluster requires"), std::string::npos);
-  // JSON is not a dial-sweep encoding.
-  r = RunCommand({"sweep", "preset:tiny:8:32", "--max-rate", "1e-3",
-                  "--sweep-locality", "0.2:0.8:0.3", "--format", "json"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("text or csv"), std::string::npos);
   // Oversized grids are counted before anything is built: 10^12 dial
   // values, and a rate grid of 2*10^9 points (dial and plain sweeps).
   r = RunCommand({"sweep", "preset:tiny:8:32", "--max-rate", "1e-3",
@@ -491,6 +486,126 @@ TEST(Cli, SweepWorkloadDialRejectsBadGridsAndCombos) {
     EXPECT_NE(r.err.find("--points must be <= 1024"), std::string::npos)
         << r.err;
   }
+}
+
+TEST(Cli, SweepWorkloadDialJsonIsOneReportPerPoint) {
+  // --format json prints the points' reports as one batch: one report per
+  // dial value, named <dial>=<value>, each with its saturation rate and its
+  // model-only rate sweep.
+  const auto r = RunCommand({"sweep", "preset:tiny:8:32", "--max-rate", "1e-3",
+                             "--points", "2", "--sweep-locality",
+                             "0.2:0.8:0.3", "--format", "json"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const Json doc = Json::Parse(r.out);
+  const Json* reports = doc.Find("reports");
+  ASSERT_NE(reports, nullptr);
+  ASSERT_EQ(reports->Size(), 3u);
+  const char* names[] = {"locality=0.2", "locality=0.5", "locality=0.8"};
+  for (std::size_t k = 0; k < reports->Size(); ++k) {
+    const Json& report = reports->At(k);
+    EXPECT_EQ(report.Find("scenario")->AsString(), names[k]);
+    EXPECT_TRUE(report.Find("status")->Find("ok")->AsBool());
+    EXPECT_GT(report.Find("saturation")->Find("rate")->AsDouble(), 0);
+    EXPECT_EQ(report.Find("sweep")->Find("points")->Size(), 2u);
+  }
+}
+
+/// Parses `csv` into rows of cells (no quoting: dial CSVs hold numbers and
+/// dial names only).
+std::vector<std::vector<std::string>> CsvRows(const std::string& csv) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(csv);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string>& row = rows.emplace_back();
+    std::istringstream cells(line);
+    std::string cell;
+    while (std::getline(cells, cell, ',')) row.push_back(cell);
+  }
+  return rows;
+}
+
+TEST(Cli, DialSweepSaturationProbeCountsArePinned) {
+  // Exact per-point saturation probes of the four dial sweeps on the
+  // Table 1 organizations, as `coc_cli sweep preset:P --max-rate 4e-4
+  // --points 2 --sweep-<dial> LO:HI:STEP --format csv` prints them. The
+  // search is deterministic, so these counts guard it: the C/D queue binds
+  // at every point, so one probe at SaturatedFrom() certifies the finite
+  // side and no midpoint needs another. A search that drops either
+  // certificate changes them.
+  const struct {
+    const char* preset;
+    const char* flag;
+    const char* grid;
+    std::vector<std::string> probes;
+  } cases[] = {
+      {"preset:1120", "--sweep-locality", "0.2:0.9:0.1",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:1120", "--sweep-burstiness", "1:8:1",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:1120", "--sweep-hotspot-fraction", "0.01:0.08:0.01",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:1120", "--sweep-rate-scale", "0.5:2.5:0.25",
+       {"1", "1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:544", "--sweep-locality", "0.2:0.9:0.1",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:544", "--sweep-burstiness", "1:8:1",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:544", "--sweep-hotspot-fraction", "0.01:0.08:0.01",
+       {"1", "1", "1", "1", "1", "1", "1", "1"}},
+      {"preset:544", "--sweep-rate-scale", "0.5:2.5:0.25",
+       {"1", "1", "1", "1", "1", "1", "1", "1", "1"}},
+  };
+  for (const auto& c : cases) {
+    const auto r = RunCommand({"sweep", c.preset, "--max-rate", "4e-4",
+                               "--points", "2", c.flag, c.grid, "--format",
+                               "csv"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    const auto rows = CsvRows(r.out);
+    ASSERT_EQ(rows.size(), 1 + 2 * c.probes.size()) << r.out;
+    ASSERT_EQ(rows[0].back(), "saturation_probes");
+    // Two rates per point: every point's probes repeat on both its rows.
+    std::vector<std::string> probes;
+    for (std::size_t i = 1; i < rows.size(); i += 2) {
+      EXPECT_EQ(rows[i].back(), rows[i + 1].back()) << c.preset << " " << c.flag;
+      probes.push_back(rows[i].back());
+    }
+    EXPECT_EQ(probes, c.probes) << c.preset << " " << c.flag;
+  }
+}
+
+TEST(Cli, DialSweepFormatsNameDialAndValues) {
+  const auto table = RunCommand({"sweep", "preset:tiny:16:64", "--max-rate",
+                                 "1e-3", "--points", "2", "--sweep-rate-scale",
+                                 "0.5:1.5:1", "--dial-cluster", "1"});
+  ASSERT_EQ(table.code, 0) << table.err;
+  EXPECT_NE(table.out.find("workload-dial sweep (rate_scale), system: "
+                           "preset:tiny:16:64"),
+            std::string::npos)
+      << table.out;
+  EXPECT_NE(table.out.find("rate_scale  sat_rate"), std::string::npos)
+      << table.out;
+  const auto csv = RunCommand({"sweep", "preset:tiny:16:64", "--max-rate",
+                               "1e-3", "--points", "2", "--sweep-rate-scale",
+                               "0.5:1.5:1", "--dial-cluster", "1", "--format",
+                               "csv"});
+  ASSERT_EQ(csv.code, 0) << csv.err;
+  EXPECT_NE(csv.out.find("dial,dial_value,lambda_g"), std::string::npos);
+  // One CSV row per (value, rate) pair plus the header.
+  EXPECT_EQ(CsvRows(csv.out).size(), 1u + 2 * 2);
+}
+
+TEST(Cli, DialSweepHonorsDeadline) {
+  // --deadline-ms bounds the whole sweep: a point that starts with no time
+  // left fails naming the completed points.
+  const auto r = RunCommand({"sweep", "preset:tiny", "--max-rate", "1e-3",
+                             "--points", "2", "--sweep-locality",
+                             "0.2:0.8:0.3", "--deadline-ms", "1e-9"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("deadline exceeded during workload grid (0 of 3 dial "
+                       "points completed)"),
+            std::string::npos)
+      << r.err;
 }
 
 TEST(Cli, OversizedSimIsRejectedNamingTheChannelCount) {
@@ -802,6 +917,110 @@ std::string WriteTempFile(const std::string& name, const std::string& text) {
   std::fputs(text.c_str(), f);
   std::fclose(f);
   return path;
+}
+
+// examples/heterogeneous_workload.cfg: its workload keys set a rate table
+// (clusters 1 and 2) and the hot-spot pattern.
+constexpr const char* kHeterogeneousWorkload = R"(
+[system]
+m = 4
+icn2 = fast
+icn2_topology = torus:2x2
+message_flits = 32
+flit_bytes = 256
+workload.pattern = hotspot
+workload.hotspot_fraction = 0.2
+workload.hotspot_node = 0
+workload.rate.1 = 2.0
+workload.rate.2 = 0.5
+workload.msg_len = bimodal:8,64,0.1
+
+[network fast]
+bandwidth = 500
+network_latency = 0.01
+switch_latency = 0.02
+
+[network slow]
+bandwidth = 250
+network_latency = 0.05
+switch_latency = 0.01
+
+[clusters]
+n = 2
+icn1 = fast
+ecn1 = slow
+
+[clusters]
+topology = mesh:2x3
+ecn1_topology = mesh:2x3,tap=center
+icn1 = fast
+ecn1 = slow
+
+[clusters]
+topology = crossbar:8
+ecn1_topology = tree:2
+icn1 = fast
+ecn1 = slow
+)";
+
+TEST(Cli, DialSweepKeepsTheBaseWorkloadsTablesAndBurstLength) {
+  // A dial sets one field over the system's workload under the flags, and
+  // keeps the rest: a config file's rate table (the rate-scale dial moves
+  // one cluster of it, and wins over --rate-scale on that cluster), and an
+  // MMPP base's burst length. CSV bytes as the compile-and-rebind loop the
+  // dial sweeps ran before the Engine printed them.
+  const std::string config = WriteTempFile(
+      "coc_cli_test_heterogeneous_workload.cfg", kHeterogeneousWorkload);
+  const struct {
+    std::vector<std::string> args;
+    const char* csv;
+  } cases[] = {
+      {{"sweep", config, "--max-rate", "4e-4", "--points", "3",
+        "--sweep-rate-scale", "0.5:1.5:0.5", "--dial-cluster", "0"},
+       "dial,dial_value,lambda_g,analysis,saturated,saturation_rate,"
+       "saturation_probes\n"
+       "rate_scale,0.5,1.333333e-04,17.3179,0,1.751709e-02,1\n"
+       "rate_scale,0.5,2.666667e-04,17.4956,0,1.751709e-02,1\n"
+       "rate_scale,0.5,4.000000e-04,17.6753,0,1.751709e-02,1\n"
+       "rate_scale,1,1.333333e-04,17.0481,0,1.751709e-02,1\n"
+       "rate_scale,1,2.666667e-04,17.2322,0,1.751709e-02,1\n"
+       "rate_scale,1,4.000000e-04,17.4185,0,1.751709e-02,1\n"
+       "rate_scale,1.5,1.333333e-04,16.851,0,1.684570e-02,1\n"
+       "rate_scale,1.5,2.666667e-04,17.0451,0,1.684570e-02,1\n"
+       "rate_scale,1.5,4.000000e-04,17.2419,0,1.684570e-02,1\n"},
+      {{"sweep", config, "--max-rate", "4e-4", "--points", "3",
+        "--sweep-rate-scale", "0.5:1.5:0.5", "--dial-cluster", "2",
+        "--rate-scale", "0=1.5"},
+       "dial,dial_value,lambda_g,analysis,saturated,saturation_rate,"
+       "saturation_probes\n"
+       "rate_scale,0.5,1.333333e-04,16.4574,0,2.410889e-02,1\n"
+       "rate_scale,0.5,2.666667e-04,16.5856,0,2.410889e-02,1\n"
+       "rate_scale,0.5,4.000000e-04,16.715,0,2.410889e-02,1\n"
+       "rate_scale,1,1.333333e-04,16.5872,0,2.130127e-02,1\n"
+       "rate_scale,1,2.666667e-04,16.7419,0,2.130127e-02,1\n"
+       "rate_scale,1,4.000000e-04,16.8984,0,2.130127e-02,1\n"
+       "rate_scale,1.5,1.333333e-04,16.6946,0,1.751709e-02,1\n"
+       "rate_scale,1.5,2.666667e-04,16.8796,0,1.751709e-02,1\n"
+       "rate_scale,1.5,4.000000e-04,17.067,0,1.751709e-02,1\n"},
+      {{"sweep", "preset:tiny", "--max-rate", "1e-3", "--points", "2",
+        "--sweep-burstiness", "1:8:3.5", "--arrival", "mmpp:4,16"},
+       "dial,dial_value,lambda_g,analysis,saturated,saturation_rate,"
+       "saturation_probes\n"
+       "burstiness,1,5.000000e-04,35.5675,0,9.483337e-03,1\n"
+       "burstiness,1,1.000000e-03,37.6135,0,9.483337e-03,1\n"
+       "burstiness,4.5,5.000000e-04,53.1309,0,9.483337e-03,1\n"
+       "burstiness,4.5,1.000000e-03,74.6631,0,9.483337e-03,1\n"
+       "burstiness,8,5.000000e-04,57.7962,0,9.483337e-03,1\n"
+       "burstiness,8,1.000000e-03,84.5043,0,9.483337e-03,1\n"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), {"--format", "csv"});
+    const auto r = RunCommand(args);
+    EXPECT_EQ(r.code, 0) << r.err;
+    EXPECT_EQ(r.out, c.csv);
+  }
+  std::remove(config.c_str());
 }
 
 TEST(Cli, SimOfMoreClusterPairsThanTheBoundExitsOneNamingIt) {

@@ -165,7 +165,8 @@ TEST_P(CompiledEquivalence, EvaluateManyBitIdenticalToPointwiseReference) {
   const CompiledModel compiled(sys, workload);
 
   const std::vector<double> rates = RateGrid(1e-6, 1.0, 13);
-  const std::vector<ModelResult> batch = compiled.EvaluateMany(rates);
+  std::vector<ModelResult> batch;
+  compiled.EvaluateMany(rates, batch);
   ASSERT_EQ(batch.size(), rates.size());
   bool saw_saturated = false;
   bool saw_finite = false;
@@ -468,8 +469,9 @@ TEST_P(CompiledEquivalence, RebindBitIdenticalToColdCompile) {
     const CompiledModel source(sys, base);
     const CompiledModel rebound = source.Rebind(target);
     const CompiledModel cold(sys, target);
-    const std::vector<ModelResult> want = cold.EvaluateMany(rates);
-    const std::vector<ModelResult> got = rebound.EvaluateMany(rates);
+    std::vector<ModelResult> want, got;
+    cold.EvaluateMany(rates, want);
+    rebound.EvaluateMany(rates, got);
     for (std::size_t k = 0; k < rates.size(); ++k) {
       ExpectSameResult(want[k], got[k], "lambda_g = " + Hex(rates[k]));
     }
@@ -540,6 +542,43 @@ TEST(CompiledModelRebind, BurstinessMovesReuseTheFullStructure) {
   EXPECT_BIT_EQ(cold.SaturationRate(1.0), rebound.SaturationRate(1.0));
 }
 
+/// One random move of a workload dial that `coc_cli sweep --sweep-<dial>`
+/// walks, drawn dial, then value, then cluster: the locality or hotspot
+/// fraction (switching to its pattern), one cluster's rate scale (an empty
+/// table expands to all 1 first), or the MMPP burstiness (keeping an MMPP
+/// base's burst length, else 8). Returns the dial's name.
+const char* RandomDialMove(Workload& w, int num_clusters, std::mt19937& rng) {
+  std::uniform_real_distribution<double> frac(0.0, 1.0);
+  const int dial = std::uniform_int_distribution<int>(0, 3)(rng);
+  const double value = dial == 2   ? 0.5 + frac(rng)
+                       : dial == 3 ? 1.0 + 7.0 * frac(rng)
+                                   : 0.95 * frac(rng);
+  const auto cluster = static_cast<std::size_t>(
+      std::uniform_int_distribution<int>(0, num_clusters - 1)(rng));
+  switch (dial) {
+    case 0:
+      w.pattern = WorkloadPattern::kClusterLocal;
+      w.locality_fraction = value;
+      return "locality";
+    case 1:
+      w.pattern = WorkloadPattern::kHotspot;
+      w.hotspot_fraction = value;
+      return "hotspot_fraction";
+    case 2:
+      if (w.rate_scale.empty()) {
+        w.rate_scale.assign(static_cast<std::size_t>(num_clusters), 1.0);
+      }
+      w.rate_scale[cluster] = value;
+      return "rate_scale";
+    default:
+      w.arrival = ArrivalProcess::Mmpp(
+          value, w.arrival.kind() == ArrivalProcess::Kind::kMmpp
+                     ? w.arrival.mean_burst_length()
+                     : 8.0);
+      return "burstiness";
+  }
+}
+
 /// Property test: a random walk over the workload dials, rebind-chained N
 /// deep, stays bit-identical to a cold compile at every step — reuse noise
 /// cannot accumulate across generations of rebinding.
@@ -549,30 +588,20 @@ TEST(CompiledModelRebind, ChainedDialMovesStayBitIdentical) {
     const SystemConfig sys = MakeNamedSystem(system_name);
     const std::vector<double> rates = RateGrid(1e-5, 0.5, 5);
     std::mt19937 rng(20260807);
-    std::uniform_real_distribution<double> frac(0.0, 1.0);
-    std::uniform_int_distribution<int> dial_pick(0, 3);  // incl. burstiness
-    std::uniform_int_distribution<int> cluster_pick(0,
-                                                    sys.num_clusters() - 1);
 
     Workload workload;  // start from the paper's uniform default
     CompiledModel chained(sys, workload);
     for (int step = 0; step < 12; ++step) {
-      const auto dial = static_cast<WorkloadDial>(dial_pick(rng));
-      const double value =
-          dial == WorkloadDial::kRateScale     ? 0.5 + frac(rng)
-          : dial == WorkloadDial::kBurstiness  ? 1.0 + 7.0 * frac(rng)
-                                               : 0.95 * frac(rng);
-      workload = ApplyWorkloadDial(workload, dial, value, cluster_pick(rng),
-                                   sys.num_clusters());
+      const char* dial = RandomDialMove(workload, sys.num_clusters(), rng);
       chained = chained.Rebind(workload);
       const CompiledModel cold(sys, workload);
-      const std::vector<ModelResult> want = cold.EvaluateMany(rates);
-      const std::vector<ModelResult> got = chained.EvaluateMany(rates);
+      std::vector<ModelResult> want, got;
+      cold.EvaluateMany(rates, want);
+      chained.EvaluateMany(rates, got);
       for (std::size_t k = 0; k < rates.size(); ++k) {
         ExpectSameResult(want[k], got[k],
-                         "step " + std::to_string(step) + " dial " +
-                             WorkloadDialName(dial) + " lambda_g = " +
-                             Hex(rates[k]));
+                         "step " + std::to_string(step) + " dial " + dial +
+                             " lambda_g = " + Hex(rates[k]));
       }
     }
   }

@@ -1,7 +1,7 @@
 // Tests for the sweep harness: grid construction, model/sim sweep output,
-// workload-dial sweeps and their saturation probe counts, formatting, CSV
-// emission, and the environment-controlled sim budget.
-#include <algorithm>
+// formatting, CSV emission, and the environment-controlled sim budget.
+// Workload-dial sweeps run as Engine scenarios: api_engine_test and cli_test
+// cover them.
 #include <cstdlib>
 
 #include "common/status.h"
@@ -212,161 +212,6 @@ TEST(Harness, FormatsContainSeriesAndLabel) {
   EXPECT_NE(plot.find("plot-title"), std::string::npos);
   const auto csv = FormatSweepCsv(pts);
   EXPECT_NE(csv.find("lambda_g,analysis"), std::string::npos);
-}
-
-TEST(Harness, WorkloadGridBitIdenticalToPerPointColdCompiles) {
-  // The dial sweep's rebind chain is a pure shortcut: every point must
-  // match a cold compile + cold search.
-  const auto sys = MakeSmallSystem(MessageFormat{16, 64});
-  WorkloadGridSpec spec;
-  spec.dial = WorkloadDial::kLocality;
-  spec.values = {0.1, 0.3, 0.5, 0.7, 0.9};
-  spec.rates = LinearRates(2e-3, 4);
-  const auto grid = RunWorkloadGrid(sys, spec);
-  ASSERT_EQ(grid.size(), spec.values.size());
-  for (std::size_t k = 0; k < grid.size(); ++k) {
-    const Workload w = ApplyWorkloadDial(spec.base, spec.dial, spec.values[k],
-                                         0, sys.num_clusters());
-    const CompiledModel cold(sys, w);
-    const auto want = cold.EvaluateMany(spec.rates);
-    ASSERT_EQ(grid[k].results.size(), want.size());
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      EXPECT_EQ(grid[k].results[r].mean_latency, want[r].mean_latency)
-          << "value " << spec.values[k] << " rate " << spec.rates[r];
-      EXPECT_EQ(grid[k].results[r].saturated, want[r].saturated);
-    }
-    EXPECT_EQ(grid[k].saturation_rate, cold.SaturationRate(1.0))
-        << "value " << spec.values[k];
-    EXPECT_GT(grid[k].saturation_probes, 0);
-  }
-  // The first point compiles cold; later points carry structure over.
-  EXPECT_EQ(grid[0].rebind.intra_reused + grid[0].rebind.pair_reused, 0);
-  EXPECT_GT(grid[1].rebind.combos_shared, 0);
-}
-
-TEST(Harness, BurstinessGridBitIdenticalToPerPointColdCompiles) {
-  // The burstiness dial walks the arrival process from Poisson (ratio 1)
-  // into deep bursts. Arrival moves are the cheapest rebind (evaluate-time
-  // SCV only), so every point past the first must reuse the full compiled
-  // structure, search lambda* with one probe like the first point, and
-  // still match a cold compile and cold search bit for bit.
-  const auto sys = MakeSmallSystem(MessageFormat{16, 64});
-  WorkloadGridSpec spec;
-  spec.dial = WorkloadDial::kBurstiness;
-  spec.values = {1.0, 2.0, 4.0, 8.0};
-  spec.rates = LinearRates(2e-3, 4);
-  const auto grid = RunWorkloadGrid(sys, spec);
-  ASSERT_EQ(grid.size(), spec.values.size());
-  for (std::size_t k = 0; k < grid.size(); ++k) {
-    const Workload w = ApplyWorkloadDial(spec.base, spec.dial, spec.values[k],
-                                         0, sys.num_clusters());
-    const CompiledModel cold(sys, w);
-    const auto want = cold.EvaluateMany(spec.rates);
-    ASSERT_EQ(grid[k].results.size(), want.size());
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      EXPECT_EQ(grid[k].results[r].mean_latency, want[r].mean_latency)
-          << "value " << spec.values[k] << " rate " << spec.rates[r];
-    }
-    EXPECT_EQ(grid[k].saturation_rate, cold.SaturationRate(1.0))
-        << "value " << spec.values[k];
-    EXPECT_EQ(grid[k].saturation_probes, 1) << "value " << spec.values[k];
-    if (k > 0) {
-      EXPECT_EQ(grid[k].rebind.intra_rebuilt, 0) << "value " << spec.values[k];
-      EXPECT_EQ(grid[k].rebind.pair_rebuilt, 0) << "value " << spec.values[k];
-    }
-  }
-  // Burstiness degrades the saturation point monotonically: more variance
-  // in the arrival stream means the queues blow up earlier.
-  for (std::size_t k = 1; k < grid.size(); ++k) {
-    EXPECT_LE(grid[k].saturation_rate, grid[k - 1].saturation_rate);
-  }
-}
-
-/// The dial values `coc_cli sweep --sweep-<dial> LO:HI:STEP` walks.
-std::vector<double> DialGrid(double lo, double hi, double step) {
-  std::vector<double> values;
-  for (int i = 0;; ++i) {
-    const double v = lo + i * step;
-    if (v > hi + step * 1e-9) break;
-    values.push_back(std::min(v, hi));
-  }
-  return values;
-}
-
-TEST(Harness, DialSweepSaturationProbeCountsArePinned) {
-  // Exact per-point saturation probes of the four dial sweeps on the
-  // Table 1 organizations, as `coc_cli sweep preset:P --max-rate 4e-4
-  // --points 2 --sweep-<dial> LO:HI:STEP` prints them. The search is
-  // deterministic, so these counts guard it: the C/D queue binds at every
-  // point, so one probe at SaturatedFrom() certifies the finite side and
-  // no midpoint needs another. A search that drops either certificate
-  // changes them.
-  const struct {
-    int preset;
-    WorkloadDial dial;
-    double lo, hi, step;
-    std::vector<int> probes;
-  } cases[] = {
-      {1120, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
-       {1, 1, 1, 1, 1, 1, 1, 1}},
-      {1120, WorkloadDial::kBurstiness, 1, 8, 1, {1, 1, 1, 1, 1, 1, 1, 1}},
-      {1120, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
-       {1, 1, 1, 1, 1, 1, 1, 1}},
-      {1120, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
-       {1, 1, 1, 1, 1, 1, 1, 1, 1}},
-      {544, WorkloadDial::kLocality, 0.2, 0.9, 0.1,
-       {1, 1, 1, 1, 1, 1, 1, 1}},
-      {544, WorkloadDial::kBurstiness, 1, 8, 1, {1, 1, 1, 1, 1, 1, 1, 1}},
-      {544, WorkloadDial::kHotspotFraction, 0.01, 0.08, 0.01,
-       {1, 1, 1, 1, 1, 1, 1, 1}},
-      {544, WorkloadDial::kRateScale, 0.5, 2.5, 0.25,
-       {1, 1, 1, 1, 1, 1, 1, 1, 1}},
-  };
-  const MessageFormat fmt{32, 256};
-  const SystemConfig sys1120 = MakeSystem1120(fmt);
-  const SystemConfig sys544 = MakeSystem544(fmt);
-  for (const auto& c : cases) {
-    WorkloadGridSpec spec;
-    spec.dial = c.dial;
-    spec.values = DialGrid(c.lo, c.hi, c.step);
-    spec.rates = LinearRates(4e-4, 2);
-    std::vector<int> probes;
-    for (const WorkloadGridPoint& p :
-         RunWorkloadGrid(c.preset == 1120 ? sys1120 : sys544, spec)) {
-      probes.push_back(p.saturation_probes);
-    }
-    EXPECT_EQ(probes, c.probes)
-        << "preset:" << c.preset << " " << WorkloadDialName(c.dial);
-  }
-}
-
-TEST(Harness, WorkloadGridFormattersNameDialAndValues) {
-  const auto sys = MakeTinySystem(MessageFormat{16, 64});
-  WorkloadGridSpec spec;
-  spec.dial = WorkloadDial::kRateScale;
-  spec.rate_scale_cluster = 1;
-  spec.values = {0.5, 1.5};
-  spec.rates = LinearRates(1e-3, 2);
-  const auto grid = RunWorkloadGrid(sys, spec);
-  const std::string table = FormatWorkloadGridTable("label", spec, grid);
-  EXPECT_NE(table.find("label"), std::string::npos);
-  EXPECT_NE(table.find("rate_scale"), std::string::npos);
-  EXPECT_NE(table.find("sat_rate"), std::string::npos);
-  const std::string csv = FormatWorkloadGridCsv(spec, grid);
-  EXPECT_NE(csv.find("dial,dial_value,lambda_g"), std::string::npos);
-  // One CSV row per (value, rate) pair plus the header.
-  const auto rows = static_cast<std::size_t>(
-      std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(rows, 1 + spec.values.size() * spec.rates.size());
-}
-
-TEST(Harness, WorkloadGridHonorsDeadline) {
-  const auto sys = MakeTinySystem(MessageFormat{16, 64});
-  WorkloadGridSpec spec;
-  spec.values = {0.1, 0.2, 0.3};
-  spec.rates = LinearRates(1e-3, 2);
-  spec.deadline = Deadline::TripAfterChecks(1);
-  EXPECT_THROW(RunWorkloadGrid(sys, spec), DeadlineExceeded);
 }
 
 TEST(Harness, MaybeWriteCsvRespectsEnv) {

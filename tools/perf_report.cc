@@ -1,7 +1,8 @@
 // Perf snapshot reporter: runs the tracked bench suites and writes each
 // one's google-benchmark JSON (a "context" block plus a "benchmarks" array
-// with per-benchmark "name", "real_time"/"cpu_time" in ns, and user counters
-// such as "msgs/s" or "model_us"/"sim_us") to <out-dir>/BENCH_<suite>.json.
+// with per-benchmark "name", "real_time"/"cpu_time" in the row's
+// "time_unit", and user counters such as "msgs/s" or "model_us"/"sim_us") to
+// <out-dir>/BENCH_<suite>.json.
 // perf/ holds the committed snapshot of every suite. Each suite's previous
 // snapshot is read before its run overwrites it, so
 // `perf_report --out-dir perf --check` compares a run with the committed
@@ -74,9 +75,19 @@ struct BenchResult {
 
 using Results = std::map<std::string, BenchResult>;
 
+/// Nanoseconds per google-benchmark `time_unit`; 0 for any other unit.
+double NanosPerUnit(const std::string& unit) {
+  if (unit == "ns") return 1;
+  if (unit == "us") return 1e3;
+  if (unit == "ms") return 1e6;
+  if (unit == "s") return 1e9;
+  return 0;
+}
+
 /// Reads a google-benchmark JSON artifact through the shared parser and
 /// extracts the fields the snapshot tracks. A missing, unparseable or
-/// structurally alien file yields an empty map, which the caller reports.
+/// structurally alien file, or a row whose time unit is not ns, us, ms or s,
+/// yields an empty map, which the caller reports.
 Results ParseBenchJson(const std::string& path) {
   Results results;
   std::ifstream in(path);
@@ -102,8 +113,16 @@ Results ParseBenchJson(const std::string& path) {
     const Json& entry = benchmarks->At(i);
     const Json* name = entry.Find("name");
     if (name == nullptr) continue;
+    const Json* unit = entry.Find("time_unit");
+    const std::string unit_name = unit != nullptr ? unit->AsString() : "";
+    const double ns_per_unit = NanosPerUnit(unit_name);
+    if (ns_per_unit == 0) {
+      std::fprintf(stderr, "error: %s: %s: unknown time_unit '%s'\n",
+                   path.c_str(), name->AsString().c_str(), unit_name.c_str());
+      return {};
+    }
     BenchResult& r = results[name->AsString()];
-    r.real_time_ns = number(entry, "real_time");
+    r.real_time_ns = number(entry, "real_time") * ns_per_unit;
     r.msgs_per_s = number(entry, "msgs/s");
     r.model_us = number(entry, "model_us");
     r.sim_us = number(entry, "sim_us");
